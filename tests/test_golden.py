@@ -87,7 +87,7 @@ def test_case_list_covers_the_corpus():
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(name, argv):
-    expected = (GOLDEN / name).read_text(encoding="utf-8", newline="")
+    expected = (GOLDEN / name).read_bytes().decode("utf-8")
     actual = _run(argv)
     if actual != expected:
         pytest.fail(f"{name} differs from the golden file at {first_difference(expected, actual)}")
