@@ -39,15 +39,13 @@ from .errors import (
 from .expr import (
     DEPENDENT_KINDS,
     VERTICAL_KINDS,
-    Add,
+    ONE,
     Expr,
-    Mul,
-    Rat,
     Sym,
     Symbol,
     SymbolKind,
     as_expr,
-    diff,
+    derivation,
     free_symbols,
     normalize,
 )
@@ -64,8 +62,6 @@ __all__ = [
 ]
 
 _IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9]*\Z")
-
-_ZERO = Rat(Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -516,23 +512,21 @@ def total_derivative(e: Expr, lam, spec: BundleSpec) -> Expr:
     actually contribute (zero partials are skipped first).
     """
     pos = lam if isinstance(lam, int) else spec.base_position(lam)
-    e = normalize(as_expr(e))
-    parts = [diff(e, spec.base[pos])]
-    for s in sorted(free_symbols(e), key=lambda s: s.name):
-        if s.kind not in DEPENDENT_KINDS:
-            continue
-        d = diff(e, s)
-        if d == _ZERO:
-            continue
-        parts.append(Mul((Sym(spec.jet_shift(s, pos)), d)))
-    return normalize(Add(tuple(parts)))
+    base = spec.base[pos]
+    return derivation(
+        e,
+        lambda s: s == base or s.kind in DEPENDENT_KINDS,
+        lambda s: ONE if s == base else Sym(spec.jet_shift(s, pos)),
+    )
 
 
 def iterated_total_derivative(e: Expr, index, spec: BundleSpec) -> Expr:
     """d_Lam: total derivatives composed over the entries of the index.
     The result is independent of entry order since the d_lam commute."""
-    out = normalize(as_expr(e))
     entries = index.entries if isinstance(index, MultiIndex) else tuple(index)
+    if not entries:
+        return normalize(as_expr(e))
+    out = e
     for lam in entries:
         out = total_derivative(out, lam, spec)
     return out
@@ -546,24 +540,15 @@ def vertical_derivative(e: Expr, spec: BundleSpec) -> Expr:
     exactly 1 in the vertical symbols.  Inputs that already contain
     vertical symbols are rejected: the extension is applied once.
     """
-    e = normalize(as_expr(e))
-    syms = sorted(free_symbols(e), key=lambda s: s.name)
-    for s in syms:
+
+    def wanted(s):
         if s.kind in VERTICAL_KINDS:
             raise VerticalExtensionError(
                 f"vertical derivative applied twice: '{s.name}' is already vertical"
             )
-    parts = []
-    for s in syms:
-        if s.kind not in DEPENDENT_KINDS:
-            continue
-        d = diff(e, s)
-        if d == _ZERO:
-            continue
-        parts.append(Mul((Sym(spec.vertical_partner(s)), d)))
-    if not parts:
-        return _ZERO
-    return normalize(Add(tuple(parts)))
+        return s.kind in DEPENDENT_KINDS
+
+    return derivation(e, wanted, lambda s: Sym(spec.vertical_partner(s)))
 
 
 def max_jet_order(e: Expr, spec: BundleSpec) -> int:

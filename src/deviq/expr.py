@@ -43,6 +43,7 @@ __all__ = [
     "sqrt",
     "normalize",
     "diff",
+    "gradient",
     "substitute",
     "evaluate",
     "equivalent",
@@ -304,8 +305,10 @@ def _poly_add(p: _Poly, q: _Poly) -> _Poly:
     return out
 
 
-def _poly_mul(p: _Poly, q: _Poly) -> _Poly:
-    out: _Poly = {}
+def _poly_mul(p: _Poly, q: _Poly, out=None) -> _Poly:
+    """p*q, added into `out` when it is given."""
+    if out is None:
+        out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             mono = _mono_mul(m1, m2)
@@ -456,6 +459,78 @@ def normalize(e: Expr) -> Expr:
 
 # --------------------------------------------------------------------------
 # differentiation
+#
+# Every derivative is taken on the expanded polynomial, so an expression
+# is expanded once however many partials are wanted.  A symbol atom's
+# exponent drops by one; an opaque atom (function application or
+# unexpandable power) goes through the chain rule, with its own partials
+# taken by the tree rule `_diff`.
+
+def _poly_symbols(p: _Poly) -> set:
+    out, seen = set(), set()
+    for mono in p:
+        for atom, _ in mono:
+            if isinstance(atom, Sym):
+                out.add(atom.symbol)
+            elif atom not in seen:
+                seen.add(atom)
+                _collect_symbols(atom, out)
+    return out
+
+
+def _partials(p: _Poly, symbols) -> dict:
+    """{s: dp/ds} for each s in `symbols` whose partial is not zero, in
+    one pass over the terms of `p`."""
+    out = {}
+    atom_partials = {}  # opaque atom -> its partials, within this pass only
+    for mono, c in p.items():
+        for i, (atom, ex) in enumerate(mono):
+            if isinstance(atom, Sym):
+                if atom.symbol not in symbols:
+                    continue
+                inner = ((atom.symbol, None),)
+            else:
+                inner = atom_partials.get(atom)
+                if inner is None:
+                    inner = tuple(
+                        (s, dp)
+                        for s in free_symbols(atom) & symbols
+                        if (dp := _poly(_diff(atom, s)))
+                    )
+                    atom_partials[atom] = inner
+            if not inner:
+                continue
+            rest = mono[i + 1 :] if ex == 1 else ((atom, ex - 1), *mono[i + 1 :])
+            lowered = mono[:i] + rest
+            k = c * ex
+            for s, dp in inner:
+                acc = out.setdefault(s, {})
+                if dp is not None:
+                    _poly_mul({lowered: k}, dp, acc)
+                elif v := acc.get(lowered, 0) + k:
+                    acc[lowered] = v
+                else:
+                    del acc[lowered]
+    return {s: d for s, d in out.items() if d}
+
+
+def derivation(e: Expr, wanted, weight) -> Expr:
+    """The derivation sum_s weight(s) * de/ds, expanding `e` once.
+
+    `wanted(s)` is asked for every symbol of the normal form of `e`, in
+    name order, and may raise to refuse `e`.  The sum runs over the
+    wanted symbols whose partial is not zero; `weight(s)` gives their
+    weights as expressions, in name order, and is asked for no other
+    symbol, so it may raise for symbols that do not contribute.
+    """
+    p = _poly(as_expr(e))
+    chosen = {s for s in sorted(_poly_symbols(p), key=lambda s: s.name) if wanted(s)}
+    parts = _partials(p, chosen)
+    out: _Poly = {}
+    for s in sorted(parts, key=lambda s: s.name):
+        _poly_mul(_poly(as_expr(weight(s))), parts[s], out)
+    return _from_poly(out)
+
 
 def diff(e: Expr, s: Symbol, spec=None) -> Expr:
     """Partial derivative of `e` with respect to `s`.
@@ -467,7 +542,14 @@ def diff(e: Expr, s: Symbol, spec=None) -> Expr:
         spec.symbol(s.name if isinstance(s, Symbol) else s)
     if isinstance(s, Sym):
         s = s.symbol
-    return normalize(_diff(as_expr(e), s))
+    return _from_poly(_partials(_poly(as_expr(e)), {s}).get(s, {}))
+
+
+def gradient(e: Expr, symbols) -> dict:
+    """{s: diff(e, s)} for every symbol in `symbols`, expanding `e` once."""
+    symbols = [s.symbol if isinstance(s, Sym) else s for s in symbols]
+    parts = _partials(_poly(as_expr(e)), set(symbols))
+    return {s: _from_poly(parts.get(s, {})) for s in symbols}
 
 
 def _diff(e: Expr, s: Symbol) -> Expr:

@@ -21,7 +21,17 @@ from dataclasses import dataclass
 
 from .bundle import BundleSpec, MultiIndex, max_jet_order, vertical_derivative
 from .errors import SpecError, VerticalExtensionError
-from .expr import VERTICAL_KINDS, Add, Expr, Sym, as_expr, diff, equivalent, free_symbols, normalize
+from .expr import (
+    VERTICAL_KINDS,
+    Add,
+    Expr,
+    Sym,
+    as_expr,
+    equivalent,
+    free_symbols,
+    gradient,
+    normalize,
+)
 from .variational import (
     CommutationReport,
     EquationSystem,
@@ -78,19 +88,18 @@ def hamilton_equations(H: HamiltonianSystem) -> EquationSystem:
     spec the fields run over (y^i, v^i) with the swapped conjugates.
     """
     spec = H.spec if H.spec.order >= 1 else H.spec.with_order(1)
+    fields = spec.variational_fields
+    momenta = {(f, lam): spec.conjugate_momentum(f, lam) for f in fields for lam in range(spec.n)}
+    grad = gradient(H.density, [*fields, *momenta.values()])
     eqs = []
-    for f in spec.variational_fields:
+    for f in fields:
         c = spec.classify(f.name)
         for lam in range(spec.n):
-            p = spec.conjugate_momentum(f, lam)
             vel = Sym(spec.jet(c.field, MultiIndex((lam,)), vertical=c.vertical))
-            eqs.append(normalize(vel - diff(H.density, p)))
-    for f in spec.variational_fields:
-        parts = [
-            Sym(spec.jet_shift(spec.conjugate_momentum(f, lam), lam))
-            for lam in range(spec.n)
-        ]
-        parts.append(diff(H.density, f))
+            eqs.append(normalize(vel - grad[momenta[f, lam]]))
+    for f in fields:
+        parts = [Sym(spec.jet_shift(momenta[f, lam], lam)) for lam in range(spec.n)]
+        parts.append(grad[f])
         eqs.append(normalize(Add(tuple(parts))))
     return EquationSystem(tuple(eqs), spec, "plain")
 

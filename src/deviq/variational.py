@@ -35,9 +35,9 @@ from .expr import (
     Sym,
     SymbolKind,
     as_expr,
-    diff,
     equivalent,
     free_symbols,
+    gradient,
     normalize,
 )
 
@@ -212,16 +212,22 @@ def euler_lagrange(L: Lagrangian) -> DifferentialOperator:
     """
     k = L.order
     spec = L.spec if L.spec.order >= 2 * k else L.spec.with_order(2 * k)
-    comps = []
+    jets = {}  # variational field -> [(multi-index, jet symbol)]
     for f in spec.variational_fields:
         c = spec.classify(f.name)
-        parts = [diff(L.density, f)]
-        for idx in multiindices(spec.n, k, 1):
-            partial = diff(L.density, spec.jet(c.field, idx, vertical=c.vertical))
-            if partial == _ZERO:
+        jets[f] = [
+            (idx, spec.jet(c.field, idx, vertical=c.vertical))
+            for idx in multiindices(spec.n, k, 1)
+        ]
+    grad = gradient(L.density, [*jets, *(j for js in jets.values() for _, j in js)])
+    comps = []
+    for f, js in jets.items():
+        parts = [grad[f]]
+        for idx, j in js:
+            if grad[j] == _ZERO:
                 continue
             sign = Rat(Fraction(-1) ** idx.order)
-            parts.append(Mul((sign, iterated_total_derivative(partial, idx, spec))))
+            parts.append(Mul((sign, iterated_total_derivative(grad[j], idx, spec))))
         comps.append(normalize(Add(tuple(parts))))
     return DifferentialOperator(tuple(comps), 2 * k, spec, vertical=spec.vertical)
 
