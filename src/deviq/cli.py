@@ -33,7 +33,6 @@ from .numeric import (
     DEFAULT_DT,
     DEFAULT_EPS_LADDER,
     JacobiProblem,
-    compile_system,
     integrate,
     perturbation_residual,
 )
@@ -89,15 +88,14 @@ def _emit(text: str, out_path) -> None:
 
 def _jacobi_problem(args) -> JacobiProblem:
     model = load_model(args.file, order=args.order)
-    system = deviation_equations(model)
+    if model.spec.n != 1:
+        raise SpecError(
+            f"{args.command} needs a 1-dimensional base; the model's base is "
+            + " ".join(model.spec.base_names)
+        )
     init = _parse_assignments(args.init or "", "--init")
     jacobi = _parse_assignments(args.jacobi_init or "", "--jacobi-init")
-    # Missing Jacobi entries default to zero; the base data must be complete.
-    fos = compile_system(system)
-    for sym, vert in zip(fos.states, fos.vertical_mask):
-        if vert and sym.name not in jacobi:
-            jacobi[sym.name] = 0.0
-    return JacobiProblem(system, init, jacobi, args.t0, args.t1, args.dt)
+    return JacobiProblem(deviation_equations(model), init, jacobi, args.t0, args.t1, args.dt)
 
 
 def build_parser() -> argparse.ArgumentParser:

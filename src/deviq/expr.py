@@ -343,20 +343,23 @@ def _rational_root(c: Fraction, q: Fraction):
         return None
     if c == 0:
         return Fraction(0) if q > 0 else None
-    den = q.denominator
-
-    def root(n):
-        r = round(n ** (1.0 / den))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**den == n:
-                return cand
-        return None
-
-    rn = root(c.numerator)
-    rd = root(c.denominator)
+    rn = _exact_root(c.numerator, q.denominator)
+    rd = _exact_root(c.denominator, q.denominator)
     if rn is None or rd is None:
         return None
     return Fraction(rn, rd) ** q.numerator
+
+
+def _exact_root(n: int, k: int):
+    """The integer k-th root of n >= 1 when it is exact, else None."""
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton iteration, falling from 2^ceil(bits/k) >= n^(1/k)
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+    return r if r**k == n else None
 
 
 _EXACT_FUN_VALUES = {

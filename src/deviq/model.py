@@ -397,7 +397,11 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
 
 def load_model(path, order: Optional[int] = None) -> ModelFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read(), order=order)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as ex:
+            raise ParseError(f"{path}: not UTF-8 text ({ex.reason} at byte {ex.start})") from None
+    return parse_model(text, order=order)
 
 
 def derive_equations(model: ModelFile) -> EquationSystem:

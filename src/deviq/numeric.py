@@ -453,7 +453,8 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
 @dataclass(frozen=True)
 class JacobiProblem:
     """A deviation pair plus initial data for the base solution and the
-    Jacobi field, and the integration window."""
+    Jacobi field, and the integration window.  The base data must name
+    every base state; Jacobi states left out of `jacobi_init` start at 0."""
 
     system: EquationSystem
     base_init: dict
@@ -466,22 +467,25 @@ class JacobiProblem:
     def __post_init__(self):
         if self.system.structure != "deviation-pair":
             raise SpecError("JacobiProblem requires a deviation-pair system")
+        for name in ("t0", "t1", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.dt <= 0:
             raise SpecError(f"step size must be positive, got {self.dt}")
         if self.t1 <= self.t0:
             raise SpecError(f"empty window: t1={self.t1} <= t0={self.t0}")
         fos = compile_system(self.system)
         base = {_init_name(k): float(v) for k, v in self.base_init.items()}
-        jac = {_init_name(k): float(v) for k, v in self.jacobi_init.items()}
+        given = {_init_name(k): float(v) for k, v in self.jacobi_init.items()}
         want_base = {s.name for s, v in zip(fos.states, fos.vertical_mask) if not v}
-        want_jac = {s.name for s, v in zip(fos.states, fos.vertical_mask) if v}
+        jac = {s.name: given.pop(s.name, 0.0) for s, v in zip(fos.states, fos.vertical_mask) if v}
         if set(base) != want_base:
             raise SpecError(
                 f"base initial data must cover exactly {sorted(want_base)}, got {sorted(base)}"
             )
-        if set(jac) != want_jac:
+        if given:
             raise SpecError(
-                f"jacobi initial data must cover exactly {sorted(want_jac)}, got {sorted(jac)}"
+                f"jacobi initial data names {sorted(given)}, which are not among the Jacobi states {sorted(jac)}"
             )
         object.__setattr__(self, "base_init", base)
         object.__setattr__(self, "jacobi_init", jac)

@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import deviq.cli
+import deviq.numeric
 from conftest import MODELS_DIR, model_path
 
 
@@ -247,3 +248,56 @@ def test_console_script_available(tmp_path):
 def test_unknown_subcommand_is_usage_error():
     res = run_cli("frobnicate", model_path("oscillator"))
     assert res.returncode == 2
+
+
+def test_non_utf8_model_is_usage_error(tmp_path):
+    bad = tmp_path / "latin1.eqn"
+    bad.write_bytes("base t\nfibre y\n# \xe9\nlagrangian y_t^2\n".encode("latin-1"))
+    res = run_cli("derive", bad)
+    assert res.returncode == 2
+    assert res.stderr.startswith("deviq: error:")
+    assert "not UTF-8" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--t1", "inf"), ("--t0", "nan")])
+def test_non_finite_window_is_usage_error(flag, value):
+    res = run_cli(
+        "simulate", model_path("oscillator"), "--init", "y=1,y_t=0", flag, value,
+    )
+    assert res.returncode == 2
+    assert res.stderr == f"deviq: error: {flag[2:]} must be a finite number, got {value}\n"
+
+
+def test_simulate_two_dimensional_base_is_usage_error():
+    res = run_cli("simulate", model_path("kg"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("deviq: error: simulate needs a 1-dimensional base")
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_big_integer_root_is_exact(tmp_path):
+    src = tmp_path / "big.eqn"
+    src.write_text("base t\nfibre y\nlagrangian 0.5*y_t^2 + sqrt(1e400)*y\n")
+    res = run_cli("derive", src)
+    assert res.returncode == 0
+    assert res.stdout == "1" + "0" * 200 + " - y_tt = 0\n"
+
+
+def test_simulate_compiles_once(monkeypatch, capsys):
+    calls = []
+    compile_system = deviq.numeric.compile_system
+
+    def counting(system):
+        calls.append(system)
+        return compile_system(system)
+
+    monkeypatch.setattr(deviq.numeric, "compile_system", counting)
+    monkeypatch.setattr(deviq.cli, "compile_system", counting, raising=False)
+    code = deviq.cli.main([
+        "simulate", str(model_path("oscillator")),
+        "--init", "y=1,y_t=0", "--jacobi-init", "v_y=1", "--t1", "0.1", "--dt", "0.01",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("t,y,y_t,v_y,v_y_t\n")
+    assert len(calls) == 1

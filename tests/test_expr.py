@@ -68,6 +68,16 @@ def test_exact_function_values():
     assert normalize(Fun("sqrt", as_expr(4))) == Rat(Fraction(2))
 
 
+def test_exact_roots_of_big_integers():
+    big = 10**20 + 1
+    assert normalize(Fun("sqrt", as_expr(big**2))) == Rat(Fraction(big))
+    assert normalize(Pow(as_expr(Fraction(big**3, 27)), Fraction(2, 3))) == Rat(Fraction(big**2, 9))
+    assert normalize(Fun("sqrt", as_expr(Fraction(10) ** 400))) == Rat(Fraction(10**200))
+    # one more than a square has no rational root and stays an atom
+    assert isinstance(normalize(Fun("sqrt", as_expr(big**2 + 1))), Fun)
+    assert isinstance(normalize(Pow(as_expr(big**3 - 1), Fraction(1, 3))), Pow)
+
+
 def test_zero_power_rules():
     assert normalize(Pow(as_expr(0), Fraction(0))) == Rat(Fraction(1))
     with pytest.raises(DomainError):

@@ -221,6 +221,25 @@ def test_jacobi_problem_validates_initial_data():
         JacobiProblem(system, init, jac, 2.0, 1.0)
 
 
+def test_jacobi_problem_unset_jacobi_entries_start_at_zero():
+    init, _, t1 = ODE_CORPUS["oscillator"]
+    system = deviation_system(derive_operator("oscillator"))
+    prob = JacobiProblem(system, init, {"v_y_t": 1.0}, 0.0, t1)
+    assert prob.jacobi_init == {"v_y": 0.0, "v_y_t": 1.0}
+    assert prob.initial_state()[-2:] == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("window", [
+    dict(t0=math.nan), dict(t1=math.inf), dict(dt=math.nan), dict(dt=math.inf),
+])
+def test_jacobi_problem_rejects_non_finite_window(window):
+    init, jac, _ = ODE_CORPUS["oscillator"]
+    system = deviation_system(derive_operator("oscillator"))
+    args = dict(t0=0.0, t1=1.0, dt=1e-2) | window
+    with pytest.raises(SpecError, match="must be a finite number"):
+        JacobiProblem(system, init, jac, **args)
+
+
 def test_jacobi_problem_requires_deviation_pair():
     m = corpus_model("riccati")
     plain = EquationSystem(m.operator().components, m.spec, "plain")
