@@ -396,6 +396,8 @@ def _poly(e: Expr) -> _Poly:
                 r = _rational_root(arg.value, Fraction(1, 2))
                 if r is not None:
                     return {(): r} if r else {}
+            if e.name == "ln" and arg.value == 0:
+                raise DomainError(e, "logarithm of zero")
         return _atom_poly(Fun(e.name, arg))
     if isinstance(e, Pow):
         q = e.exponent

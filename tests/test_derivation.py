@@ -82,10 +82,10 @@ def cases():
 def defined(f, *args):
     """f(*args), or None where the tree rule raises DomainError.
 
-    It raises on a zero under sqrt, ln or a negative power that
-    normalization folds away, e.g. d/dy sqrt(y - y): the tree rule forms
-    (y - y)^(-1/2).  The derivation sees only the normal form, so there
-    it gives the derivative of the normal form instead."""
+    It raises on a zero under sqrt or a negative power that normalization
+    folds away, e.g. d/dy sqrt(y - y): the tree rule forms (y - y)^(-1/2).
+    The derivation sees only the normal form, so there it gives the
+    derivative of the normal form instead."""
     try:
         return f(*args)
     except DomainError:

@@ -82,6 +82,8 @@ def test_zero_power_rules():
     assert normalize(Pow(as_expr(0), Fraction(0))) == Rat(Fraction(1))
     with pytest.raises(DomainError):
         normalize(Pow(as_expr(0), Fraction(-1)))
+    with pytest.raises(DomainError, match="logarithm of zero"):
+        normalize(Fun("ln", Y - Y))
 
 
 def test_diff_rules():
