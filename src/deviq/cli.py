@@ -20,6 +20,7 @@ import sys
 from .errors import (
     CompileError,
     EvalError,
+    ExpansionLimitError,
     IntegrationError,
     OrderOverflowError,
     ParseError,
@@ -45,6 +46,7 @@ USAGE_ERRORS = (
     UnboundSymbolError,
     OrderOverflowError,
     VerticalExtensionError,
+    ExpansionLimitError,
 )
 NUMERIC_ERRORS = (CompileError, IntegrationError, EvalError)
 

@@ -30,6 +30,12 @@ class VerticalExtensionError(DeviqError):
     """Vertical derivative / extension applied to an already-vertical object."""
 
 
+class ExpansionLimitError(DeviqError):
+    """An exact result would pass a fixed size limit: a constant longer than
+    `expr.MAX_CONSTANT_DIGITS` digits, or a power of a sum predicted to
+    expand to more than `expr.MAX_EXPANSION_TERMS` terms."""
+
+
 class EvalError(DeviqError):
     """Numeric evaluation failed."""
 

@@ -8,7 +8,10 @@ Constants are `fractions.Fraction`, so repeated differentiation never
 accumulates floating-point drift.
 
 All values here are immutable and hashable; every operation is a pure
-function, so expressions can be shared freely across threads.
+function, so expressions can be shared freely across threads.  A normal
+form carries the expansion it was built from, attached once when the node
+is made and never changed afterwards, so normalizing it again, or
+expanding it for a derivative, costs nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError, UnboundSymbolError
+from .errors import DomainError, ExpansionLimitError, UnboundSymbolError
 
 __all__ = [
     "Symbol",
@@ -96,6 +99,10 @@ class Expr:
     """Base class for expression nodes; provides operator sugar."""
 
     __slots__ = ()
+
+    #: the polynomial of a node built by `_from_poly`, else None; it takes
+    #: no part in equality, hashing or repr
+    _expansion = None
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -274,35 +281,45 @@ def _key(e: Expr):
 # Internal form: a polynomial maps monomials to Fraction coefficients.
 # A monomial is a sorted tuple of (atom, exponent) pairs, where atoms are
 # canonical non-product expressions (symbols, function applications, or
-# powers kept opaque because expanding them would be unsound).
+# powers kept opaque because expanding them would be unsound).  Whole
+# exponents are ints, which hash and add far faster than Fractions; the
+# others are Fractions.  A normal form built by `_from_poly` keeps its
+# polynomial in `_expansion`.
 
 _Poly = dict
 
+#: Exact results are refused with ExpansionLimitError past these sizes.
+#: The corpus, the golden models and the FPU and pendulum chains up to
+#: N = 16 build constants of at most 3 digits and expand powers of sums
+#: to at most 5 terms; `sqrt(1e400)` gives 10^200, 201 digits.  A normal
+#: form's constants stay well inside Python's 4300-digit int->str limit,
+#: so any output can be printed, and the largest expansion allowed,
+#: (y + 1)^499, derives in about 2 s.
+MAX_CONSTANT_DIGITS = 1000
+MAX_EXPANSION_TERMS = 500
+_CONSTANT_BOUND = 10**MAX_CONSTANT_DIGITS
+
+
+def _integral(x):
+    """A Fraction exponent that is a whole number as an int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
 
 def _mono_mul(a, b):
+    if not a or not b:
+        return a or b
     exps = {}
     order = []
     for atom, e in a + b:
         k = _key(atom)
         if k in exps:
-            exps[k] = (exps[k][0], exps[k][1] + e)
+            exps[k] = (exps[k][0], _integral(exps[k][1] + e))
         else:
             exps[k] = (atom, e)
             order.append(k)
     items = [(atom, e) for atom, e in (exps[k] for k in order) if e != 0]
     items.sort(key=lambda p: _key(p[0]))
     return tuple(items)
-
-
-def _poly_add(p: _Poly, q: _Poly) -> _Poly:
-    out = dict(p)
-    for mono, c in q.items():
-        s = out.get(mono, Fraction(0)) + c
-        if s:
-            out[mono] = s
-        elif mono in out:
-            del out[mono]
-    return out
 
 
 def _poly_mul(p: _Poly, q: _Poly, out=None) -> _Poly:
@@ -333,7 +350,7 @@ def _poly_int_pow(p: _Poly, n: int) -> _Poly:
     return result
 
 
-def _atom_poly(atom: Expr, exponent=Fraction(1)) -> _Poly:
+def _atom_poly(atom: Expr, exponent=1) -> _Poly:
     return {((atom, exponent),): Fraction(1)}
 
 
@@ -372,14 +389,29 @@ _EXACT_FUN_VALUES = {
 
 
 def _poly(e: Expr) -> _Poly:
+    """The expansion of `e`.  It may be the one a normal form carries, so
+    callers read it and never change it."""
+    if e._expansion is not None:
+        return e._expansion
     if isinstance(e, Rat):
         return {(): e.value} if e.value else {}
     if isinstance(e, Sym):
         return _atom_poly(e)
     if isinstance(e, Add):
+        # nested sums (the parser builds a + b + c left-deep) add their
+        # terms into one dict, so no partial sum is copied
         out: _Poly = {}
-        for t in e.terms:
-            out = _poly_add(out, _poly(t))
+        stack = [e]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Add) and t._expansion is None:
+                stack.extend(reversed(t.terms))
+                continue
+            for mono, c in _poly(t).items():
+                if v := out.get(mono, 0) + c:
+                    out[mono] = v
+                else:
+                    del out[mono]
         return out
     if isinstance(e, Mul):
         out = {(): Fraction(1)}
@@ -387,7 +419,7 @@ def _poly(e: Expr) -> _Poly:
             out = _poly_mul(out, _poly(f))
         return out
     if isinstance(e, Fun):
-        arg = _from_poly(_poly(e.arg))
+        arg = normalize(e.arg)
         if isinstance(arg, Rat):
             exact = _EXACT_FUN_VALUES.get((e.name, arg.value))
             if exact is not None:
@@ -398,7 +430,7 @@ def _poly(e: Expr) -> _Poly:
                     return {(): r} if r else {}
             if e.name == "ln" and arg.value == 0:
                 raise DomainError(e, "logarithm of zero")
-        return _atom_poly(Fun(e.name, arg))
+        return _atom_poly(e if arg is e.arg else Fun(e.name, arg))
     if isinstance(e, Pow):
         q = e.exponent
         base = _poly(e.base)
@@ -409,12 +441,13 @@ def _poly(e: Expr) -> _Poly:
             if q < 0:
                 raise DomainError(e, "zero raised to a negative power")
             return {}
+        _check_power(e, base)
         if len(base) == 1:
             ((mono, coeff),) = base.items()
             if q.denominator == 1:
                 n = int(q)
                 out_mono = tuple(
-                    (atom, ex * n) for atom, ex in mono if ex * n != 0
+                    (atom, _integral(ex * n)) for atom, ex in mono if ex * n != 0
                 )
                 return {out_mono: coeff**n}
             if not mono:
@@ -424,18 +457,73 @@ def _poly(e: Expr) -> _Poly:
                 return _atom_poly(Pow(Rat(coeff), q))
             if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
                 return _atom_poly(mono[0][0], q)
-            return _atom_poly(Pow(_from_poly(base), q))
+            return _atom_poly(_opaque_pow(e, base))
         if q.denominator == 1 and q > 0:
             return _poly_int_pow(base, int(q))
-        return _atom_poly(Pow(_from_poly(base), q))
+        return _atom_poly(_opaque_pow(e, base))
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _check_power(e: Pow, base: _Poly) -> None:
+    """Refuse `e`, whose base expands to `base`, before it is computed:
+    its exponent, or a constant of its result, would pass
+    MAX_CONSTANT_DIGITS digits, or its expansion MAX_EXPANSION_TERMS terms."""
+    num, den = abs(e.exponent.numerator), e.exponent.denominator
+    if max(num, den) >= _CONSTANT_BOUND:
+        raise ExpansionLimitError(f"an exponent is longer than {MAX_CONSTANT_DIGITS} digits")
+    k = len(base)
+    if k == 1:
+        ((mono, c),) = base.items()
+        if den != 1 and mono:
+            return  # an opaque atom or a symbol's exponent: nothing is computed
+        for _, ex in mono:
+            if abs(ex.numerator) * num >= _CONSTANT_BOUND:
+                raise ExpansionLimitError(
+                    f"a power would build an exponent longer than {MAX_CONSTANT_DIGITS} digits"
+                )
+        size = max(abs(c.numerator), c.denominator)
+    elif den != 1 or e.exponent < 0:
+        return  # an opaque atom: nothing is expanded
+    else:
+        # (t_1 + ... + t_k)^n has at most C(n + k - 1, k - 1) terms
+        n, m = max(num, k - 1), min(num, k - 1)
+        terms = 1
+        for i in range(1, m + 1):
+            terms = terms * (n + i) // i
+            if terms > MAX_EXPANSION_TERMS:
+                raise ExpansionLimitError(
+                    f"'{e}' would expand to more than {MAX_EXPANSION_TERMS} terms"
+                )
+        size = k * max(max(abs(c.numerator), c.denominator) for c in base.values())
+    # a numerator or denominator of the result is at most size^(num/den),
+    # with size = k times the largest numerator or denominator of `base`
+    if size > 1 and (
+        math.log10(num) + math.log10(math.log10(size)) > math.log10(MAX_CONSTANT_DIGITS * den)
+    ):
+        raise ExpansionLimitError(
+            f"'{e}' would build a constant longer than {MAX_CONSTANT_DIGITS} digits"
+        )
+
+
+def _opaque_pow(e: Pow, base: _Poly) -> Pow:
+    """`e` as an atom: its base in normal form, `e` itself when it is."""
+    if e.base._expansion is base:
+        return e
+    return Pow(_from_poly(base), e.exponent)
+
+
 def _from_poly(p: _Poly) -> Expr:
+    """The tree of `p`.  A node made here carries `p`, which must not be
+    changed afterwards; an atom handed back as it is carries nothing."""
     terms = []
     for mono in sorted(p, key=lambda m: tuple((_key(a), (x.numerator, x.denominator)) for a, x in m)):
         coeff = p[mono]
-        factors = [atom if ex == 1 else Pow(atom, ex) for atom, ex in mono]
+        if not (-_CONSTANT_BOUND < coeff.numerator < _CONSTANT_BOUND
+                and coeff.denominator < _CONSTANT_BOUND):
+            raise ExpansionLimitError(
+                f"a normal form would hold a constant longer than {MAX_CONSTANT_DIGITS} digits"
+            )
+        factors = [atom if ex == 1 else Pow(atom, Fraction(ex)) for atom, ex in mono]
         if not factors:
             terms.append(Rat(coeff))
         elif coeff == 1 and len(factors) == 1:
@@ -446,9 +534,14 @@ def _from_poly(p: _Poly) -> Expr:
             terms.append(Mul((Rat(coeff), *factors)))
     if not terms:
         return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+    if len(terms) > 1:
+        e = Add(tuple(terms))
+    else:
+        e = terms[0]
+        if mono and e is mono[0][0]:
+            return e  # the atom of p's one monomial, which others share
+    object.__setattr__(e, "_expansion", p)
+    return e
 
 
 def normalize(e: Expr) -> Expr:
@@ -457,9 +550,13 @@ def normalize(e: Expr) -> Expr:
     Idempotent; preserves the value of `e` at every evaluation point.
     Sums are flattened and sorted, like terms merged, numeric constants
     folded, and products distributed over sums.  Function applications
-    and powers that cannot be expanded soundly stay opaque atoms.
+    and powers that cannot be expanded soundly stay opaque atoms.  A
+    normal form, a constant and a symbol are returned as they are.
     """
-    return _from_poly(_poly(as_expr(e)))
+    e = as_expr(e)
+    if e._expansion is not None or isinstance(e, (Rat, Sym)):
+        return e
+    return _from_poly(_poly(e))
 
 
 # --------------------------------------------------------------------------
@@ -612,18 +709,22 @@ def substitute(e: Expr, bindings: Mapping[Symbol, object]) -> Expr:
 
 
 def _substitute(e: Expr, table) -> Expr:
+    """`e` with the symbols of `table` replaced; a subtree holding none of
+    them comes back as the same object, stored expansion included."""
     if isinstance(e, Rat):
         return e
     if isinstance(e, Sym):
         return table.get(e.symbol, e)
-    if isinstance(e, Add):
-        return Add(tuple(_substitute(t, table) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_substitute(f, table) for f in e.factors))
+    if isinstance(e, (Add, Mul)):
+        old = e.terms if isinstance(e, Add) else e.factors
+        new = tuple(_substitute(t, table) for t in old)
+        return e if all(a is b for a, b in zip(new, old)) else type(e)(new)
     if isinstance(e, Pow):
-        return Pow(_substitute(e.base, table), e.exponent)
+        base = _substitute(e.base, table)
+        return e if base is e.base else Pow(base, e.exponent)
     if isinstance(e, Fun):
-        return Fun(e.name, _substitute(e.arg, table))
+        arg = _substitute(e.arg, table)
+        return e if arg is e.arg else Fun(e.name, arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -31,6 +31,7 @@ from .bundle import BundleSpec, max_jet_order
 from .errors import ParseError, SpecError, UnknownSymbolError
 from .expr import (
     FUNCTIONS,
+    MAX_CONSTANT_DIGITS,
     Add,
     Expr,
     Fun,
@@ -98,6 +99,19 @@ def _tokenize_line(text: str, line_no: int):
             tokens.append(Token(kind, m.group(), line_no, pos + 1))
         pos = m.end()
     return tokens
+
+
+def _number(tok: Token) -> Fraction:
+    """The exact value of a number token.  One whose numerator or
+    denominator could pass MAX_CONSTANT_DIGITS digits is refused before it
+    is built: `Fraction("1e10000000")` alone takes seconds."""
+    mantissa, _, exponent = tok.text.lower().partition("e")
+    if (
+        len(tok.text) > MAX_CONSTANT_DIGITS
+        or len(mantissa) + abs(int(exponent or 0)) > MAX_CONSTANT_DIGITS
+    ):
+        raise ParseError(f"number longer than {MAX_CONSTANT_DIGITS} digits", tok.line, tok.column)
+    return Fraction(tok.text)
 
 
 class _ExprParser:
@@ -180,7 +194,7 @@ class _ExprParser:
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "number":
-            return Rat(Fraction(tok.text))
+            return Rat(_number(tok))
         if tok.kind == "op" and tok.text == "(":
             e = self.expr()
             self.expect_op(")")
@@ -324,9 +338,9 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
                 if not ok:
                     where = tail[0] if tail else rest[1]
                     raise ParseError("param value must be a number", where.line, where.column)
-                value = Fraction(tail[0].text)
+                value = _number(tail[0])
                 if len(tail) == 3:
-                    den = Fraction(tail[2].text)
+                    den = _number(tail[2])
                     if den == 0:
                         raise ParseError("param value divides by zero", tail[2].line, tail[2].column)
                     value = value / den

@@ -269,6 +269,29 @@ def test_non_finite_window_is_usage_error(flag, value):
     assert res.stderr == f"deviq: error: {flag[2:]} must be a finite number, got {value}\n"
 
 
+@pytest.mark.parametrize("payload,message", [
+    ("2^100000000*y", "'2^100000000' would build a constant longer than 1000 digits"),
+    ("(y+1)^3000", "'(y + 1)^3000' would expand to more than 500 terms"),
+    ("1e10000000*y", "line 3, column 24: number longer than 1000 digits"),
+    ("1e600*1e600*y", "a normal form would hold a constant longer than 1000 digits"),
+])
+def test_oversized_expansion_is_usage_error(tmp_path, payload, message):
+    src = tmp_path / "big.eqn"
+    src.write_text(f"base t\nfibre y\nlagrangian 0.5*y_t^2 + {payload}\n")
+    res = run_cli("derive", src)
+    assert res.returncode == 2
+    assert res.stderr == f"deviq: error: {message}\n"
+
+
+def test_window_past_step_cap_is_usage_error():
+    res = run_cli("simulate", model_path("oscillator"), "--init", "y=1,y_t=0", "--t1", "1e12")
+    assert res.returncode == 2
+    assert res.stderr == (
+        "deviq: error: the window from t0=0.0 to t1=1000000000000.0 at dt=0.001 "
+        "takes more than 100000 steps\n"
+    )
+
+
 def test_simulate_two_dimensional_base_is_usage_error():
     res = run_cli("simulate", model_path("kg"))
     assert res.returncode == 2

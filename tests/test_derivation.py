@@ -1,34 +1,50 @@
-"""The polynomial derivation against the tree-rule definitions it replaces.
+"""The polynomial derivation against the tree-rule definitions it replaces,
+and the expansion a normal form carries.
 
 `diff`, `gradient`, `total_derivative` and `vertical_derivative` take
 their partials from one expansion of the polynomial.  Here each is
 compared, on random expressions, with the definition by the tree rule
 `_diff` followed by `normalize`, and the bundle operators with their
-sum-of-partials formula built term by term.
+sum-of-partials formula built term by term.  The stored expansion of a
+normal form is compared with a fresh expansion of an equal tree, and
+checked to stay unchanged by every operation that reads it.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from deviq import (
     Add,
     BundleSpec,
+    DifferentialOperator,
     DomainError,
+    EquationSystem,
+    Fun,
+    Lagrangian,
     Mul,
     Pow,
     Rat,
     Sym,
+    deviation_system,
     diff,
+    equivalent,
+    euler_lagrange,
     free_symbols,
     gradient,
+    load_model,
     normalize,
+    substitute,
     total_derivative,
     vertical_derivative,
 )
-from deviq.expr import DEPENDENT_KINDS, ZERO, _diff, ln, sqrt
+from deviq import expr
+from deviq.expr import DEPENDENT_KINDS, ZERO, _diff, _poly, _substitute, derivation, ln, sqrt
 from conftest import rand_expr
+
+GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 
 SPEC = BundleSpec.make(["t"], ["y", "u"], params=["omega"], order=2)
 VSPEC = SPEC.vertical_extension()
@@ -150,3 +166,98 @@ def test_vertical_derivative_matches_sum_of_partials():
             compared += 1
             assert vertical_derivative(e, VSPEC) == expected, seed
     assert compared >= 50
+
+
+# --------------------------------------------------------------------------
+# the stored expansion of a normal form
+
+def rebuilt(e):
+    """A structurally equal copy of `e` made node by node, which carries no
+    stored expansion."""
+    if isinstance(e, Rat):
+        return Rat(e.value)
+    if isinstance(e, Sym):
+        return Sym(e.symbol)
+    if isinstance(e, Add):
+        return Add(tuple(rebuilt(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(rebuilt(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(rebuilt(e.base), e.exponent)
+    return Fun(e.name, rebuilt(e.arg))
+
+
+def test_normal_form_is_its_own_normal_form():
+    for seed, e in cases():
+        n = normalize(e)
+        assert normalize(n) is n, seed
+        assert normalize(rebuilt(n)) == n, seed
+
+
+def test_stored_expansion_matches_a_fresh_expansion():
+    for seed, e in cases():
+        n = normalize(e)
+        copy = rebuilt(n)
+        assert copy == n and copy._expansion is None, seed
+        assert _poly(n) == _poly(copy), seed
+
+
+def test_stored_expansion_survives_every_operation():
+    symbols = [a.symbol for a in ATOMS]
+    absent = SPEC.symbol("u_tt")
+    compared = 0
+    for seed, e in cases():
+        n = normalize(e)
+        stored = n._expansion
+        if stored is None:
+            continue  # zero, or an atom handed back as it is
+        compared += 1
+        snapshot = dict(stored)
+        for s in symbols:
+            diff(n, s)
+        gradient(n, symbols)
+        derivation(n, lambda s: True, lambda s: Sym(s))
+        equivalent(n, e)
+        substitute(n, {symbols[1]: Sym(symbols[0]) + 1})
+        assert substitute(n, {}) is n, seed
+        assert substitute(n, {absent: Rat(Fraction(2))}) is n, seed
+        assert n._expansion is stored and stored == snapshot, seed
+    assert compared >= 50
+
+
+def test_untouched_subtrees_are_kept():
+    y, t = (Sym(SPEC.symbol(n)) for n in ("y", "t"))
+    inner = normalize(Fun("sin", y + 1))
+    e = Add((Mul((inner, y)), t))
+    assert substitute(e, {}) == normalize(e)
+    swapped = _substitute(e, {t.symbol: y})
+    assert swapped.terms[0] is e.terms[0]
+    assert _substitute(e, {}) is e
+
+
+def test_mixed_exponents_fold():
+    y = Sym(SPEC.symbol("y"))
+    half = Pow(y, Fraction(1, 2))
+    assert normalize(half * half) == y
+    assert normalize(Pow(Pow(y, Fraction(1, 3)), Fraction(3))) == y
+    assert normalize(Pow(y, Fraction(2)) * Pow(y, Fraction(-2))) == Rat(Fraction(1))
+    # whole exponents are plain ints, so monomials hash without Fraction
+    for seed, e in cases():
+        for mono in _poly(normalize(e)):
+            for _, ex in mono:
+                assert type(ex) is int or ex.denominator != 1, seed
+
+
+def test_constructors_take_normal_forms_without_expanding(monkeypatch):
+    model = load_model(GOLDEN_MODELS / "fpu-L4.eqn")
+    lagrangian = model.lagrangian()
+    operator = euler_lagrange(lagrangian)
+    system = deviation_system(operator)
+
+    def refuse(*args):
+        raise AssertionError("a normal form was expanded again")
+
+    monkeypatch.setattr(expr, "_poly_mul", refuse)
+    assert EquationSystem(system.equations, system.spec, "deviation-pair") == system
+    assert DifferentialOperator(operator.components, operator.order, operator.spec) == operator
+    assert Lagrangian(lagrangian.density, lagrangian.order, lagrangian.spec) == lagrangian

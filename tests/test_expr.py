@@ -9,6 +9,7 @@ import pytest
 from deviq import (
     BundleSpec,
     DomainError,
+    ExpansionLimitError,
     Fun,
     Mul,
     Pow,
@@ -24,6 +25,7 @@ from deviq import (
     substitute,
     to_text,
 )
+from deviq.expr import MAX_CONSTANT_DIGITS, MAX_EXPANSION_TERMS
 from conftest import first_order_atoms, rand_expr
 
 SPEC = BundleSpec.make(["t"], ["y", "u"], order=2)
@@ -66,6 +68,30 @@ def test_exact_function_values():
     assert normalize(Fun("exp", as_expr(0))) == Rat(Fraction(1))
     assert normalize(Fun("ln", as_expr(1))) == Rat(Fraction(0))
     assert normalize(Fun("sqrt", as_expr(4))) == Rat(Fraction(2))
+
+
+def test_expansion_limits():
+    # constants: up to MAX_CONSTANT_DIGITS digits, from powers or products
+    longest = MAX_CONSTANT_DIGITS - 1
+    assert normalize(as_expr(10) ** longest) == Rat(Fraction(10**longest))
+    for e in (
+        as_expr(2) ** 100000000,
+        as_expr(8) ** Fraction(100000000, 3),
+        (2 * Y) ** 10**6,
+        as_expr(10) ** MAX_CONSTANT_DIGITS,
+        as_expr(10) ** 600 * as_expr(10) ** 600,
+        Pow(Pow(Y, Fraction(10**600)), Fraction(10**600)),
+    ):
+        with pytest.raises(ExpansionLimitError):
+            normalize(e)
+    assert normalize(as_expr(1) ** 10**600) == Rat(Fraction(1))
+    # terms: (t + y + u)^n has C(n + 2, 2) terms
+    assert len(normalize((T + Y + U) ** 30).terms) == 496 <= MAX_EXPANSION_TERMS
+    for e in ((T + Y + U) ** 31, (Y + 1) ** 3000):
+        with pytest.raises(ExpansionLimitError, match="more than 500 terms"):
+            normalize(e)
+    # nothing is expanded in an opaque power, whatever its size
+    assert isinstance(normalize((Y + 1) ** -3000), Pow)
 
 
 def test_exact_roots_of_big_integers():

@@ -22,6 +22,7 @@ from deviq import (
     perturbation_residual,
     solve_jacobi,
 )
+from deviq.numeric import MAX_STEPS
 from conftest import ODE_CORPUS, corpus_model
 
 
@@ -238,6 +239,24 @@ def test_jacobi_problem_rejects_non_finite_window(window):
     args = dict(t0=0.0, t1=1.0, dt=1e-2) | window
     with pytest.raises(SpecError, match="must be a finite number"):
         JacobiProblem(system, init, jac, **args)
+
+
+@pytest.mark.parametrize("t0,t1,dt", [(0.0, 1e12, 1e-3), (0.0, 10.0, 1e-5), (-1e308, 1e308, 1.0)])
+def test_integrate_refuses_window_past_step_cap(t0, t1, dt):
+    calls = []
+    fos = compile_system(deviation_system(derive_operator("oscillator")))
+    fos.__dict__["_callable"] = lambda t, z: calls.append(t)  # the cached RHS
+    with pytest.raises(SpecError, match=f"more than {MAX_STEPS} steps"):
+        integrate(fos, (1.0, 0.0, 0.0, 1.0), t0, t1, dt)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t1", [1e-300, 1e-3])
+def test_residual_refuses_grid_without_interior(t1):
+    init, jac, _ = ODE_CORPUS["oscillator"]
+    prob = JacobiProblem(deviation_system(derive_operator("oscillator")), init, jac, 0.0, t1)
+    with pytest.raises(SpecError, match="grid too short"):
+        perturbation_residual(prob)
 
 
 def test_jacobi_problem_requires_deviation_pair():
