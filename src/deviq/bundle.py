@@ -52,7 +52,6 @@ from .expr import (
 
 __all__ = [
     "MultiIndex",
-    "JetCoordinate",
     "BundleSpec",
     "multiindices",
     "total_derivative",
@@ -106,18 +105,6 @@ def multiindices(n: int, max_order: int, min_order: int = 0) -> Iterable[MultiIn
     for length in range(min_order, max_order + 1):
         for combo in itertools.combinations_with_replacement(range(n), length):
             yield MultiIndex(combo)
-
-
-@dataclass(frozen=True)
-class JetCoordinate:
-    """A jet coordinate y^i_Lam or its vertical partner v^i_Lam."""
-
-    field: int
-    index: MultiIndex
-    vertical: bool = False
-
-    def symbol(self, spec: "BundleSpec") -> Symbol:
-        return spec.jet(self.field, self.index, vertical=self.vertical)
 
 
 @dataclass(frozen=True)
@@ -425,13 +412,6 @@ class BundleSpec:
         if c is None:
             raise UnknownSymbolError(name)
         return self._coord_symbol(c)
-
-    def coordinate(self, sym) -> JetCoordinate:
-        """JetCoordinate view of a fibre-family symbol."""
-        c = self.classify(_sym_name(sym))
-        if c is None or c.family != "fibre":
-            raise SpecError(f"'{_sym_name(sym)}' is not a fibre-family coordinate")
-        return JetCoordinate(c.field, c.index, c.vertical)
 
     def jet(self, fld, index: MultiIndex = MultiIndex(), vertical: bool = False) -> Symbol:
         if not isinstance(fld, int):

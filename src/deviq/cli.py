@@ -15,6 +15,7 @@ All commands are deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import (
@@ -49,6 +50,10 @@ USAGE_ERRORS = (
     ExpansionLimitError,
 )
 NUMERIC_ERRORS = (CompileError, IntegrationError, EvalError)
+
+#: argparse's own pattern (`-1`, `-1.5`, `-.5`) with an optional exponent, so
+#: `--t0 -1e3` reads -1e3 as the value, not as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
 
 def _parse_assignments(text: str, flag: str) -> dict:
@@ -131,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(str(e) for e in DEFAULT_EPS_LADDER),
         help="comma-separated epsilon ladder",
     )
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

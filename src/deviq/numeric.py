@@ -80,7 +80,8 @@ MAX_STEPS = 10**5
 
 
 # --------------------------------------------------------------------------
-# code generation (scalar backend for the integrator)
+# code generation: one emitted lambda, bound to math for the integrator or
+# to numpy for whole grids
 
 _SCALAR_ENV = {
     "sin": math.sin,
@@ -90,6 +91,17 @@ _SCALAR_ENV = {
     "log": math.log,
     "sqrt": math.sqrt,
     "pow": math.pow,
+    "__builtins__": {},
+}
+
+_NUMPY_ENV = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "pow": np.power,
     "__builtins__": {},
 }
 
@@ -122,55 +134,24 @@ def _emit(e: Expr, names: Mapping[str, str]) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _scalar_rhs(exprs: Sequence[Expr], base: Symbol, states: Sequence[Symbol]):
-    names = {base.name: "t"}
-    for i, s in enumerate(states):
+def _lambdify(exprs: Sequence[Expr], base: Optional[Symbol], symbols: Sequence[Symbol], env):
+    """`lambda t, z: (...)` returning one value per expression, with `base`
+    read from t, symbols[i] from z[i] and the functions from `env`."""
+    names = {} if base is None else {base.name: "t"}
+    for i, s in enumerate(symbols):
         names[s.name] = f"z[{i}]"
     body = ", ".join(_emit(e, names) for e in exprs)
-    source = f"lambda t, z: ({body},)"
-    return eval(source, dict(_SCALAR_ENV))
-
-
-# vectorized tree evaluation, used for residuals over whole grids
-
-_NP_FUNS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-}
+    return eval(f"lambda t, z: ({body},)", dict(env))
 
 
 def numpy_eval(e: Expr, env: Mapping[str, object]):
     """Evaluate an expression with names bound to scalars or ndarrays."""
-    if isinstance(e, Rat):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return env[e.symbol.name]
-        except KeyError:
-            raise UnboundSymbolError(e.symbol.name) from None
-    if isinstance(e, Add):
-        out = numpy_eval(e.terms[0], env)
-        for t in e.terms[1:]:
-            out = out + numpy_eval(t, env)
-        return out
-    if isinstance(e, Mul):
-        out = numpy_eval(e.factors[0], env)
-        for f in e.factors[1:]:
-            out = out * numpy_eval(f, env)
-        return out
-    if isinstance(e, Pow):
-        b = numpy_eval(e.base, env)
-        q = e.exponent
-        if q.denominator == 1:
-            return np.power(b, int(q))
-        return np.power(b, float(q))
-    if isinstance(e, Fun):
-        return _NP_FUNS[e.name](numpy_eval(e.arg, env))
-    raise TypeError(f"not an expression node: {e!r}")
+    symbols = sorted(free_symbols(e), key=lambda s: s.name)
+    for s in symbols:
+        if s.name not in env:
+            raise UnboundSymbolError(s.name)
+    f = _lambdify((e,), None, symbols, _NUMPY_ENV)
+    return f(None, [np.asarray(env[s.name]) for s in symbols])[0]
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +162,9 @@ class FirstOrderSystem:
     """Explicit first-order ODE dZ/dt = F(t, Z) with named states.
 
     `vertical_mask[i]` marks states belonging to the Jacobi (vertical)
-    half of a deviation pair; the mirror layout guarantees that state i
-    of the base half and vertical state i correspond."""
+    half of a deviation pair.  A compiled deviation pair has the mirror
+    layout: its first half holds the base states, and state half + i is
+    the Jacobi partner of state i."""
 
     base: Symbol
     states: tuple
@@ -210,7 +192,7 @@ class FirstOrderSystem:
 
     @cached_property
     def _callable(self):
-        return _scalar_rhs(self.rhs, self.base, self.states)
+        return _lambdify(self.rhs, self.base, self.states, _SCALAR_ENV)
 
     def __call__(self, t: float, z) -> tuple:
         return self._callable(t, z)
@@ -396,7 +378,8 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     """Classical fixed-step RK4 from t0 to t1.
 
     The grid is t0 + i*dt with one shorter final step when dt does not
-    divide the span exactly.  A window of more than MAX_STEPS steps is
+    divide the span exactly; a span shorter than one step is one step
+    from t0 to t1.  A window of more than MAX_STEPS steps is
     refused before any step runs.  Any non-finite state or failed
     right-hand side aborts with the last valid time in the error.
     """
@@ -417,7 +400,7 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     while t0 + n_full * dt > t1 + 1e-9 * dt:
         n_full -= 1
     remainder = t1 - (t0 + n_full * dt)
-    steps = n_full + (1 if remainder > 1e-9 * dt else 0)
+    steps = n_full + (1 if remainder > 1e-9 * dt or n_full == 0 else 0)
 
     times = [t0]
     rows = [z]
@@ -546,12 +529,10 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
     if eps <= 0:
         raise SpecError(f"finite-difference step must be positive, got {eps}")
     fos = prob.compiled
-    spec = prob.system.spec
     base_sys = fos.base_part()
+    names = fos.state_names[fos.dimension // 2:]
     z0 = tuple(prob.base_init[s.name] for s in base_sys.states)
-    delta = tuple(
-        prob.jacobi_init[spec.vertical_partner(s).name] for s in base_sys.states
-    )
+    delta = tuple(prob.jacobi_init[n] for n in names)
     plain = integrate(base_sys, z0, prob.t0, prob.t1, prob.dt)
     nudged = integrate(
         base_sys,
@@ -561,7 +542,6 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
         prob.dt,
     )
     diff_states = (nudged.states - plain.states) / eps
-    names = tuple(spec.vertical_partner(s).name for s in base_sys.states)
     return Trajectory(
         plain.times,
         diff_states,
@@ -611,53 +591,39 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
         if e < 0:
             raise SpecError(f"perturbation size must be non-negative, got {e}")
     base, jac = solve_jacobi(prob)
-    fos = prob.compiled
-    spec = prob.system.spec
-    m = len(prob.system.equations) // 2
-    binding = _param_bindings(spec)
-    originals = [substitute(e, binding) for e in prob.system.equations[:m]]
-
     times = base.times
     if len(times) < 3:
         raise SpecError("grid too short for an interior residual")
-    env_base = {fos.base.name: times}
-    for name in base.names:
-        env_base[name] = base.column(name)
+    fos = prob.compiled
+    spec = prob.system.spec
+    half = fos.dimension // 2
+    base_states = fos.states[:half]
+    m = len(prob.system.equations) // 2
+    binding = _param_bindings(spec)
+    originals = [substitute(e, binding) for e in prob.system.equations[:m]]
+    # a chain tail is the highest derivative its family keeps as a state; the
+    # equations hold one derivative more, the top
+    tails = [i for i, s in enumerate(base_states) if spec.jet_shift(s, 0) not in fos.states]
+    tops = tuple(spec.jet_shift(base_states[i], 0) for i in tails)
+    top_rhs = _lambdify([fos.rhs[i] for i in tails], fos.base, base_states, _NUMPY_ENV)
+    residuals = _lambdify(originals, fos.base, base_states + tops, _NUMPY_ENV)
 
-    # top derivatives per base family: from the equation for s, by central
-    # differences of the last chain state for psi
-    top_s = {}
-    top_psi = {}
-    base_states = [s for s, v in zip(fos.states, fos.vertical_mask) if not v]
-    state_names = set(fos.state_names)
     with np.errstate(all="ignore"):
-        for i, s in enumerate(fos.states):
-            if fos.vertical_mask[i]:
-                continue
-            c = spec.classify(s.name)
-            top_name = spec._coord_name(replace(c, index=c.index.plus(0)))
-            if top_name in state_names:
-                continue  # chain link, not the top of its family
-            r = fos.rhs[i]
-            top_s[top_name] = numpy_eval(r, env_base) + np.zeros_like(times)
-            partner = spec.vertical_partner(s).name
-            vtop_name = spec._coord_name(
-                replace(spec.classify(partner), index=c.index.plus(0))
-            )
-            top_psi[vtop_name] = np.gradient(jac.column(partner), times)
+        # the top of s from its compiled equation, the top of psi by central
+        # differences of its chain tail
+        top_s = [
+            v + np.zeros_like(times)
+            for v in top_rhs(times, [base.states[:, i] for i in range(half)])
+        ]
+        top_psi = [np.gradient(jac.states[:, i], times) for i in tails]
 
         entries = []
         for eps in eps_list:
-            env = {fos.base.name: times}
-            for s in base_states:
-                partner = spec.vertical_partner(s).name
-                env[s.name] = base.column(s.name) + eps * jac.column(partner)
-            for top_name, arr in top_s.items():
-                vname = _vertical_top_name(spec, top_name)
-                env[top_name] = arr + eps * top_psi[vname]
+            z = [base.states[:, i] + eps * jac.states[:, i] for i in range(half)]
+            z += [s + eps * p for s, p in zip(top_s, top_psi)]
             worst = 0.0
-            for eq in originals:
-                vals = numpy_eval(eq, env) + np.zeros_like(times)
+            for vals in residuals(times, z):
+                vals = vals + np.zeros_like(times)
                 peak = float(np.max(np.abs(vals[1:-1])))
                 if not math.isfinite(peak):
                     raise IntegrationError(
@@ -682,8 +648,3 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
             "top-derivative": "equation on the base part, central differences on the Jacobi part",
         },
     )
-
-
-def _vertical_top_name(spec: BundleSpec, top_name: str) -> str:
-    c = spec.classify(top_name)
-    return spec._coord_name(replace(c, vertical=True))

@@ -161,3 +161,10 @@ def test_bind_params():
     bound = spec.bind_params({"omega": 2})
     assert bound.param_value("omega") == 2
     assert bound.unbound_params == ()
+
+
+def test_every_exported_name_resolves():
+    import deviq
+
+    missing = [name for name in deviq.__all__ if not hasattr(deviq, name)]
+    assert missing == []

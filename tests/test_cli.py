@@ -324,3 +324,12 @@ def test_simulate_compiles_once(monkeypatch, capsys):
     assert code == 0
     assert capsys.readouterr().out.startswith("t,y,y_t,v_y,v_y_t\n")
     assert len(calls) == 1
+
+
+def test_negative_window_in_scientific_notation_is_a_value():
+    argv = ("simulate", model_path("oscillator"), "--init", "y=1,y_t=0", "--t1", "0", "--dt", "1e-3")
+    res = run_cli(*argv, "--t0", "-1e-2", binary=True)
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[1].startswith(b"-0.01,")
+    assert res.stdout == run_cli(*argv, "--t0=-1e-2", binary=True).stdout
+

@@ -1,29 +1,40 @@
 """Compilation to first-order form, RK4, Jacobi fields, residual sweeps."""
 
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deviq import (
     CompileError,
+    DeviqError,
     EquationSystem,
     IntegrationError,
     JacobiProblem,
     SingularEquationError,
     SpecError,
+    Sym,
+    UnboundSymbolError,
     compile_system,
+    deviation_equations,
     deviation_system,
     euler_lagrange,
+    evaluate,
     finite_difference_jacobi,
     hamilton_equations,
     integrate,
+    load_model,
+    numpy_eval,
     parse_model,
     perturbation_residual,
     solve_jacobi,
 )
 from deviq.numeric import MAX_STEPS
-from conftest import ODE_CORPUS, corpus_model
+from conftest import ODE_CORPUS, corpus_model, first_order_atoms, model_path, rand_expr
+
+CHAIN_MODELS = sorted((Path(__file__).resolve().parent / "golden" / "models").glob("*.eqn"))
 
 
 def jacobi_problem(name, dt=1e-3):
@@ -116,6 +127,14 @@ def test_integrate_partial_final_step():
     traj = integrate(fos, (1.0, 0.0), 0.0, 1.0005, 1e-3)
     assert traj.times[-1] == pytest.approx(1.0005, abs=0)
     assert abs(traj.states[-1, 0] - math.exp(1.0005)) < 1e-10
+
+
+def test_integrate_window_shorter_than_rounding_slack_ends_at_t1():
+    m = parse_model("base t\nfibre y\nequation y_t - y\n")
+    fos = compile_system(deviation_system(m.operator()))
+    traj = integrate(fos, (1.0, 0.0), 0.0, 1e-300, 1e-3)
+    assert len(traj) == 2
+    assert traj.times[-1] == 1e-300
 
 
 def test_integrate_rejects_bad_windows():
@@ -264,3 +283,66 @@ def test_jacobi_problem_requires_deviation_pair():
     plain = EquationSystem(m.operator().components, m.spec, "plain")
     with pytest.raises(SpecError):
         JacobiProblem(plain, {"y": -1.0}, {}, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "path", [model_path(n) for n in ODE_CORPUS] + CHAIN_MODELS, ids=lambda p: p.stem
+)
+def test_compiled_deviation_pair_has_mirror_layout(path):
+    """Both oracles read the Jacobi partner of state i at state half + i."""
+    system = deviation_equations(load_model(path))
+    fos = compile_system(system)
+    half = fos.dimension // 2
+    assert fos.vertical_mask == (False,) * half + (True,) * half
+    for i in range(half):
+        assert system.spec.vertical_partner(fos.states[i]) == fos.states[half + i]
+
+
+def _agrees_with_evaluate(e, env, n):
+    """numpy_eval on arrays of n points against evaluate at each point;
+    returns how many points evaluate could take."""
+    with np.errstate(all="ignore"):
+        got = np.broadcast_to(numpy_eval(e, env), (n,))
+    compared = 0
+    for k in range(n):
+        try:
+            want = evaluate(e, {name: float(v[k]) for name, v in env.items()})
+        except DeviqError:
+            continue
+        assert got[k] == pytest.approx(want, rel=1e-12, abs=0), (str(e), k)
+        compared += 1
+    return compared
+
+
+def test_numpy_eval_matches_evaluate_on_random_expressions(mechanics_spec):
+    rng = random.Random(8)
+    np_rng = np.random.default_rng(8)
+    atoms = first_order_atoms(mechanics_spec)
+    names = sorted({a.symbol.name for a in atoms})
+    compared = 0
+    for _ in range(60):
+        e = rand_expr(rng, atoms, 4)
+        env = {name: np_rng.uniform(-1.5, 1.5, 16) for name in names}
+        compared += _agrees_with_evaluate(e, env, 16)
+    assert compared >= 500
+
+
+@pytest.mark.parametrize("name", list(ODE_CORPUS))
+def test_numpy_eval_matches_evaluate_on_corpus_rhs(name):
+    fos = compile_system(deviation_equations(corpus_model(name)))
+    np_rng = np.random.default_rng(8)
+    env = {s: np_rng.uniform(0.1, 1.5, 8) for s in (fos.base.name, *fos.state_names)}
+    assert sum(_agrees_with_evaluate(r, env, 8) for r in fos.rhs) > 0
+
+
+def test_numpy_eval_names_a_missing_symbol(mechanics_spec):
+    y, t = (Sym(mechanics_spec.symbol(n)) for n in ("y", "t"))
+    with pytest.raises(UnboundSymbolError, match="y"):
+        numpy_eval(y * t, {"t": np.ones(3)})
+
+
+def test_numpy_eval_keeps_numpy_semantics_on_scalars(mechanics_spec):
+    y = Sym(mechanics_spec.symbol("y"))
+    with np.errstate(divide="ignore"):
+        assert numpy_eval(y ** -1, {"y": 0.0}) == math.inf
+        assert numpy_eval(y ** -2 + 1, {"y": 0.0}) == math.inf
