@@ -15,6 +15,7 @@ All commands are deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -80,8 +81,8 @@ def _parse_eps(text: str) -> tuple:
         values = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise SpecError(f"--eps: could not parse {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise SpecError("--eps needs a comma-separated list of positive numbers")
+    if not values or not all(0 < v < math.inf for v in values):
+        raise SpecError("--eps needs a comma-separated list of positive finite numbers")
     return values
 
 

@@ -569,13 +569,14 @@ def normalize(e: Expr) -> Expr:
 # taken by the tree rule `_diff`.
 
 def _poly_symbols(p: _Poly) -> set:
-    out, seen = set(), set()
+    # an opaque atom is walked at each occurrence: remembering the ones seen
+    # would hash them, and hashing an atom walks its whole tree too
+    out = set()
     for mono in p:
         for atom, _ in mono:
             if isinstance(atom, Sym):
                 out.add(atom.symbol)
-            elif atom not in seen:
-                seen.add(atom)
+            else:
                 _collect_symbols(atom, out)
     return out
 
@@ -802,8 +803,12 @@ def _check_finite(e, v):
 
 
 def free_symbols(e: Expr) -> frozenset:
+    e = as_expr(e)
+    if e._expansion is not None:
+        # a normal form's atoms are its polynomial's
+        return frozenset(_poly_symbols(e._expansion))
     out = set()
-    _collect_symbols(as_expr(e), out)
+    _collect_symbols(e, out)
     return frozenset(out)
 
 

@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .bundle import BundleSpec, MultiIndex
 from .errors import (
@@ -55,6 +53,9 @@ from .expr import (
 )
 from .variational import EquationSystem
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "FirstOrderSystem",
     "Trajectory",
@@ -81,7 +82,8 @@ MAX_STEPS = 10**5
 
 # --------------------------------------------------------------------------
 # code generation: one emitted lambda, bound to math for the integrator or
-# to numpy for whole grids
+# to numpy for whole grids.  numpy is imported where an array is made, so
+# the symbolic commands never load it.
 
 _SCALAR_ENV = {
     "sin": math.sin,
@@ -94,16 +96,21 @@ _SCALAR_ENV = {
     "__builtins__": {},
 }
 
-_NUMPY_ENV = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "pow": np.power,
-    "__builtins__": {},
-}
+
+def _numpy_env() -> dict:
+    import numpy as np
+
+    return {
+        "sin": np.sin,
+        "cos": np.cos,
+        "tan": np.tan,
+        "exp": np.exp,
+        "log": np.log,
+        "sqrt": np.sqrt,
+        "pow": np.power,
+        "__builtins__": {},
+    }
+
 
 _FUN_NAMES = {"ln": "log"}
 
@@ -150,7 +157,9 @@ def numpy_eval(e: Expr, env: Mapping[str, object]):
     for s in symbols:
         if s.name not in env:
             raise UnboundSymbolError(s.name)
-    f = _lambdify((e,), None, symbols, _NUMPY_ENV)
+    import numpy as np
+
+    f = _lambdify((e,), None, symbols, _numpy_env())
     return f(None, [np.asarray(env[s.name]) for s in symbols])[0]
 
 
@@ -219,6 +228,8 @@ class Trajectory:
     metadata: dict
 
     def __post_init__(self):
+        import numpy as np
+
         t = np.asarray(self.times, dtype=float)
         s = np.asarray(self.states, dtype=float)
         if s.ndim != 2 or len(t) != s.shape[0]:
@@ -432,8 +443,8 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
         times.append(t)
         rows.append(z)
     return Trajectory(
-        np.array(times),
-        np.array(rows),
+        times,
+        rows,
         f.state_names,
         {"dt": dt, "method": "rk4"},
     )
@@ -469,6 +480,10 @@ class JacobiProblem:
         fos = compile_system(self.system)
         base = {_init_name(k): float(v) for k, v in self.base_init.items()}
         given = {_init_name(k): float(v) for k, v in self.jacobi_init.items()}
+        for what, data in (("base", base), ("jacobi", given)):
+            for k, v in data.items():
+                if not math.isfinite(v):
+                    raise SpecError(f"{what} initial data {k}={v} is not a finite number")
         want_base = {s.name for s, v in zip(fos.states, fos.vertical_mask) if not v}
         jac = {s.name: given.pop(s.name, 0.0) for s, v in zip(fos.states, fos.vertical_mask) if v}
         if set(base) != want_base:
@@ -526,8 +541,8 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
     Converges to the Jacobi field linearly in eps; exactly (up to the
     integrator) for linear systems.
     """
-    if eps <= 0:
-        raise SpecError(f"finite-difference step must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise SpecError(f"finite-difference step must be positive and finite, got {eps}")
     fos = prob.compiled
     base_sys = fos.base_part()
     names = fos.state_names[fos.dimension // 2:]
@@ -586,10 +601,12 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
     The fitted exponent is the log-log least-squares slope over the
     positive-residual entries.
     """
+    import numpy as np
+
     eps_list = tuple(float(e) for e in eps_list)
     for e in eps_list:
-        if e < 0:
-            raise SpecError(f"perturbation size must be non-negative, got {e}")
+        if not 0 <= e < math.inf:
+            raise SpecError(f"perturbation size must be non-negative and finite, got {e}")
     base, jac = solve_jacobi(prob)
     times = base.times
     if len(times) < 3:
@@ -605,8 +622,8 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
     # equations hold one derivative more, the top
     tails = [i for i, s in enumerate(base_states) if spec.jet_shift(s, 0) not in fos.states]
     tops = tuple(spec.jet_shift(base_states[i], 0) for i in tails)
-    top_rhs = _lambdify([fos.rhs[i] for i in tails], fos.base, base_states, _NUMPY_ENV)
-    residuals = _lambdify(originals, fos.base, base_states + tops, _NUMPY_ENV)
+    top_rhs = _lambdify([fos.rhs[i] for i in tails], fos.base, base_states, _numpy_env())
+    residuals = _lambdify(originals, fos.base, base_states + tops, _numpy_env())
 
     with np.errstate(all="ignore"):
         # the top of s from its compiled equation, the top of psi by central

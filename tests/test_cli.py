@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -333,3 +334,38 @@ def test_negative_window_in_scientific_notation_is_a_value():
     assert res.stdout.splitlines()[1].startswith(b"-0.01,")
     assert res.stdout == run_cli(*argv, "--t0=-1e-2", binary=True).stdout
 
+
+@pytest.mark.parametrize("argv,message", [
+    (("simulate", "--init", "y=nan,y_t=0"), "base initial data y=nan is not a finite number"),
+    (("simulate", "--init", "y=inf,y_t=0"), "base initial data y=inf is not a finite number"),
+    (("simulate", "--init", "y=1,y_t=0", "--jacobi-init", "v_y=nan"),
+     "jacobi initial data v_y=nan is not a finite number"),
+    (("residual", "--init", "y=1,y_t=0", "--jacobi-init", "v_y=0,v_y_t=1", "--eps", "nan"),
+     "--eps needs a comma-separated list of positive finite numbers"),
+    (("residual", "--init", "y=1,y_t=0", "--jacobi-init", "v_y=0,v_y_t=1", "--eps", "1e-2,inf"),
+     "--eps needs a comma-separated list of positive finite numbers"),
+])
+def test_non_finite_data_is_usage_error(argv, message):
+    res = run_cli(argv[0], model_path("oscillator"), *argv[1:], "--t1", "0.5")
+    assert res.returncode == 2
+    assert res.stderr == f"deviq: error: {message}\n"
+
+
+def test_symbolic_commands_never_load_numpy():
+    model = str(model_path("pendulum"))
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import deviq
+        from deviq import cli
+        print("numpy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in (
+                ["derive", {model!r}], ["deviate", {model!r}, "--format", "json"], ["check", {model!r}],
+            )]
+        print(codes, "numpy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", {model!r}, "--init", "y=1,y_t=0", "--t1", "0.1"])
+        print(code, "numpy" in sys.modules)
+    """)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.stdout == "False\n[0, 0, 0] False\n0 True\n", res.stderr

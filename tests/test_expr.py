@@ -25,7 +25,7 @@ from deviq import (
     substitute,
     to_text,
 )
-from deviq.expr import MAX_CONSTANT_DIGITS, MAX_EXPANSION_TERMS
+from deviq.expr import MAX_CONSTANT_DIGITS, MAX_EXPANSION_TERMS, _collect_symbols
 from conftest import first_order_atoms, rand_expr
 
 SPEC = BundleSpec.make(["t"], ["y", "u"], order=2)
@@ -227,3 +227,16 @@ def test_free_symbols():
     e = normalize(Y * YT + Fun("sin", T))
     names = {s.name for s in free_symbols(e)}
     assert names == {"y", "y_t", "t"}
+
+
+def test_free_symbols_of_normal_form_match_its_tree():
+    rng = random.Random(11)
+    atoms = first_order_atoms(SPEC)
+    stored = 0
+    for _ in range(60):
+        e = normalize(rand_expr(rng, atoms, 4) + Pow(Y + U, Fraction(1, 2)))
+        stored += e._expansion is not None
+        tree = set()
+        _collect_symbols(e, tree)
+        assert free_symbols(e) == tree
+    assert stored >= 40

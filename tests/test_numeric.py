@@ -260,6 +260,25 @@ def test_jacobi_problem_rejects_non_finite_window(window):
         JacobiProblem(system, init, jac, **args)
 
 
+@pytest.mark.parametrize("data", [
+    dict(base={"y": math.nan}), dict(base={"y_t": math.inf}), dict(jacobi={"v_y": -math.inf}),
+])
+def test_jacobi_problem_rejects_non_finite_initial_data(data):
+    init, jac, _ = ODE_CORPUS["oscillator"]
+    system = deviation_system(derive_operator("oscillator"))
+    with pytest.raises(SpecError, match="is not a finite number"):
+        JacobiProblem(system, init | data.get("base", {}), jac | data.get("jacobi", {}), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_oracles_reject_non_finite_eps(eps):
+    prob = jacobi_problem("oscillator")
+    with pytest.raises(SpecError, match="finite"):
+        finite_difference_jacobi(prob, eps)
+    with pytest.raises(SpecError, match="finite"):
+        perturbation_residual(prob, (1e-2, eps))
+
+
 @pytest.mark.parametrize("t0,t1,dt", [(0.0, 1e12, 1e-3), (0.0, 10.0, 1e-5), (-1e308, 1e308, 1.0)])
 def test_integrate_refuses_window_past_step_cap(t0, t1, dt):
     calls = []
