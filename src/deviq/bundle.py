@@ -25,6 +25,7 @@ identification of the two prolongation orders holds with no bookkeeping.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -61,6 +62,14 @@ __all__ = [
 ]
 
 _IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9]*\Z")
+
+#: A spec refuses a jet order whose multi-indices over the base, order 0
+#: included, number more than this: building a spec names every jet of every
+#: field, and on a 1-dimensional base that work grows with the square of the
+#: order.  The cap allows jet order 255 on a 1-dimensional base and 6 on a
+#: 4-dimensional one; the models, the golden files and the benchmark use
+#: jet order at most 4.
+MAX_JET_INDICES = 256
 
 
 @dataclass(frozen=True)
@@ -230,20 +239,26 @@ class BundleSpec:
         # construction errors rather than latent parsing ambiguities
         n = len(self.base)
         top = max(self.order, 1)
-        for i, f in enumerate(self.fibre):
-            claim(f"v_{f.name}", f"vertical partner of '{f.name}'")
-            for idx in multiindices(n, top, 1):
-                sfx = idx.suffix(names)
-                claim(f"{f.name}_{sfx}", f"jet of '{f.name}'")
-                claim(f"v_{f.name}_{sfx}", f"vertical jet of '{f.name}'")
-            if self.momenta:
-                for b in names:
-                    claim(f"p{b}_{f.name}", f"momentum of '{f.name}' along '{b}'")
-                    claim(f"vp{b}_{f.name}", f"vertical momentum of '{f.name}' along '{b}'")
-                    for idx in multiindices(n, top, 1):
-                        sfx = idx.suffix(names)
-                        claim(f"p{b}_{f.name}_{sfx}", f"momentum jet of '{f.name}'")
-                        claim(f"vp{b}_{f.name}_{sfx}", f"vertical momentum jet of '{f.name}'")
+        count = math.comb(n + top, n)
+        if count > MAX_JET_INDICES:
+            raise SpecError(
+                f"jet order {self.order} over {n} base coordinate(s) gives {count} "
+                f"multi-indices per field, more than {MAX_JET_INDICES}"
+            )
+        families = [("fibre", None)] + [("momentum", b) for b in range(n) if self.momenta]
+        indices = tuple(multiindices(n, top))
+        for i, f in enumerate(self.fibre_names):
+            for (family, mb), idx, vertical in itertools.product(families, indices, (False, True)):
+                if idx.order:
+                    what = f"jet of '{f}'"
+                elif mb is not None:
+                    what = f"of '{f}' along '{names[mb]}'"
+                elif vertical:
+                    what = f"partner of '{f}'"
+                else:
+                    continue  # the declared fibre name itself
+                what = ("vertical " if vertical else "") + ("momentum " if mb is not None else "") + what
+                claim(self._coord_name(_Coord(family, i, idx, vertical, mb)), what)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -413,14 +428,18 @@ class BundleSpec:
             raise UnknownSymbolError(name)
         return self._coord_symbol(c)
 
-    def jet(self, fld, index: MultiIndex = MultiIndex(), vertical: bool = False) -> Symbol:
-        if not isinstance(fld, int):
-            fld = self.fibre_position(fld)
-        if index.order > self.order:
-            raise OrderOverflowError(self.fibre[fld].name, index.order)
+    def jet(self, sym, index: MultiIndex) -> Symbol:
+        """The coordinate holding d_index of the coordinate `sym`: a fibre,
+        vertical or momentum coordinate, or a jet of one of them."""
+        c = self.classify(_sym_name(sym))
+        if c is None:
+            raise UnknownSymbolError(_sym_name(sym))
         if index.entries and max(index.entries) >= self.n:
             raise SpecError(f"multi-index {index} exceeds base dimension {self.n}")
-        return self._coord_symbol(_Coord("fibre", fld, index, vertical))
+        idx = MultiIndex(c.index.entries + index.entries)
+        if idx.order > self.order:
+            raise OrderOverflowError(_sym_name(sym), idx.order)
+        return self._coord_symbol(replace(c, index=idx))
 
     def momentum(self, lam, fld, vertical: bool = False) -> Symbol:
         if not self.momenta:
@@ -453,17 +472,6 @@ class BundleSpec:
             )
         return self._coord_symbol(replace(c, vertical=True))
 
-    def jet_shift(self, sym, lam) -> Symbol:
-        """The coordinate holding d_lam of `sym` (jet order raised by one)."""
-        pos = lam if isinstance(lam, int) else self.base_position(lam)
-        c = self.classify(_sym_name(sym))
-        if c is None:
-            raise UnknownSymbolError(_sym_name(sym))
-        idx = c.index.plus(pos)
-        if idx.order > self.order:
-            raise OrderOverflowError(_sym_name(sym), idx.order)
-        return self._coord_symbol(replace(c, index=idx))
-
     def jet_order(self, sym) -> int:
         c = self.classify(_sym_name(sym))
         if c is None:
@@ -493,10 +501,11 @@ def total_derivative(e: Expr, lam, spec: BundleSpec) -> Expr:
     """
     pos = lam if isinstance(lam, int) else spec.base_position(lam)
     base = spec.base[pos]
+    step = MultiIndex((pos,))
     return derivation(
         e,
         lambda s: s == base or s.kind in DEPENDENT_KINDS,
-        lambda s: ONE if s == base else Sym(spec.jet_shift(s, pos)),
+        lambda s: ONE if s == base else Sym(spec.jet(s, step)),
     )
 
 

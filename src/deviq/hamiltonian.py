@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import BundleSpec, MultiIndex, max_jet_order, vertical_derivative
+from .bundle import BundleSpec, MultiIndex, vertical_derivative
 from .errors import SpecError, VerticalExtensionError
 from .expr import (
     VERTICAL_KINDS,
@@ -60,8 +60,7 @@ class HamiltonianSystem:
             raise SpecError("Hamiltonian spec must carry momentum coordinates")
         d = normalize(as_expr(self.density))
         object.__setattr__(self, "density", d)
-        check_symbols(d, self.spec)
-        if max_jet_order(d, self.spec) > 0:
+        if check_symbols(d, self.spec) > 0:
             raise SpecError("Hamiltonian density must not contain jet symbols")
         if not self.spec.vertical and any(
             s.kind in VERTICAL_KINDS for s in free_symbols(d)
@@ -93,12 +92,11 @@ def hamilton_equations(H: HamiltonianSystem) -> EquationSystem:
     grad = gradient(H.density, [*fields, *momenta.values()])
     eqs = []
     for f in fields:
-        c = spec.classify(f.name)
         for lam in range(spec.n):
-            vel = Sym(spec.jet(c.field, MultiIndex((lam,)), vertical=c.vertical))
+            vel = Sym(spec.jet(f, MultiIndex((lam,))))
             eqs.append(normalize(vel - grad[momenta[f, lam]]))
     for f in fields:
-        parts = [Sym(spec.jet_shift(momenta[f, lam], lam)) for lam in range(spec.n)]
+        parts = [Sym(spec.jet(momenta[f, lam], MultiIndex((lam,)))) for lam in range(spec.n)]
         parts.append(grad[f])
         eqs.append(normalize(Add(tuple(parts))))
     return EquationSystem(tuple(eqs), spec, "plain")

@@ -22,7 +22,7 @@ for fixed inputs, no adaptivity anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -36,7 +36,6 @@ from .errors import (
     UnboundSymbolError,
 )
 from .expr import (
-    DEPENDENT_KINDS,
     VERTICAL_KINDS,
     Add,
     Expr,
@@ -183,10 +182,10 @@ class FirstOrderSystem:
     def __post_init__(self):
         if len(self.rhs) != len(self.states) or len(self.vertical_mask) != len(self.states):
             raise CompileError("state, rhs and mask lengths disagree")
-        allowed = {s.name for s in self.states} | {self.base.name}
+        allowed = {*self.states, self.base}
         for e in self.rhs:
             for s in free_symbols(e):
-                if s.name not in allowed:
+                if s not in allowed:
                     raise CompileError(
                         f"right-hand side references '{s.name}' which is not a state variable"
                     )
@@ -265,7 +264,7 @@ def _param_bindings(spec: BundleSpec) -> dict:
     if spec.unbound_params:
         missing = ", ".join(p.name for p in spec.unbound_params)
         raise CompileError(f"unbound parameters: {missing}; bind numeric values first")
-    return {spec.symbol(k): Rat(v) for k, v in spec.param_values}
+    return {p: Rat(spec.param_value(p)) for p in spec.params}
 
 
 def compile_system(system: EquationSystem) -> FirstOrderSystem:
@@ -283,57 +282,57 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
     binding = _param_bindings(spec)
     eqs = [substitute(e, binding) for e in system.equations]
 
-    # discover the field families present and their top derivative order
-    families = {}  # order-0 coord -> top jet order
-    for e in eqs:
-        for s in free_symbols(e):
-            if s.kind not in DEPENDENT_KINDS:
-                continue
-            c = spec.classify(s.name)
-            stem = replace(c, index=MultiIndex())
-            families[stem] = max(families.get(stem, 0), c.index.order)
-
-    def family_key(stem):
-        return (stem.vertical, stem.family != "fibre", stem.field, stem.mom_base or 0)
-
-    ordered = sorted(families, key=family_key)
-    for stem in ordered:
-        name = spec._coord_name(stem)
-        top = families[stem]
+    # the order-0 coordinates in state order (fields, then momenta, then
+    # their vertical mirrors), each with its derivative chain up to the
+    # spec order; a family's top is the highest chain member that occurs
+    stems = list(spec.fibre)
+    if spec.momenta:
+        stems += [spec.momentum(0, i) for i in range(len(spec.fibre))]
+    if spec.vertical:
+        stems += [spec.vertical_partner(s) for s in stems]
+    step = MultiIndex((0,))
+    occurring = set().union(*(free_symbols(e) for e in eqs))
+    chains = {}
+    for stem in stems:
+        chain = [stem]
+        while len(chain) <= spec.order:
+            chain.append(spec.jet(chain[-1], step))
+        found = [j for j, s in enumerate(chain) if s in occurring]
+        if not found:
+            continue
+        top = found[-1]
         if top == 0:
             raise SingularEquationError(
-                f"no derivative of '{name}' occurs: the system does not determine its evolution"
+                f"no derivative of '{stem.name}' occurs: the system does not determine its evolution"
             )
         if top > MAX_COMPILE_ORDER:
             raise CompileError(
-                f"'{name}' has derivative order {top}, above the supported maximum {MAX_COMPILE_ORDER}"
+                f"'{stem.name}' has derivative order {top}, above the supported maximum {MAX_COMPILE_ORDER}"
             )
-    if len(eqs) != len(ordered):
+        chains[stem] = chain[: top + 1]
+    if len(eqs) != len(chains):
         raise CompileError(
-            f"{len(eqs)} equations for {len(ordered)} evolving fields; "
+            f"{len(eqs)} equations for {len(chains)} evolving fields; "
             "compilation needs exactly one equation per field"
         )
 
-    tops = {
-        spec._coord_name(replace(stem, index=MultiIndex((0,) * families[stem]))): stem
-        for stem in ordered
-    }
+    # with the earlier solutions substituted, an equation holds no top but its
+    # own, so no solution holds a top either
+    tops = {chain[-1] for chain in chains.values()}
     solved = {}
     for e in eqs:
-        e = substitute(e, {spec.symbol(n): x for n, x in solved.items()})
-        present = sorted(
-            s.name for s in free_symbols(e) if s.name in tops and s.name not in solved
-        )
+        e = substitute(e, solved)
+        present = sorted((s for s in free_symbols(e) if s in tops), key=lambda s: s.name)
         if not present:
             raise CompileError(
                 f"equation '{e}' contains no unsolved top derivative"
             )
         if len(present) > 1:
             raise CompileError(
-                f"equation '{e}' couples several top derivatives ({', '.join(present)}); "
+                f"equation '{e}' couples several top derivatives ({', '.join(s.name for s in present)}); "
                 "not in solvable normal form"
             )
-        w = spec.symbol(present[0])
+        w = present[0]
         c = diff(e, w)
         if w in free_symbols(c):
             raise CompileError(
@@ -344,41 +343,13 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
                 f"zero leading coefficient for '{w.name}' in equation '{e}'"
             )
         rest = substitute(e, {w: _ZERO})
-        solved[w.name] = normalize(Mul((Rat(Fraction(-1)), rest, Pow(c, Fraction(-1)))))
+        solved[w] = normalize(Mul((Rat(Fraction(-1)), rest, Pow(c, Fraction(-1)))))
 
-    # earlier solutions may still reference later tops; close transitively
-    for _ in range(len(solved)):
-        changed = False
-        for name, x in list(solved.items()):
-            if any(s.name in tops for s in free_symbols(x)):
-                solved[name] = substitute(
-                    x, {spec.symbol(n): v for n, v in solved.items() if n != name}
-                )
-                changed = True
-        if not changed:
-            break
-    for name, x in solved.items():
-        for s in free_symbols(x):
-            if s.name in tops:
-                raise CompileError(
-                    f"top derivatives are mutually coupled through '{name}'"
-                )
-
-    states, rhs, mask = [], [], []
-    for stem in ordered:
-        top = families[stem]
-        chain = [
-            spec._coord_symbol(replace(stem, index=MultiIndex((0,) * j)))
-            for j in range(top)
-        ]
-        top_name = spec._coord_name(replace(stem, index=MultiIndex((0,) * top)))
-        for j, s in enumerate(chain):
-            states.append(s)
-            mask.append(s.kind in VERTICAL_KINDS)
-            if j + 1 < top:
-                rhs.append(Sym(chain[j + 1]))
-            else:
-                rhs.append(solved[top_name])
+    states, rhs = [], []
+    for chain in chains.values():
+        states += chain[:-1]
+        rhs += [Sym(s) for s in chain[1:-1]] + [solved[chain[-1]]]
+    mask = [s.kind in VERTICAL_KINDS for s in states]
     return FirstOrderSystem(spec.base[0], tuple(states), tuple(rhs), tuple(mask))
 
 
@@ -390,10 +361,13 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
 
     The grid is t0 + i*dt with one shorter final step when dt does not
     divide the span exactly; a span shorter than one step is one step
-    from t0 to t1.  A window of more than MAX_STEPS steps is
-    refused before any step runs.  Any non-finite state or failed
+    from t0 to t1.  Non-finite input and a window of more than MAX_STEPS
+    steps are refused before any step runs.  Any non-finite state or failed
     right-hand side aborts with the last valid time in the error.
     """
+    for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not math.isfinite(v):
+            raise SpecError(f"{name} must be a finite number, got {v}")
     if dt <= 0:
         raise SpecError(f"step size must be positive, got {dt}")
     if t1 <= t0:
@@ -405,6 +379,9 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     z = tuple(float(v) for v in z0)
     if len(z) != f.dimension:
         raise SpecError(f"initial state has length {len(z)}, system dimension is {f.dimension}")
+    for name, v in zip(f.state_names, z):
+        if not math.isfinite(v):
+            raise SpecError(f"initial state {name}={v} is not a finite number")
     rhs = f._callable
 
     n_full = int((t1 - t0) / dt + 1e-9)
@@ -620,8 +597,9 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
     originals = [substitute(e, binding) for e in prob.system.equations[:m]]
     # a chain tail is the highest derivative its family keeps as a state; the
     # equations hold one derivative more, the top
-    tails = [i for i, s in enumerate(base_states) if spec.jet_shift(s, 0) not in fos.states]
-    tops = tuple(spec.jet_shift(base_states[i], 0) for i in tails)
+    step = MultiIndex((0,))
+    tails = [i for i, s in enumerate(base_states) if spec.jet(s, step) not in fos.states]
+    tops = tuple(spec.jet(base_states[i], step) for i in tails)
     top_rhs = _lambdify([fos.rhs[i] for i in tails], fos.base, base_states, _numpy_env())
     residuals = _lambdify(originals, fos.base, base_states + tops, _numpy_env())
 

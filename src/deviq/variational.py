@@ -30,7 +30,6 @@ from .expr import (
     EquivalenceResult,
     Expr,
     Mul,
-    Pow,
     Rat,
     Sym,
     SymbolKind,
@@ -39,6 +38,7 @@ from .expr import (
     free_symbols,
     gradient,
     normalize,
+    _poly,
 )
 
 __all__ = [
@@ -56,8 +56,10 @@ __all__ = [
 _ZERO = Rat(Fraction(0))
 
 
-def check_symbols(e: Expr, spec: BundleSpec):
-    """Every symbol in e must be resolvable within spec (order included)."""
+def check_symbols(e: Expr, spec: BundleSpec) -> int:
+    """Every symbol in e must be resolvable within spec (order included);
+    returns the highest jet order among them."""
+    top = 0
     for s in free_symbols(e):
         if s.kind is SymbolKind.BASE:
             spec.base_position(s)
@@ -65,43 +67,34 @@ def check_symbols(e: Expr, spec: BundleSpec):
             if s not in spec.params:
                 raise UnknownSymbolError(s.name)
         else:
-            c = spec.classify(s.name)
-            if c is None:
-                raise UnknownSymbolError(s.name)
-            if c.index.order > spec.order:
-                raise SpecError(
-                    f"'{s.name}' has jet order {c.index.order}, above the spec order {spec.order}"
-                )
+            k = spec.jet_order(s)
+            if k > spec.order:
+                raise SpecError(f"'{s.name}' has jet order {k}, above the spec order {spec.order}")
+            top = max(top, k)
+    return top
 
 
 def _has_vertical(e: Expr) -> bool:
     return any(s.kind in VERTICAL_KINDS for s in free_symbols(e))
 
 
-def _vertical_degree_of_monomial(e: Expr):
-    """Total vertical degree of one normalized term; None when a vertical
-    symbol sits inside a function or a non-integer power (non-polynomial)."""
-    deg = 0
-    factors = e.factors if isinstance(e, Mul) else (e,)
-    for f in factors:
-        base, q = (f.base, f.exponent) if isinstance(f, Pow) else (f, Fraction(1))
-        if isinstance(base, Sym) and base.symbol.kind in VERTICAL_KINDS:
-            if q.denominator != 1 or q < 0:
-                return None
-            deg += int(q)
-        elif _has_vertical(base):
-            return None
-    return deg
-
-
 def is_vertical_linear(e: Expr) -> bool:
     """True when every term of normalize(e) has vertical degree exactly 1
-    (the zero expression passes)."""
-    e = normalize(as_expr(e))
-    if e == _ZERO:
-        return True
-    terms = e.terms if isinstance(e, Add) else (e,)
-    return all(_vertical_degree_of_monomial(t) == 1 for t in terms)
+    (the zero expression passes).  A vertical symbol inside a function or
+    under a negative or non-integer power makes its term non-linear."""
+    for mono in _poly(normalize(as_expr(e))):
+        deg = 0
+        for atom, q in mono:
+            if not isinstance(atom, Sym):
+                if _has_vertical(atom):
+                    return False
+            elif atom.symbol.kind in VERTICAL_KINDS:
+                if q.denominator != 1 or q < 0:
+                    return False
+                deg += q
+        if deg != 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -118,8 +111,7 @@ class DifferentialOperator:
         comps = tuple(normalize(as_expr(c)) for c in self.components)
         object.__setattr__(self, "components", comps)
         for c in comps:
-            check_symbols(c, self.spec)
-            if max_jet_order(c, self.spec) > self.order:
+            if check_symbols(c, self.spec) > self.order:
                 raise SpecError(
                     f"component '{c}' exceeds the declared operator order {self.order}"
                 )
@@ -178,11 +170,9 @@ class Lagrangian:
     def __post_init__(self):
         d = normalize(as_expr(self.density))
         object.__setattr__(self, "density", d)
-        check_symbols(d, self.spec)
-        if max_jet_order(d, self.spec) > self.order:
-            raise SpecError(
-                f"density has jet order {max_jet_order(d, self.spec)}, above the declared order {self.order}"
-            )
+        k = check_symbols(d, self.spec)
+        if k > self.order:
+            raise SpecError(f"density has jet order {k}, above the declared order {self.order}")
 
     @staticmethod
     def make(density, spec: BundleSpec) -> "Lagrangian":
@@ -212,13 +202,11 @@ def euler_lagrange(L: Lagrangian) -> DifferentialOperator:
     """
     k = L.order
     spec = L.spec if L.spec.order >= 2 * k else L.spec.with_order(2 * k)
-    jets = {}  # variational field -> [(multi-index, jet symbol)]
-    for f in spec.variational_fields:
-        c = spec.classify(f.name)
-        jets[f] = [
-            (idx, spec.jet(c.field, idx, vertical=c.vertical))
-            for idx in multiindices(spec.n, k, 1)
-        ]
+    # variational field -> [(multi-index, jet symbol)]
+    jets = {
+        f: [(idx, spec.jet(f, idx)) for idx in multiindices(spec.n, k, 1)]
+        for f in spec.variational_fields
+    }
     grad = gradient(L.density, [*jets, *(j for js in jets.values() for _, j in js)])
     comps = []
     for f, js in jets.items():

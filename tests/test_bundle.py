@@ -18,6 +18,7 @@ from deviq import (
     total_derivative,
     vertical_derivative,
 )
+from deviq.bundle import MAX_JET_INDICES
 
 MECH = BundleSpec.make(["t"], ["y"], order=2)
 FIELD = BundleSpec.make(["x", "t"], ["u"], order=2)
@@ -62,7 +63,7 @@ def test_unknown_and_overflow():
         MECH.symbol("y_q")
     with pytest.raises(OrderOverflowError):
         spec = MECH.with_order(1)
-        spec.jet_shift(spec.symbol("y_t"), 0)
+        spec.jet(spec.symbol("y_t"), MultiIndex((0,)))
 
 
 def test_spec_validation():
@@ -79,6 +80,39 @@ def test_spec_validation():
         BundleSpec.make([], ["y"])
     with pytest.raises(SpecError):
         BundleSpec.make(["t"], [])
+    # the order-2 jets pt_tt and vpt_tt of a fibre are the (vertical)
+    # momentum of the fibre 'tt' along t
+    BundleSpec.make(["t"], ["pt", "tt"], order=1, momenta=True)
+    with pytest.raises(SpecError, match="'pt_tt' is ambiguous: jet of 'pt' collides with momentum of 'tt' along 't'"):
+        BundleSpec.make(["t"], ["pt", "tt"], order=2, momenta=True)
+    with pytest.raises(SpecError, match="'vpt_tt' is ambiguous: jet of 'vpt' collides with vertical momentum"):
+        BundleSpec.make(["t"], ["vpt", "tt"], order=2, momenta=True)
+
+
+@pytest.mark.parametrize("base,order", [(["t"], 255), (["x", "y", "z", "t"], 6)])
+def test_jet_order_cap(base, order):
+    assert BundleSpec.make(base, ["u"], order=order).order == order
+    with pytest.raises(SpecError, match=f"more than {MAX_JET_INDICES}"):
+        BundleSpec.make(base, ["u"], order=order + 1)
+
+
+def test_jet_of_any_coordinate():
+    spec = FIELD.with_momenta().vertical_extension()
+    for name, index, want in [
+        ("u", (0, 1), "u_xt"),
+        ("u_x", (1,), "u_xt"),
+        ("v_u", (0,), "v_u_x"),
+        ("v_u_t", (0,), "v_u_xt"),
+        ("pt_u", (1,), "pt_u_t"),
+        ("vpx_u", (0, 0), "vpx_u_xx"),
+    ]:
+        assert spec.jet(spec.symbol(name), MultiIndex(index)) == spec.symbol(want)
+    with pytest.raises(OrderOverflowError):
+        spec.jet(spec.symbol("v_u_xt"), MultiIndex((0,)))
+    with pytest.raises(SpecError):
+        spec.jet(spec.symbol("u"), MultiIndex((2,)))
+    with pytest.raises(UnknownSymbolError):
+        spec.jet(spec.symbol("x"), MultiIndex((0,)))
 
 
 def test_ambiguous_name_rejected_at_lookup():

@@ -293,6 +293,23 @@ def test_window_past_step_cap_is_usage_error():
     )
 
 
+@pytest.mark.parametrize("model,order,message", [
+    ("wave", "400", "jet order 400 over 2 base coordinate(s) gives 80601 multi-indices"),
+    ("wave", "800", "jet order 800 over 2 base coordinate(s) gives 321201 multi-indices"),
+    ("oscillator", "8000", "jet order 8000 over 1 base coordinate(s) gives 8001 multi-indices"),
+    ("0.5*y_t^2 + y*y_" + "t" * 300, None, "jet order 600 over 1 base coordinate(s) gives 601 multi-indices"),
+])
+def test_jet_order_past_cap_is_usage_error(tmp_path, model, order, message):
+    if order is None:
+        src = tmp_path / "long.eqn"
+        src.write_text(f"base t\nfibre y\nlagrangian {model}\n")
+        res = run_cli("derive", src)
+    else:
+        res = run_cli("derive", model_path(model), "--order", order)
+    assert res.returncode == 2
+    assert res.stderr == f"deviq: error: line 1, column 1: {message} per field, more than 256\n"
+
+
 def test_simulate_two_dimensional_base_is_usage_error():
     res = run_cli("simulate", model_path("kg"))
     assert res.returncode == 2

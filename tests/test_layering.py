@@ -1,0 +1,66 @@
+"""Module boundaries of the package, read from its source with `ast`.
+
+The naming rule of generated coordinates lives in `deviq.bundle`: other
+modules hand coordinates around as Symbols and ask the spec for jets and
+partners, so they neither name the private coordinate record nor decode
+names.  `render` is the one reader of decoded names, for LaTeX output.
+"""
+
+import ast
+from pathlib import Path
+
+import deviq
+
+SOURCES = sorted(Path(deviq.__file__).parent.glob("*.py"))
+PRIVATE_CODEC = {"_Coord", "_coord_name", "_coord_symbol"}
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _calls(tree, attr):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+    ]
+
+
+def test_sources_found():
+    assert {"bundle.py", "numeric.py", "render.py"} <= {p.name for p in SOURCES}
+
+
+def test_coordinate_codec_stays_in_bundle():
+    offenders = [
+        (p.name, name)
+        for p in SOURCES if p.name != "bundle.py"
+        for name in _names(ast.parse(p.read_text()))
+        if name in PRIVATE_CODEC
+    ]
+    assert offenders == []
+
+
+def test_classify_called_only_in_bundle_and_render():
+    offenders = [
+        (p.name, node.lineno)
+        for p in SOURCES if p.name not in ("bundle.py", "render.py")
+        for node in _calls(ast.parse(p.read_text()), "classify")
+    ]
+    assert offenders == []
+
+
+def test_compile_system_resolves_no_names():
+    tree = ast.parse((Path(deviq.__file__).parent / "numeric.py").read_text())
+    (compile_fn,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "compile_system"
+    ]
+    assert [node.lineno for node in _calls(compile_fn, "symbol")] == []

@@ -101,6 +101,25 @@ def test_compile_rejects_coupled_tops():
         compile_system(deviation_system(m.operator()))
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("fibre y\nequation y_t^2 + y", CompileError, "is not affine in 'y_t'"),
+    ("fibre y u\nequation y_t + u_t\nequation y_t - u_t + y", CompileError,
+     r"couples several top derivatives \(u_t, y_t\)"),
+    ("fibre y\nequation y_t - y\nequation y_t + y", CompileError,
+     "2 equations for 1 evolving fields"),
+    ("fibre y\nequation y_ttttt + y", CompileError,
+     "'y' has derivative order 5, above the supported maximum 4"),
+    ("fibre y u\nequation y_t - u\nequation y + u", SingularEquationError,
+     "no derivative of 'u' occurs"),
+    ("fibre y u\nequation y_t - y\nequation u_t*(y_t - y) + y_t - y", CompileError,
+     "equation '0' contains no unsolved top derivative"),
+])
+def test_compile_refusals(text, error, message):
+    m = parse_model(f"base t\n{text}\n")
+    with pytest.raises(error, match=message):
+        compile_system(EquationSystem(m.payload, m.spec))
+
+
 def test_integrate_exponential_accuracy():
     m = parse_model("base t\nfibre y\nequation y_t - y\n")
     fos = compile_system(deviation_system(m.operator()))
@@ -286,6 +305,22 @@ def test_integrate_refuses_window_past_step_cap(t0, t1, dt):
     fos.__dict__["_callable"] = lambda t, z: calls.append(t)  # the cached RHS
     with pytest.raises(SpecError, match=f"more than {MAX_STEPS} steps"):
         integrate(fos, (1.0, 0.0, 0.0, 1.0), t0, t1, dt)
+    assert calls == []
+
+
+@pytest.mark.parametrize("z0,t0,t1,dt,message", [
+    ((math.nan, 0.0, 0.0, 1.0), 0.0, 1.0, 0.1, "initial state y=nan is not a finite number"),
+    ((1.0, 0.0, 0.0, math.inf), 0.0, 1.0, 0.1, "initial state v_y_t=inf is not a finite number"),
+    ((1.0, 0.0, 0.0, 1.0), -math.inf, 1.0, 0.1, "t0 must be a finite number, got -inf"),
+    ((1.0, 0.0, 0.0, 1.0), 0.0, math.nan, 0.1, "t1 must be a finite number, got nan"),
+    ((1.0, 0.0, 0.0, 1.0), 0.0, 1.0, math.nan, "dt must be a finite number, got nan"),
+])
+def test_integrate_refuses_non_finite_input(z0, t0, t1, dt, message):
+    calls = []
+    fos = compile_system(deviation_system(derive_operator("oscillator")))
+    fos.__dict__["_callable"] = lambda t, z: calls.append(t)  # the cached RHS
+    with pytest.raises(SpecError, match=message):
+        integrate(fos, z0, t0, t1, dt)
     assert calls == []
 
 

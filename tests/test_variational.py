@@ -20,6 +20,7 @@ from deviq import (
     total_derivative,
     vertical_extension_density,
 )
+from deviq.expr import sin, sqrt
 from conftest import corpus_model, first_order_atoms, rand_expr
 
 
@@ -101,6 +102,27 @@ def test_deviation_block_is_vertical_linear():
         half = len(ds.equations) // 2
         for comp in ds.equations[half:]:
             assert is_vertical_linear(comp)
+
+
+@pytest.mark.parametrize("build,linear", [
+    (lambda y, v, vt: 0 * v, True),
+    (lambda y, v, vt: v * y**2 + sin(y) * vt, True),
+    (lambda y, v, vt: sqrt(y) * v, True),
+    (lambda y, v, vt: y + v, False),
+    (lambda y, v, vt: v**2, False),
+    (lambda y, v, vt: v * vt, False),
+    (lambda y, v, vt: sin(v), False),
+    (lambda y, v, vt: sqrt(v) * sqrt(vt), False),
+    (lambda y, v, vt: vt**2 / v, False),
+    (lambda y, v, vt: sqrt(v**2), False),
+], ids=[
+    "zero", "linear", "root-of-base", "constant-term", "square", "product",
+    "in-function", "half-powers", "negative-power", "root-of-square",
+])
+def test_is_vertical_linear(build, linear):
+    spec = BundleSpec.make(["t"], ["y"], order=1).vertical_extension()
+    e = build(*(S(spec, n) for n in ("y", "v_y", "v_y_t")))
+    assert is_vertical_linear(e) is linear
 
 
 def test_deviation_system_rejects_vertical_input():
