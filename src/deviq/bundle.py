@@ -473,9 +473,12 @@ class BundleSpec:
         return self._coord_symbol(replace(c, vertical=True))
 
     def jet_order(self, sym) -> int:
+        """Jet order of a coordinate; a Symbol's kind must match its name."""
         c = self.classify(_sym_name(sym))
         if c is None:
             raise UnknownSymbolError(_sym_name(sym))
+        if isinstance(sym, Symbol) and sym.kind is not self._coord_kind(c):
+            raise SpecError(f"'{sym.name}' is a {self._coord_kind(c).value}, not a {sym.kind.value}")
         return c.index.order
 
 

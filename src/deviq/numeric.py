@@ -16,7 +16,8 @@ Two independent numeric oracles back the symbolic construction:
     and must observe the O(eps^2) law that linearization promises.
 
 Integration is classical RK4 with a fixed step: bit-exact deterministic
-for fixed inputs, no adaptivity anywhere.
+for fixed inputs, no adaptivity anywhere.  Each system's step is generated
+as one straight-line function.
 """
 
 from __future__ import annotations
@@ -80,41 +81,26 @@ MAX_STEPS = 10**5
 
 
 # --------------------------------------------------------------------------
-# code generation: one emitted lambda, bound to math for the integrator or
-# to numpy for whole grids.  numpy is imported where an array is made, so
-# the symbolic commands never load it.
+# code generation: `_emit` writes one expression node.  `_lambdify` inlines
+# every subtree, for the numpy evaluations; `_rk4_step` writes a whole RK4
+# step as straight-line code over scalars.  numpy is imported where an
+# array is made, so the symbolic commands never load it.
 
-_SCALAR_ENV = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "pow": math.pow,
-    "__builtins__": {},
-}
+_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
+_SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
 
 
 def _numpy_env() -> dict:
     import numpy as np
 
-    return {
-        "sin": np.sin,
-        "cos": np.cos,
-        "tan": np.tan,
-        "exp": np.exp,
-        "log": np.log,
-        "sqrt": np.sqrt,
-        "pow": np.power,
-        "__builtins__": {},
-    }
+    return {**{n: getattr(np, n) for n in _FUNCTIONS}, "pow": np.power, "__builtins__": {}}
 
 
 _FUN_NAMES = {"ln": "log"}
 
 
-def _emit(e: Expr, names: Mapping[str, str]) -> str:
+def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
+    """Python text for the node `e`: symbols by `names`, children by `sub`."""
     if isinstance(e, Rat):
         v = e.value
         if v.denominator == 1:
@@ -128,26 +114,119 @@ def _emit(e: Expr, names: Mapping[str, str]) -> str:
                 f"'{e.symbol.name}' is not a state variable, the base coordinate, or a bound parameter"
             ) from None
     if isinstance(e, Add):
-        return "(" + "+".join(_emit(t, names) for t in e.terms) + ")"
+        return "(" + "+".join(map(sub, e.terms)) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_emit(f, names) for f in e.factors) + ")"
+        return "(" + "*".join(map(sub, e.factors)) + ")"
     if isinstance(e, Pow):
         if e.exponent.denominator == 1:
-            return f"({_emit(e.base, names)})**({int(e.exponent)})"
-        return f"pow({_emit(e.base, names)}, {float(e.exponent)!r})"
+            return f"({sub(e.base)})**({int(e.exponent)})"
+        return f"pow({sub(e.base)}, {float(e.exponent)!r})"
     if isinstance(e, Fun):
-        return f"{_FUN_NAMES.get(e.name, e.name)}({_emit(e.arg, names)})"
+        return f"{_FUN_NAMES.get(e.name, e.name)}({sub(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _define(source: str, env):
+    """The function `f` that `source` defines, with `env` for globals."""
+    scope = dict(env)
+    exec(source, scope)
+    return scope["f"]
+
+
 def _lambdify(exprs: Sequence[Expr], base: Optional[Symbol], symbols: Sequence[Symbol], env):
-    """`lambda t, z: (...)` returning one value per expression, with `base`
-    read from t, symbols[i] from z[i] and the functions from `env`."""
+    """`f(t, z)` returning one value per expression, with `base` read from
+    t, symbols[i] from z[i] and the functions from `env`."""
     names = {} if base is None else {base.name: "t"}
     for i, s in enumerate(symbols):
         names[s.name] = f"z[{i}]"
-    body = ", ".join(_emit(e, names) for e in exprs)
-    return eval(f"lambda t, z: ({body},)", dict(env))
+
+    def inline(e):
+        return _emit(e, names, inline)
+
+    body = ", ".join(map(inline, exprs))
+    return _define(f"def f(t, z):\n    return ({body},)\n", env)
+
+
+class _Subtrees:
+    """The distinct subtrees of some expressions, numbered by their text.
+
+    A node's key is its `_emit` text with the children written by number,
+    so each node object is emitted once however often it recurs.
+    `uses[n]` counts the places subtree n occurs in: once per expression
+    it is, once per distinct parent."""
+
+    def __init__(self, exprs: Sequence[Expr], names: Mapping[str, str]):
+        self.number, self.uses, seen = {}, [], {}
+
+        def visit(e):
+            n = self.number.get(id(e))
+            if n is None:
+                kids = []
+
+                def child(c):
+                    kids.append(visit(c))
+                    return f"#{kids[-1]}"
+
+                n = seen.setdefault(_emit(e, names, child), len(self.uses))
+                if n == len(self.uses):
+                    self.uses.append(0)
+                    for k in kids:
+                        self.uses[k] += 1
+                self.number[id(e)] = n
+            return n
+
+        for e in exprs:
+            self.uses[visit(e)] += 1
+
+    def writer(self, names: Mapping[str, str], temp: str, lines: list):
+        """Text of a node over `names`.  A compound subtree used more than
+        once is computed on first use into `temp<n>`, appended to `lines`."""
+        done = {}
+
+        def text(e):
+            n = self.number[id(e)]
+            out = done.get(n)
+            if out is None:
+                out = _emit(e, names, text)
+                if self.uses[n] > 1 and not isinstance(e, (Sym, Rat)):
+                    lines.append(f"{temp}{n} = {out}")
+                    out = f"{temp}{n}"
+                done[n] = out
+            return out
+
+        return text
+
+
+def _rk4_step(f: "FirstOrderSystem"):
+    """`step(t, t_half, t_next, h, z)`: one classical RK4 step of `f` as
+    straight-line code.  Each stage inlines the right-hand side over its
+    own locals and computes every repeated subtree once; a right-hand
+    side that is a state, the base coordinate or a constant is an alias.
+    Every float operation runs in the order of the textbook loop
+    (k = F(t, z), z + 0.5*h*k, ..., z + h*(k1 + 2*k2 + 2*k3 + k4)/6), so
+    the result is bit-identical to it."""
+    n = f.dimension
+    zs = [f"z{i}" for i in range(n)]
+    shared = _Subtrees(f.rhs, {**dict(zip(f.state_names, zs)), f.base.name: "t"})
+    lines = [", ".join(zs) + ", = z", "hh = 0.5 * h"]
+    ks = []
+    for stage, t in enumerate(("t", "t_half", "t_half", "t_next"), 1):
+        text = shared.writer({**dict(zip(f.state_names, zs)), f.base.name: t}, f"c{stage}_", lines)
+        k = []
+        for i, e in enumerate(f.rhs):
+            out = text(e)
+            if not (out.isidentifier() or isinstance(e, Rat)):
+                lines.append(f"k{stage}_{i} = {out}")
+                out = f"k{stage}_{i}"
+            k.append(out)
+        ks.append(k)
+        if stage < 4:
+            coef = "h" if stage == 3 else "hh"
+            zs = [f"y{stage + 1}_{i}" for i in range(n)]
+            lines += [f"{y} = z{i} + {coef} * {ki}" for i, (y, ki) in enumerate(zip(zs, k))]
+    new = (f"z{i} + h * ({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0" for i, (a, b, c, d) in enumerate(zip(*ks)))
+    lines.append(f"return ({', '.join(new)},)")
+    return _define("def f(t, t_half, t_next, h, z):\n    " + "\n    ".join(lines) + "\n", _SCALAR_ENV)
 
 
 def numpy_eval(e: Expr, env: Mapping[str, object]):
@@ -205,8 +284,14 @@ class FirstOrderSystem:
     def __call__(self, t: float, z) -> tuple:
         return self._callable(t, z)
 
+    @cached_property
+    def _step(self):
+        return _rk4_step(self)
+
+    @cached_property
     def base_part(self) -> "FirstOrderSystem":
-        """The subsystem of non-vertical states (the original dynamics)."""
+        """The subsystem of non-vertical states (the original dynamics),
+        built once, so its RK4 step is generated once."""
         idx = [i for i, v in enumerate(self.vertical_mask) if not v]
         return FirstOrderSystem(
             self.base,
@@ -254,10 +339,6 @@ class Trajectory:
         for t, row in zip(self.times, self.states):
             lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def _param_bindings(spec: BundleSpec) -> dict:
@@ -382,7 +463,7 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     for name, v in zip(f.state_names, z):
         if not math.isfinite(v):
             raise SpecError(f"initial state {name}={v} is not a finite number")
-    rhs = f._callable
+    step = f._step
 
     n_full = int((t1 - t0) / dt + 1e-9)
     while t0 + n_full * dt > t1 + 1e-9 * dt:
@@ -397,22 +478,12 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
         h = dt if i < n_full else remainder
         t_next = t0 + (i + 1) * dt if i < n_full else t1
         try:
-            k1 = rhs(t, z)
-            z2 = tuple(zi + 0.5 * h * k for zi, k in zip(z, k1))
-            k2 = rhs(t + 0.5 * h, z2)
-            z3 = tuple(zi + 0.5 * h * k for zi, k in zip(z, k2))
-            k3 = rhs(t + 0.5 * h, z3)
-            z4 = tuple(zi + h * k for zi, k in zip(z, k3))
-            k4 = rhs(t_next, z4)
-            z = tuple(
-                zi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
-                for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
-            )
+            z = step(t, t + 0.5 * h, t_next, h, z)
         except (OverflowError, ValueError, ZeroDivisionError) as ex:
             raise IntegrationError(
                 f"right-hand side failed between t={t:.6g} and t={t_next:.6g}: {ex}", t
             ) from None
-        if not all(math.isfinite(v) for v in z):
+        if not all(map(math.isfinite, z)):
             raise IntegrationError(
                 f"state became non-finite at t={t_next:.6g}", t
             )
@@ -521,7 +592,7 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
     if not 0 < eps < math.inf:
         raise SpecError(f"finite-difference step must be positive and finite, got {eps}")
     fos = prob.compiled
-    base_sys = fos.base_part()
+    base_sys = fos.base_part
     names = fos.state_names[fos.dimension // 2:]
     z0 = tuple(prob.base_init[s.name] for s in base_sys.states)
     delta = tuple(prob.jacobi_init[n] for n in names)

@@ -4,6 +4,8 @@ The naming rule of generated coordinates lives in `deviq.bundle`: other
 modules hand coordinates around as Symbols and ask the spec for jets and
 partners, so they neither name the private coordinate record nor decode
 names.  `render` is the one reader of decoded names, for LaTeX output.
+Generated code is defined in one place, `numeric._define`, from text that
+`numeric._emit` writes.
 """
 
 import ast
@@ -64,3 +66,14 @@ def test_compile_system_resolves_no_names():
         if isinstance(node, ast.FunctionDef) and node.name == "compile_system"
     ]
     assert [node.lineno for node in _calls(compile_fn, "symbol")] == []
+
+
+def test_eval_and_exec_only_in_the_code_generator():
+    where = {
+        (p.name, getattr(top, "name", None))
+        for p in SOURCES
+        for top in ast.parse(p.read_text()).body
+        for name in _names(top)
+        if name in ("eval", "exec")
+    }
+    assert where == {("numeric.py", "_define")}

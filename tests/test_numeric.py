@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from deviq import (
     CompileError,
     DeviqError,
     EquationSystem,
+    FirstOrderSystem,
     IntegrationError,
     JacobiProblem,
+    Rat,
     SingularEquationError,
     SpecError,
     Sym,
@@ -31,6 +34,7 @@ from deviq import (
     perturbation_residual,
     solve_jacobi,
 )
+from deviq.expr import Symbol, SymbolKind, exp, ln, sin
 from deviq.numeric import MAX_STEPS
 from conftest import ODE_CORPUS, corpus_model, first_order_atoms, model_path, rand_expr
 
@@ -176,6 +180,91 @@ def test_integrate_reports_blowup_time():
     assert 0.9 < err.value.last_time <= 1.1
 
 
+def reference_rk4(f, z0, t0, t1, dt):
+    """The textbook RK4 loop over the compiled right-hand side `f(t, z)`,
+    on integrate's grid: the rows the generated step must reproduce."""
+    n_full = int((t1 - t0) / dt + 1e-9)
+    while t0 + n_full * dt > t1 + 1e-9 * dt:
+        n_full -= 1
+    remainder = t1 - (t0 + n_full * dt)
+    steps = n_full + (1 if remainder > 1e-9 * dt or n_full == 0 else 0)
+    z = tuple(float(v) for v in z0)
+    rows, t = [z], t0
+    for i in range(steps):
+        h = dt if i < n_full else remainder
+        t_next = t0 + (i + 1) * dt if i < n_full else t1
+        k1 = f(t, z)
+        z2 = tuple(zi + 0.5 * h * k for zi, k in zip(z, k1))
+        k2 = f(t + 0.5 * h, z2)
+        z3 = tuple(zi + 0.5 * h * k for zi, k in zip(z, k2))
+        k3 = f(t + 0.5 * h, z3)
+        z4 = tuple(zi + h * k for zi, k in zip(z, k3))
+        k4 = f(t_next, z4)
+        z = tuple(
+            zi + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
+            for zi, a, b, c, d in zip(z, k1, k2, k3, k4)
+        )
+        rows.append(z)
+        t = t_next
+    return rows
+
+
+def assert_bit_identical(fos, z0, t0, t1, dt):
+    rows = [tuple(r) for r in integrate(fos, z0, t0, t1, dt).states.tolist()]
+    assert rows == reference_rk4(fos, z0, t0, t1, dt)
+
+
+@pytest.mark.parametrize("name", list(ODE_CORPUS))
+def test_rk4_step_bit_identical_on_corpus(name):
+    prob = jacobi_problem(name)
+    assert_bit_identical(prob.compiled, prob.initial_state(), prob.t0, prob.t1, prob.dt)
+
+
+@pytest.mark.parametrize("chain", ["pendulum-L4", "fpu-L4"])
+def test_rk4_step_bit_identical_on_chains(chain):
+    path = next(p for p in CHAIN_MODELS if p.stem == chain)
+    fos = compile_system(deviation_equations(load_model(path)))
+    z0 = [0.3 * math.sin(i + 1) for i in range(fos.dimension)]
+    assert_bit_identical(fos, z0, 0.0, 2.0, 1e-3)
+
+
+def test_rk4_step_bit_identical_with_short_final_step():
+    prob = jacobi_problem("pendulum")
+    assert_bit_identical(prob.compiled, prob.initial_state(), 0.25, 1.2345, 1e-2)
+
+
+def _first_order(rhs):
+    """y, u with y' = 1 and u' = rhs(t, y, u), as built, not normalized."""
+    t, y, u = (Symbol("t", SymbolKind.BASE), Symbol("y", SymbolKind.FIBRE),
+               Symbol("u", SymbolKind.FIBRE))
+    return FirstOrderSystem(t, (y, u), (Rat(Fraction(1)), rhs(Sym(t), Sym(y), Sym(u))), (False, False))
+
+
+def test_rk4_step_computes_a_repeated_subtree_once_per_stage():
+    # two equal but distinct sin(y + t) nodes
+    fos = _first_order(lambda t, y, u: sin(y + t) * u - sin(y + t))
+    assert_bit_identical(fos, (0.5, -0.25), 0.0, 1.0, 1e-2)
+    calls = []
+    step = fos._step
+    step.__globals__["sin"] = lambda x: calls.append(x) or math.sin(x)
+    step(0.0, 0.005, 0.01, 0.01, (0.5, -0.25))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("rhs,error", [
+    (lambda t, y, u: (y - 1) ** -1, "0.0 cannot be raised to a negative power"),
+    (lambda t, y, u: ln(15 - 16 * y), "math domain error"),
+    (lambda t, y, u: exp(800 * y), "math range error"),
+], ids=["zero-division", "log-of-negative", "overflow"])
+def test_rk4_step_failure_is_integration_error_with_last_valid_time(rhs, error):
+    """With y = t, the last stage of the step from t = 0.75 divides by
+    y - 1 = 0, takes the log of 15 - 16 y = -1 or overflows exp(800 y)."""
+    with pytest.raises(IntegrationError, match=error) as err:
+        integrate(_first_order(rhs), (0.0, 0.0), 0.0, 3.0, 0.25)
+    assert err.value.last_time == 0.75
+    assert "failed between t=0.75 and t=1" in str(err.value)
+
+
 def test_trajectory_csv_and_immutability():
     prob = jacobi_problem("oscillator")
     base, jac = solve_jacobi(prob)
@@ -302,7 +391,7 @@ def test_oracles_reject_non_finite_eps(eps):
 def test_integrate_refuses_window_past_step_cap(t0, t1, dt):
     calls = []
     fos = compile_system(deviation_system(derive_operator("oscillator")))
-    fos.__dict__["_callable"] = lambda t, z: calls.append(t)  # the cached RHS
+    fos.__dict__["_step"] = lambda *args: calls.append(args)  # the cached RK4 step
     with pytest.raises(SpecError, match=f"more than {MAX_STEPS} steps"):
         integrate(fos, (1.0, 0.0, 0.0, 1.0), t0, t1, dt)
     assert calls == []
@@ -318,7 +407,7 @@ def test_integrate_refuses_window_past_step_cap(t0, t1, dt):
 def test_integrate_refuses_non_finite_input(z0, t0, t1, dt, message):
     calls = []
     fos = compile_system(deviation_system(derive_operator("oscillator")))
-    fos.__dict__["_callable"] = lambda t, z: calls.append(t)  # the cached RHS
+    fos.__dict__["_step"] = lambda *args: calls.append(args)  # the cached RK4 step
     with pytest.raises(SpecError, match=message):
         integrate(fos, z0, t0, t1, dt)
     assert calls == []

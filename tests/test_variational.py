@@ -20,7 +20,7 @@ from deviq import (
     total_derivative,
     vertical_extension_density,
 )
-from deviq.expr import sin, sqrt
+from deviq.expr import Symbol, SymbolKind, sin, sqrt
 from conftest import corpus_model, first_order_atoms, rand_expr
 
 
@@ -123,6 +123,18 @@ def test_is_vertical_linear(build, linear):
     spec = BundleSpec.make(["t"], ["y"], order=1).vertical_extension()
     e = build(*(S(spec, n) for n in ("y", "v_y", "v_y_t")))
     assert is_vertical_linear(e) is linear
+
+
+@pytest.mark.parametrize("name,kind,decoded", [
+    ("y_t", SymbolKind.FIBRE, "jet-coordinate"),
+    ("y", SymbolKind.JET, "fibre-coordinate"),
+    ("v_y", SymbolKind.FIBRE, "vertical-coordinate"),
+    ("y_t", SymbolKind.VERTICAL, "jet-coordinate"),
+])
+def test_symbol_kind_must_match_its_name(name, kind, decoded):
+    spec = BundleSpec.make(["t"], ["y"], order=2).vertical_extension()
+    with pytest.raises(SpecError, match=f"'{name}' is a {decoded}, not a {kind.value}"):
+        EquationSystem((Sym(Symbol(name, kind)) - S(spec, "y"),), spec)
 
 
 def test_deviation_system_rejects_vertical_input():
