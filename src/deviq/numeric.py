@@ -18,11 +18,16 @@ Two independent numeric oracles back the symbolic construction:
 Integration is classical RK4 with a fixed step: bit-exact deterministic
 for fixed inputs, no adaptivity anywhere.  Each system's step is generated
 as one straight-line function.
+
+`integrate` and `Trajectory.to_csv` work on Python floats and never load
+numpy.  It loads on the first read of a trajectory's `times`, `states` or
+`column`, and in `solve_jacobi`, the two oracles and `numpy_eval`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -84,7 +89,7 @@ MAX_STEPS = 10**5
 # code generation: `_emit` writes one expression node.  `_lambdify` inlines
 # every subtree, for the numpy evaluations; `_rk4_step` writes a whole RK4
 # step as straight-line code over scalars.  numpy is imported where an
-# array is made, so the symbolic commands never load it.
+# array is made, so the symbolic commands and `simulate` never load it.
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
@@ -259,6 +264,8 @@ class FirstOrderSystem:
     vertical_mask: tuple
 
     def __post_init__(self):
+        if not self.states:
+            raise CompileError("a first-order system needs at least one state")
         if len(self.rhs) != len(self.states) or len(self.vertical_mask) != len(self.states):
             raise CompileError("state, rhs and mask lengths disagree")
         allowed = {*self.states, self.base}
@@ -301,44 +308,72 @@ class FirstOrderSystem:
         )
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Immutable grid solution: times strictly increasing, one state row
-    per grid point, 17-significant-digit CSV export."""
+    per grid point, 17-significant-digit CSV export.
 
-    times: np.ndarray
-    states: np.ndarray
-    names: tuple
-    metadata: dict
+    It keeps the times and rows it was built with: the Python floats of
+    `integrate` as tuples, anything else as read-only arrays.  `times` and
+    `states` are read-only arrays made on first read, which then replace
+    the tuples, so integrating and writing CSV never load numpy."""
 
-    def __post_init__(self):
-        import numpy as np
+    __slots__ = ("_times", "_states", "names", "metadata")
 
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim != 2 or len(t) != s.shape[0]:
-            raise SpecError("trajectory needs one state row per time")
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise SpecError("trajectory times must be strictly increasing")
-        if s.shape[1] != len(self.names):
-            raise SpecError("one name per state column required")
-        t.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "names", tuple(self.names))
+    def __init__(self, times, states, names, metadata: dict):
+        names = tuple(names)
+        if isinstance(states, (list, tuple)):
+            times, states = tuple(times), tuple(map(tuple, states))
+            if not states or len(times) != len(states):
+                raise SpecError("trajectory needs one state row per time")
+            if not all(map(operator.lt, times, times[1:])):
+                raise SpecError("trajectory times must be strictly increasing")
+            if any(len(row) != len(names) for row in states):
+                raise SpecError("one name per state column required")
+        else:
+            import numpy as np
+
+            times, states = _frozen(times), _frozen(states)
+            if states.ndim != 2 or len(times) != states.shape[0]:
+                raise SpecError("trajectory needs one state row per time")
+            if len(times) > 1 and not np.all(np.diff(times) > 0):
+                raise SpecError("trajectory times must be strictly increasing")
+            if states.shape[1] != len(names):
+                raise SpecError("one name per state column required")
+        self._times, self._states = times, states
+        self.names, self.metadata = names, metadata
+
+    @property
+    def times(self) -> np.ndarray:
+        if isinstance(self._times, tuple):
+            self._times = _frozen(self._times)
+        return self._times
+
+    @property
+    def states(self) -> np.ndarray:
+        if isinstance(self._states, tuple):
+            self._states = _frozen(self._states)
+        return self._states
 
     def __len__(self):
-        return len(self.times)
+        return len(self._times)
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.names.index(name)]
 
     def to_csv(self) -> str:
+        row = ",".join(["%.17g"] * (len(self.names) + 1))
+        times, states = (v if isinstance(v, tuple) else v.tolist() for v in (self._times, self._states))
         lines = ["t," + ",".join(self.names)]
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
+        lines += [row % (t, *z) for t, z in zip(times, states)]
         return "\n".join(lines) + "\n"
+
+
+def _frozen(values) -> np.ndarray:
+    import numpy as np
+
+    a = np.asarray(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def _param_bindings(spec: BundleSpec) -> dict:
@@ -442,9 +477,11 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
 
     The grid is t0 + i*dt with one shorter final step when dt does not
     divide the span exactly; a span shorter than one step is one step
-    from t0 to t1.  Non-finite input and a window of more than MAX_STEPS
-    steps are refused before any step runs.  Any non-finite state or failed
-    right-hand side aborts with the last valid time in the error.
+    from t0 to t1.  Non-finite input, a window of more than MAX_STEPS
+    steps and a grid whose times do not strictly increase (dt below the
+    float spacing of the times) are refused before any step runs.  Any
+    non-finite state or failed right-hand side aborts with the last valid
+    time in the error.
     """
     for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
         if not math.isfinite(v):
@@ -463,20 +500,23 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     for name, v in zip(f.state_names, z):
         if not math.isfinite(v):
             raise SpecError(f"initial state {name}={v} is not a finite number")
-    step = f._step
 
     n_full = int((t1 - t0) / dt + 1e-9)
     while t0 + n_full * dt > t1 + 1e-9 * dt:
         n_full -= 1
     remainder = t1 - (t0 + n_full * dt)
-    steps = n_full + (1 if remainder > 1e-9 * dt or n_full == 0 else 0)
+    times = [t0] + [t0 + i * dt for i in range(1, n_full + 1)]
+    if remainder > 1e-9 * dt or n_full == 0:
+        times.append(t1)
+    if not all(map(operator.lt, times, times[1:])):
+        raise SpecError(
+            f"the time grid from t0={t0} in steps of dt={dt} does not strictly increase"
+        )
+    step = f._step
 
-    times = [t0]
     rows = [z]
-    t = t0
-    for i in range(steps):
+    for i, (t, t_next) in enumerate(zip(times, times[1:])):
         h = dt if i < n_full else remainder
-        t_next = t0 + (i + 1) * dt if i < n_full else t1
         try:
             z = step(t, t + 0.5 * h, t_next, h, z)
         except (OverflowError, ValueError, ZeroDivisionError) as ex:
@@ -487,8 +527,6 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
             raise IntegrationError(
                 f"state became non-finite at t={t_next:.6g}", t
             )
-        t = t_next
-        times.append(t)
         rows.append(z)
     return Trajectory(
         times,
@@ -560,24 +598,14 @@ def _init_name(k) -> str:
 
 
 def solve_jacobi(prob: JacobiProblem):
-    """Integrate the joint deviation flow; returns (base, jacobi) halves."""
+    """Integrate the joint deviation flow; returns (base, jacobi) halves,
+    the first and second half of the joint state by the mirror layout."""
     fos = prob.compiled
     traj = integrate(fos, prob.initial_state(), prob.t0, prob.t1, prob.dt)
-    base_idx = [i for i, v in enumerate(fos.vertical_mask) if not v]
-    vert_idx = [i for i, v in enumerate(fos.vertical_mask) if v]
-    meta = dict(traj.metadata)
-    base = Trajectory(
-        traj.times,
-        traj.states[:, base_idx].copy(),
-        tuple(fos.state_names[i] for i in base_idx),
-        {**meta, "component": "base"},
-    )
-    jac = Trajectory(
-        traj.times,
-        traj.states[:, vert_idx].copy(),
-        tuple(fos.state_names[i] for i in vert_idx),
-        {**meta, "component": "jacobi"},
-    )
+    half = fos.dimension // 2
+    times, states, names = traj.times, traj.states, fos.state_names
+    base = Trajectory(times, states[:, :half], names[:half], {**traj.metadata, "component": "base"})
+    jac = Trajectory(times, states[:, half:], names[half:], {**traj.metadata, "component": "jacobi"})
     return base, jac
 
 

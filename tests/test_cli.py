@@ -352,6 +352,15 @@ def test_negative_window_in_scientific_notation_is_a_value():
     assert res.stdout == run_cli(*argv, "--t0=-1e-2", binary=True).stdout
 
 
+def test_time_grid_that_does_not_increase_is_usage_error():
+    # at 1e17 the floats are 16 apart, so t0 + dt rounds back to t0
+    res = run_cli("simulate", model_path("oscillator"), "--init", "y=1,y_t=0",
+                  "--t0", "1e17", "--t1", "1.0000000000000002e17", "--dt", "4")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "deviq: error: the time grid from t0=1e+17 in steps of dt=4.0 does not strictly increase\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("simulate", "--init", "y=nan,y_t=0"), "base initial data y=nan is not a finite number"),
     (("simulate", "--init", "y=inf,y_t=0"), "base initial data y=inf is not a finite number"),
@@ -383,6 +392,10 @@ def test_symbolic_commands_never_load_numpy():
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["simulate", {model!r}, "--init", "y=1,y_t=0", "--t1", "0.1"])
         print(code, "numpy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["residual", {model!r}, "--init", "y=1,y_t=0", "--jacobi-init", "v_y=0,v_y_t=1",
+                             "--t1", "0.1", "--dt", "1e-2"])
+        print(code, "numpy" in sys.modules)
     """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert res.stdout == "False\n[0, 0, 0] False\n0 True\n", res.stderr
+    assert res.stdout == "False\n[0, 0, 0] False\n0 False\n0 True\n", res.stderr

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from deviq import (
     SingularEquationError,
     SpecError,
     Sym,
+    Trajectory,
     UnboundSymbolError,
     compile_system,
     deviation_equations,
@@ -278,6 +280,58 @@ def test_trajectory_csv_and_immutability():
         jac.states[0, 0] = 99.0
 
 
+@pytest.mark.parametrize("name", list(ODE_CORPUS))
+def test_trajectory_csv_from_rows_matches_csv_from_arrays(name):
+    prob = jacobi_problem(name)
+    traj = integrate(prob.compiled, prob.initial_state(), prob.t0, prob.t1, prob.dt)
+    text = traj.to_csv()  # from the integrator's rows, before any array exists
+    assert len(traj) == round(prob.t1 / prob.dt) + 1
+    expect = ["t," + ",".join(traj.names)]
+    expect += [",".join(f"{v:.17g}" for v in (t, *row)) for t, row in zip(traj.times, traj.states)]
+    assert text == "\n".join(expect) + "\n"
+    assert traj.to_csv() == text  # and again from the arrays
+
+
+def test_trajectory_arrays_are_read_only_and_cached():
+    prob = jacobi_problem("twofield")
+    traj = integrate(prob.compiled, prob.initial_state(), prob.t0, prob.t1, prob.dt)
+    times, states = traj.times, traj.states
+    assert traj.times is times and traj.states is states
+    assert states.shape == (len(traj), prob.compiled.dimension) and times.shape == (len(traj),)
+    for array in (times, states, traj.column("u_t")):
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+    assert traj.column("u_t").tolist() == [row[3] for row in states.tolist()]
+    assert times[0] == 0.0 and times[-1] == prob.t1
+
+
+def test_solve_jacobi_halves_split_the_joint_run():
+    prob = jacobi_problem("sphere")
+    joint = integrate(prob.compiled, prob.initial_state(), prob.t0, prob.t1, prob.dt)
+    base, jac = solve_jacobi(prob)
+    half = prob.compiled.dimension // 2
+    assert base.names == joint.names[:half] == ("theta", "theta_t", "phi", "phi_t")
+    assert jac.names == joint.names[half:]
+    for part, cols in ((base, slice(None, half)), (jac, slice(half, None))):
+        assert part.times.tolist() == joint.times.tolist()
+        assert part.states.tolist() == joint.states[:, cols].tolist()
+    assert (base.metadata["component"], jac.metadata["component"]) == ("base", "jacobi")
+
+
+@pytest.mark.parametrize("array", [False, True], ids=["rows", "arrays"])
+@pytest.mark.parametrize("times,rows,names,message", [
+    ([0.0, 1.0], [(1.0,)], ("y",), "one state row per time"),
+    ([], [], ("y",), "one state row per time"),
+    ([0.0, 1.0, 1.0], [(1.0,), (2.0,), (3.0,)], ("y",), "strictly increasing"),
+    ([0.0, 1.0], [(1.0, 2.0), (3.0, 4.0)], ("y",), "one name per state column"),
+])
+def test_trajectory_refuses_a_malformed_grid(array, times, rows, names, message):
+    if array:
+        times, rows = np.array(times), np.array(rows)
+    with pytest.raises(SpecError, match=message):
+        Trajectory(times, rows, names, {})
+
+
 def test_jacobi_oscillator_closed_form():
     prob = jacobi_problem("oscillator")
     base, jac = solve_jacobi(prob)
@@ -395,6 +449,22 @@ def test_integrate_refuses_window_past_step_cap(t0, t1, dt):
     with pytest.raises(SpecError, match=f"more than {MAX_STEPS} steps"):
         integrate(fos, (1.0, 0.0, 0.0, 1.0), t0, t1, dt)
     assert calls == []
+
+
+@pytest.mark.parametrize("t0,t1", [(1e17, 1.0000000000000002e17), (-1.0000000000000002e17, -1e17)])
+def test_integrate_refuses_a_grid_that_does_not_increase(t0, t1):
+    # the floats near 1e17 are 16 apart, so t0 + 4 rounds back to t0
+    calls = []
+    fos = compile_system(deviation_system(derive_operator("oscillator")))
+    fos.__dict__["_step"] = lambda *args: calls.append(args)  # the cached RK4 step
+    with pytest.raises(SpecError, match=re.escape(f"from t0={t0} in steps of dt=4.0 does not strictly increase")):
+        integrate(fos, (1.0, 0.0, 0.0, 1.0), t0, t1, 4.0)
+    assert calls == []
+
+
+def test_first_order_system_needs_a_state():
+    with pytest.raises(CompileError, match="at least one state"):
+        FirstOrderSystem(Symbol("t", SymbolKind.BASE), (), (), ())
 
 
 @pytest.mark.parametrize("z0,t0,t1,dt,message", [
