@@ -327,7 +327,7 @@ class Trajectory:
                 raise SpecError("trajectory needs one state row per time")
             if not all(map(operator.lt, times, times[1:])):
                 raise SpecError("trajectory times must be strictly increasing")
-            if any(len(row) != len(names) for row in states):
+            if set(map(len, states)) != {len(names)}:
                 raise SpecError("one name per state column required")
         else:
             import numpy as np
@@ -506,8 +506,10 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
         n_full -= 1
     remainder = t1 - (t0 + n_full * dt)
     times = [t0] + [t0 + i * dt for i in range(1, n_full + 1)]
+    sizes = [dt] * n_full
     if remainder > 1e-9 * dt or n_full == 0:
         times.append(t1)
+        sizes.append(remainder)
     if not all(map(operator.lt, times, times[1:])):
         raise SpecError(
             f"the time grid from t0={t0} in steps of dt={dt} does not strictly increase"
@@ -515,8 +517,7 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     step = f._step
 
     rows = [z]
-    for i, (t, t_next) in enumerate(zip(times, times[1:])):
-        h = dt if i < n_full else remainder
+    for t, t_next, h in zip(times, times[1:], sizes):
         try:
             z = step(t, t + 0.5 * h, t_next, h, z)
         except (OverflowError, ValueError, ZeroDivisionError) as ex:
