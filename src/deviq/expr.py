@@ -924,21 +924,25 @@ def equivalent(a: Expr, b: Expr, seed: int = 0) -> EquivalenceResult:
 # plain-text rendering (round-trips through the model-file parser)
 
 def to_text(e: Expr) -> str:
-    e = as_expr(e)
-    if isinstance(e, Add):
-        parts = [_term_text(e.terms[0])]
-        for t in e.terms[1:]:
-            s = _term_text(t)
-            if s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts)
-    return _term_text(e)
+    return _join_terms(as_expr(e), _term_text)
 
 
-def _term_text(e: Expr) -> str:
-    """Render one product, splitting negative powers into a denominator."""
+def _join_terms(e: Expr, term) -> str:
+    """A sum as its terms written by `term`, a term's leading minus
+    written as the joining ' - '."""
+    if not isinstance(e, Add):
+        return term(e)
+    parts = [term(e.terms[0])]
+    for t in e.terms[1:]:
+        s = term(t)
+        parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
+    return "".join(parts)
+
+
+def _split_term(e: Expr, factor) -> tuple:
+    """One product as (sign, numerator, denominator): the factors written
+    by `factor`, a negative power inverted into the denominator, and the
+    rational coefficient's digits leading each list where needed."""
     coeff = Fraction(1)
     numer, denom = [], []
     factors = e.factors if isinstance(e, Mul) else (e,)
@@ -946,15 +950,20 @@ def _term_text(e: Expr) -> str:
         if isinstance(f, Rat):
             coeff *= f.value
         elif isinstance(f, Pow) and f.exponent < 0:
-            denom.append(_pow_text(Pow(f.base, -f.exponent)))
+            denom.append(factor(Pow(f.base, -f.exponent)))
         else:
-            numer.append(_pow_text(f))
+            numer.append(factor(f))
     sign = "-" if coeff < 0 else ""
     coeff = abs(coeff)
     if coeff.numerator != 1 or not numer:
         numer.insert(0, str(coeff.numerator))
     if coeff.denominator != 1:
         denom.insert(0, str(coeff.denominator))
+    return sign, numer, denom
+
+
+def _term_text(e: Expr) -> str:
+    sign, numer, denom = _split_term(e, _pow_text)
     top = "*".join(numer)
     if not denom:
         return sign + top

@@ -22,13 +22,11 @@ from dataclasses import dataclass
 from .bundle import BundleSpec, MultiIndex, vertical_derivative
 from .errors import SpecError, VerticalExtensionError
 from .expr import (
-    VERTICAL_KINDS,
     Add,
     Expr,
     Sym,
     as_expr,
     equivalent,
-    free_symbols,
     gradient,
     normalize,
 )
@@ -36,6 +34,7 @@ from .variational import (
     CommutationReport,
     EquationSystem,
     PairCheck,
+    _has_vertical,
     check_symbols,
     deviation_system,
 )
@@ -62,17 +61,8 @@ class HamiltonianSystem:
         object.__setattr__(self, "density", d)
         if check_symbols(d, self.spec) > 0:
             raise SpecError("Hamiltonian density must not contain jet symbols")
-        if not self.spec.vertical and any(
-            s.kind in VERTICAL_KINDS for s in free_symbols(d)
-        ):
+        if not self.spec.vertical and _has_vertical(d):
             raise SpecError("Hamiltonian density contains vertical symbols")
-
-    @staticmethod
-    def make(density, spec: BundleSpec) -> "HamiltonianSystem":
-        """Accepts a spec without momenta and switches them on."""
-        if not spec.momenta:
-            spec = spec.with_momenta()
-        return HamiltonianSystem(density, spec)
 
 
 def hamilton_equations(H: HamiltonianSystem) -> EquationSystem:

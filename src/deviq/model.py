@@ -32,10 +32,8 @@ from .errors import ParseError, SpecError, UnknownSymbolError
 from .expr import (
     FUNCTIONS,
     MAX_CONSTANT_DIGITS,
-    Add,
     Expr,
     Fun,
-    Mul,
     Pow,
     Rat,
     Sym,
@@ -46,7 +44,6 @@ from .expr import (
 from .hamiltonian import HamiltonianSystem, check_hamilton_deviation_commute, hamilton_equations
 from .variational import (
     CommutationReport,
-    DifferentialOperator,
     EquationSystem,
     Lagrangian,
     check_el_vertical_commute,
@@ -231,18 +228,12 @@ class ModelFile:
     def lagrangian(self) -> Lagrangian:
         if self.kind != "lagrangian":
             raise SpecError(f"model is a {self.kind}, not a lagrangian")
-        return Lagrangian(self.payload[0], max_jet_order(self.payload[0], self.spec), self.spec)
+        return Lagrangian(self.payload[0], self.spec)
 
     def hamiltonian(self) -> HamiltonianSystem:
         if self.kind != "hamiltonian":
             raise SpecError(f"model is a {self.kind}, not a hamiltonian")
         return HamiltonianSystem(self.payload[0], self.spec)
-
-    def operator(self) -> DifferentialOperator:
-        if self.kind != "equation":
-            raise SpecError(f"model is a {self.kind}, not an equation system")
-        order = max((max_jet_order(e, self.spec) for e in self.payload), default=0)
-        return DifferentialOperator(self.payload, order, self.spec)
 
 
 def _declaration_name(tok: Token, taken: set) -> str:
@@ -422,21 +413,15 @@ def derive_equations(model: ModelFile) -> EquationSystem:
     """The equations of motion: Euler-Lagrange components, covariant
     Hamilton equations, or the declared equations themselves."""
     if model.kind == "lagrangian":
-        op = euler_lagrange(model.lagrangian())
-        return EquationSystem(op.components, op.spec, "plain")
+        return euler_lagrange(model.lagrangian())
     if model.kind == "hamiltonian":
         return hamilton_equations(model.hamiltonian())
-    op = model.operator()
-    return EquationSystem(op.components, op.spec, "plain")
+    return EquationSystem(model.payload, model.spec)
 
 
 def deviation_equations(model: ModelFile) -> EquationSystem:
     """The deviation pair of the model's equations of motion."""
-    if model.kind == "lagrangian":
-        return deviation_system(euler_lagrange(model.lagrangian()))
-    if model.kind == "hamiltonian":
-        return deviation_system(hamilton_equations(model.hamiltonian()))
-    return deviation_system(model.operator())
+    return deviation_system(derive_equations(model))
 
 
 def check_model(model: ModelFile, seed: int = 0) -> CommutationReport:

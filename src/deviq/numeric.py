@@ -253,21 +253,19 @@ def numpy_eval(e: Expr, env: Mapping[str, object]):
 class FirstOrderSystem:
     """Explicit first-order ODE dZ/dt = F(t, Z) with named states.
 
-    `vertical_mask[i]` marks states belonging to the Jacobi (vertical)
-    half of a deviation pair.  A compiled deviation pair has the mirror
-    layout: its first half holds the base states, and state half + i is
-    the Jacobi partner of state i."""
+    A compiled deviation pair has the mirror layout: its first half holds
+    the base states, and state half + i is the Jacobi (vertical) partner
+    of state i."""
 
     base: Symbol
     states: tuple
     rhs: tuple
-    vertical_mask: tuple
 
     def __post_init__(self):
         if not self.states:
             raise CompileError("a first-order system needs at least one state")
-        if len(self.rhs) != len(self.states) or len(self.vertical_mask) != len(self.states):
-            raise CompileError("state, rhs and mask lengths disagree")
+        if len(self.rhs) != len(self.states):
+            raise CompileError("state and rhs lengths disagree")
         allowed = {*self.states, self.base}
         for e in self.rhs:
             for s in free_symbols(e):
@@ -283,6 +281,11 @@ class FirstOrderSystem:
     @property
     def state_names(self) -> tuple:
         return tuple(s.name for s in self.states)
+
+    @property
+    def vertical_mask(self) -> tuple:
+        """Per state, whether it belongs to the Jacobi (vertical) half."""
+        return tuple(s.kind in VERTICAL_KINDS for s in self.states)
 
     @cached_property
     def _callable(self):
@@ -304,7 +307,6 @@ class FirstOrderSystem:
             self.base,
             tuple(self.states[i] for i in idx),
             tuple(self.rhs[i] for i in idx),
-            (False,) * len(idx),
         )
 
 
@@ -465,12 +467,27 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
     for chain in chains.values():
         states += chain[:-1]
         rhs += [Sym(s) for s in chain[1:-1]] + [solved[chain[-1]]]
-    mask = [s.kind in VERTICAL_KINDS for s in states]
-    return FirstOrderSystem(spec.base[0], tuple(states), tuple(rhs), tuple(mask))
+    return FirstOrderSystem(spec.base[0], tuple(states), tuple(rhs))
 
 
 # --------------------------------------------------------------------------
 # integration
+
+def _check_window(t0: float, t1: float, dt: float) -> None:
+    """Refuse a non-finite, empty or backwards window, a step size that is
+    not positive, and a window of more than MAX_STEPS steps."""
+    for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not math.isfinite(v):
+            raise SpecError(f"{name} must be a finite number, got {v}")
+    if dt <= 0:
+        raise SpecError(f"step size must be positive, got {dt}")
+    if t1 <= t0:
+        raise SpecError(f"empty window: t1={t1} <= t0={t0}")
+    if not (t1 - t0) / dt <= MAX_STEPS:
+        raise SpecError(
+            f"the window from t0={t0} to t1={t1} at dt={dt} takes more than {MAX_STEPS} steps"
+        )
+
 
 def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 from t0 to t1.
@@ -483,17 +500,7 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     non-finite state or failed right-hand side aborts with the last valid
     time in the error.
     """
-    for name, v in (("t0", t0), ("t1", t1), ("dt", dt)):
-        if not math.isfinite(v):
-            raise SpecError(f"{name} must be a finite number, got {v}")
-    if dt <= 0:
-        raise SpecError(f"step size must be positive, got {dt}")
-    if t1 <= t0:
-        raise SpecError(f"integration span is empty: t1={t1} <= t0={t0}")
-    if not (t1 - t0) / dt <= MAX_STEPS:
-        raise SpecError(
-            f"the window from t0={t0} to t1={t1} at dt={dt} takes more than {MAX_STEPS} steps"
-        )
+    _check_window(t0, t1, dt)
     z = tuple(float(v) for v in z0)
     if len(z) != f.dimension:
         raise SpecError(f"initial state has length {len(z)}, system dimension is {f.dimension}")
@@ -557,13 +564,7 @@ class JacobiProblem:
     def __post_init__(self):
         if self.system.structure != "deviation-pair":
             raise SpecError("JacobiProblem requires a deviation-pair system")
-        for name in ("t0", "t1", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise SpecError(f"{name} must be a finite number, got {getattr(self, name)}")
-        if self.dt <= 0:
-            raise SpecError(f"step size must be positive, got {self.dt}")
-        if self.t1 <= self.t0:
-            raise SpecError(f"empty window: t1={self.t1} <= t0={self.t0}")
+        _check_window(self.t0, self.t1, self.dt)
         fos = compile_system(self.system)
         base = {_init_name(k): float(v) for k, v in self.base_init.items()}
         given = {_init_name(k): float(v) for k, v in self.jacobi_init.items()}

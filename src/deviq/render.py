@@ -19,10 +19,24 @@ from typing import Optional
 
 from .bundle import BundleSpec
 from .errors import SpecError
-from .expr import Add, Expr, Fun, Mul, Pow, Rat, Sym, Symbol, SymbolKind, as_expr, to_text
+from .expr import (
+    Add,
+    Expr,
+    Fun,
+    Mul,
+    Pow,
+    Rat,
+    Sym,
+    Symbol,
+    SymbolKind,
+    _join_terms,
+    _split_term,
+    as_expr,
+    to_text,
+)
 from .hamiltonian import HamiltonianSystem
 from .model import ModelFile
-from .variational import DifferentialOperator, EquationSystem, Lagrangian
+from .variational import EquationSystem, Lagrangian
 
 __all__ = ["render", "to_latex", "json_tree", "spec_json"]
 
@@ -102,22 +116,7 @@ def _pow_tex(e: Expr, spec) -> str:
 
 
 def _term_tex(e: Expr, spec) -> str:
-    coeff = Fraction(1)
-    numer, denom = [], []
-    factors = e.factors if isinstance(e, Mul) else (e,)
-    for f in factors:
-        if isinstance(f, Rat):
-            coeff *= f.value
-        elif isinstance(f, Pow) and f.exponent < 0:
-            denom.append(_pow_tex(Pow(f.base, -f.exponent), spec))
-        else:
-            numer.append(_pow_tex(f, spec))
-    sign = "-" if coeff < 0 else ""
-    coeff = abs(coeff)
-    if coeff.numerator != 1 or not numer:
-        numer.insert(0, str(coeff.numerator))
-    if coeff.denominator != 1:
-        denom.insert(0, str(coeff.denominator))
+    sign, numer, denom = _split_term(e, lambda f: _pow_tex(f, spec))
     top = r" \, ".join(numer)
     if not denom:
         return sign + top
@@ -125,14 +124,7 @@ def _term_tex(e: Expr, spec) -> str:
 
 
 def to_latex(e, spec: Optional[BundleSpec] = None) -> str:
-    e = as_expr(e)
-    if isinstance(e, Add):
-        parts = [_term_tex(e.terms[0], spec)]
-        for t in e.terms[1:]:
-            s = _term_tex(t, spec)
-            parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
-        return "".join(parts)
-    return _term_tex(e, spec)
+    return _join_terms(as_expr(e), lambda t: _term_tex(t, spec))
 
 
 def _json_rat(q: Fraction):
@@ -188,14 +180,6 @@ def _model_text(m: ModelFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _system_parts(obj):
-    if isinstance(obj, EquationSystem):
-        return obj.equations, obj.spec, obj.structure
-    if isinstance(obj, DifferentialOperator):
-        return obj.components, obj.spec, None
-    return None
-
-
 def render(obj, format: str = "text", spec: Optional[BundleSpec] = None) -> str:
     """Render an expression, an equation system, or a whole model.
 
@@ -217,21 +201,16 @@ def render(obj, format: str = "text", spec: Optional[BundleSpec] = None) -> str:
             indent=2,
         ) + "\n"
 
-    if isinstance(obj, Lagrangian):
-        return render(obj.density, format, spec=obj.spec)
-    if isinstance(obj, HamiltonianSystem):
+    if isinstance(obj, (Lagrangian, HamiltonianSystem)):
         return render(obj.density, format, spec=obj.spec)
 
-    parts = _system_parts(obj)
-    if parts is not None:
-        equations, sspec, structure = parts
+    if isinstance(obj, EquationSystem):
         if format == "text":
-            return "\n".join(to_text(e) + " = 0" for e in equations) + "\n"
+            return "\n".join(to_text(e) + " = 0" for e in obj.equations) + "\n"
         if format == "latex":
-            return "\n".join(to_latex(e, sspec) + " = 0" for e in equations) + "\n"
-        payload = {"equations": [json_tree(e) for e in equations], "spec": spec_json(sspec)}
-        if structure is not None:
-            payload["structure"] = structure
+            return "\n".join(to_latex(e, obj.spec) + " = 0" for e in obj.equations) + "\n"
+        payload = {"equations": [json_tree(e) for e in obj.equations], "spec": spec_json(obj.spec),
+                   "structure": obj.structure}
         return json.dumps(payload, indent=2) + "\n"
 
     e = as_expr(obj)

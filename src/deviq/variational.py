@@ -1,6 +1,6 @@
-"""Differential operators, deviation systems, and the Euler-Lagrange map.
+"""Equation systems, deviation systems, and the Euler-Lagrange map.
 
-The deviation of an operator E is the doubled system {E = 0, d_V E = 0}
+The deviation of a system E = 0 is the doubled system {E = 0, d_V E = 0}
 on the vertical extension of its bundle: the second block is the exact
 linearization of the first, and a solution is a pair (s, psi) of a base
 solution and a Jacobi field along it.
@@ -13,13 +13,12 @@ vertical extension of the Euler-Lagrange operator.  Failures are data
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundle import (
     BundleSpec,
     iterated_total_derivative,
-    max_jet_order,
     multiindices,
     vertical_derivative,
 )
@@ -42,7 +41,6 @@ from .expr import (
 )
 
 __all__ = [
-    "DifferentialOperator",
     "EquationSystem",
     "Lagrangian",
     "vertical_extension_density",
@@ -98,36 +96,10 @@ def is_vertical_linear(e: Expr) -> bool:
 
 
 @dataclass(frozen=True)
-class DifferentialOperator:
-    """An ordered tuple of components E^A over a bundle, each read as a
-    coordinate function on the jet space of the declared order."""
-
-    components: tuple
-    order: int
-    spec: BundleSpec
-    vertical: bool = False
-
-    def __post_init__(self):
-        comps = tuple(normalize(as_expr(c)) for c in self.components)
-        object.__setattr__(self, "components", comps)
-        for c in comps:
-            if check_symbols(c, self.spec) > self.order:
-                raise SpecError(
-                    f"component '{c}' exceeds the declared operator order {self.order}"
-                )
-            if not self.vertical and _has_vertical(c):
-                raise SpecError(
-                    "operator contains vertical symbols but is not flagged vertical"
-                )
-
-    def __len__(self):
-        return len(self.components)
-
-
-@dataclass(frozen=True)
 class EquationSystem:
-    """Equations read as `expr = 0`.  A `deviation-pair` system stacks the
-    original block and its vertical linearization, in that order."""
+    """Equations read as `expr = 0`: Euler-Lagrange, Hamilton or declared
+    equations.  A `deviation-pair` system stacks the original block and
+    its vertical linearization, in that order."""
 
     equations: tuple
     spec: BundleSpec
@@ -153,32 +125,20 @@ class EquationSystem:
     def __len__(self):
         return len(self.equations)
 
-    def to_operator(self) -> DifferentialOperator:
-        order = max((max_jet_order(e, self.spec) for e in self.equations), default=0)
-        vertical = self.spec.vertical or any(_has_vertical(e) for e in self.equations)
-        return DifferentialOperator(self.equations, order, self.spec, vertical)
-
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """A first-order-in-spirit density of declared jet order k."""
+    """A density on the jet space; its order k is the highest jet order
+    occurring in it."""
 
     density: Expr
-    order: int
     spec: BundleSpec
+    order: int = field(init=False)
 
     def __post_init__(self):
         d = normalize(as_expr(self.density))
         object.__setattr__(self, "density", d)
-        k = check_symbols(d, self.spec)
-        if k > self.order:
-            raise SpecError(f"density has jet order {k}, above the declared order {self.order}")
-
-    @staticmethod
-    def make(density, spec: BundleSpec) -> "Lagrangian":
-        """Infer the order from the density itself."""
-        density = normalize(as_expr(density))
-        return Lagrangian(density, max_jet_order(density, spec), spec)
+        object.__setattr__(self, "order", check_symbols(d, self.spec))
 
 
 def vertical_extension_density(L: Lagrangian) -> Lagrangian:
@@ -187,18 +147,18 @@ def vertical_extension_density(L: Lagrangian) -> Lagrangian:
     if L.spec.vertical or _has_vertical(L.density):
         raise VerticalExtensionError("Lagrangian is already a vertical extension")
     vspec = L.spec.vertical_extension()
-    return Lagrangian(vertical_derivative(L.density, vspec), L.order, vspec)
+    return Lagrangian(vertical_derivative(L.density, vspec), vspec)
 
 
-def euler_lagrange(L: Lagrangian) -> DifferentialOperator:
+def euler_lagrange(L: Lagrangian) -> EquationSystem:
     """The Euler-Lagrange operator: for each variational field y^i the
     component
 
         dL/dy^i + sum over multi-indices 0 < |Lam| <= k of
                   (-1)^|Lam| d_Lam (dL/dy^i_Lam),
 
-    one component per field of the spec (vertical fields included on a
-    vertical extension).  The operator order is 2k.
+    one equation per field of the spec (vertical fields included on a
+    vertical extension), of jet order at most 2k.
     """
     k = L.order
     spec = L.spec if L.spec.order >= 2 * k else L.spec.with_order(2 * k)
@@ -217,20 +177,18 @@ def euler_lagrange(L: Lagrangian) -> DifferentialOperator:
             sign = Rat(Fraction(-1) ** idx.order)
             parts.append(Mul((sign, iterated_total_derivative(grad[j], idx, spec))))
         comps.append(normalize(Add(tuple(parts))))
-    return DifferentialOperator(tuple(comps), 2 * k, spec, vertical=spec.vertical)
+    return EquationSystem(tuple(comps), spec)
 
 
-def deviation_system(op) -> EquationSystem:
+def deviation_system(system: EquationSystem) -> EquationSystem:
     """The deviation of E: the system {E = 0, d_V E = 0} on the vertical
     extension.  The first block is the input verbatim; the second is its
     linearization along the fibre."""
-    if isinstance(op, EquationSystem):
-        op = op.to_operator()
-    if op.vertical:
+    if system.spec.vertical or any(map(_has_vertical, system.equations)):
         raise VerticalExtensionError("operator is already a vertical extension")
-    vspec = op.spec.vertical_extension()
-    vblock = tuple(vertical_derivative(c, vspec) for c in op.components)
-    return EquationSystem(op.components + vblock, vspec, "deviation-pair")
+    vspec = system.spec.vertical_extension()
+    vblock = tuple(vertical_derivative(e, vspec) for e in system.equations)
+    return EquationSystem(system.equations + vblock, vspec, "deviation-pair")
 
 
 @dataclass(frozen=True)
@@ -285,17 +243,17 @@ def check_el_vertical_commute(L: Lagrangian, seed: int = 0) -> CommutationReport
         entries.append(
             PairCheck(
                 f"v_{yname}-variation of VL vs component {i + 1} of the original operator",
-                A.components[m + i],
+                A.equations[m + i],
                 B.equations[i],
-                equivalent(A.components[m + i], B.equations[i], seed=seed),
+                equivalent(A.equations[m + i], B.equations[i], seed=seed),
             )
         )
         entries.append(
             PairCheck(
                 f"{yname}-variation of VL vs vertical derivative of component {i + 1}",
-                A.components[i],
+                A.equations[i],
                 B.equations[m + i],
-                equivalent(A.components[i], B.equations[m + i], seed=seed),
+                equivalent(A.equations[i], B.equations[m + i], seed=seed),
             )
         )
     return CommutationReport("δ(VL) = V(δL)", tuple(entries))

@@ -1,5 +1,8 @@
 """Jet coordinates: naming, classification, total and vertical derivatives."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from deviq import (
@@ -202,3 +205,9 @@ def test_every_exported_name_resolves():
 
     missing = [name for name in deviq.__all__ if not hasattr(deviq, name)]
     assert missing == []
+    # so is every name README lists as a key entry point
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"`(\w+)`", paragraph)
+    assert len(listed) >= 10
+    assert [name for name in listed if name not in deviq.__all__] == []

@@ -3,10 +3,10 @@
 Every test shells out to ``python -m deviq`` so that exit codes,
 stream separation, and byte-level determinism are observed exactly as
 a user would see them; the console-script test also runs the declared
-``deviq`` entry point through an installer-style launcher.  The one
-exception is the exit-code-1 mapping: no well-formed model can make
-the commutation theorem fail, so that branch is pinned down in process
-with a stubbed report.
+``deviq`` entry point through an installer-style launcher.  The
+exceptions run ``deviq.cli.main`` in process with a stub: the
+exit-code-1 mapping (no well-formed model can make the commutation
+theorem fail), and tests that watch or forbid ``compile_system`` calls.
 """
 
 import json
@@ -288,6 +288,19 @@ def test_window_past_step_cap_is_usage_error():
     res = run_cli("simulate", model_path("oscillator"), "--init", "y=1,y_t=0", "--t1", "1e12")
     assert res.returncode == 2
     assert res.stderr == (
+        "deviq: error: the window from t0=0.0 to t1=1000000000000.0 at dt=0.001 "
+        "takes more than 100000 steps\n"
+    )
+
+
+def test_window_past_step_cap_is_refused_before_compiling(monkeypatch, capsys):
+    def refuse(system):
+        raise AssertionError("compiled a system for a window that is refused")
+
+    monkeypatch.setattr(deviq.numeric, "compile_system", refuse)
+    argv = ["simulate", str(model_path("oscillator")), "--init", "y=1,y_t=0", "--t1", "1e12"]
+    assert deviq.cli.main(argv) == 2
+    assert capsys.readouterr().err == (
         "deviq: error: the window from t0=0.0 to t1=1000000000000.0 at dt=0.001 "
         "takes more than 100000 steps\n"
     )

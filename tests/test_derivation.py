@@ -19,7 +19,6 @@ import pytest
 from deviq import (
     Add,
     BundleSpec,
-    DifferentialOperator,
     DomainError,
     EquationSystem,
     Fun,
@@ -260,5 +259,4 @@ def test_constructors_take_normal_forms_without_expanding(monkeypatch):
 
     monkeypatch.setattr(expr, "_poly_mul", refuse)
     assert EquationSystem(system.equations, system.spec, "deviation-pair") == system
-    assert DifferentialOperator(operator.components, operator.order, operator.spec) == operator
-    assert Lagrangian(lagrangian.density, lagrangian.order, lagrangian.spec) == lagrangian
+    assert Lagrangian(lagrangian.density, lagrangian.spec) == lagrangian

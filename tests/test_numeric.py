@@ -23,6 +23,7 @@ from deviq import (
     Trajectory,
     UnboundSymbolError,
     compile_system,
+    derive_equations,
     deviation_equations,
     deviation_system,
     euler_lagrange,
@@ -55,7 +56,7 @@ def derive_operator(name):
         return euler_lagrange(m.lagrangian())
     if m.kind == "hamiltonian":
         return hamilton_equations(m.hamiltonian())
-    return m.operator()
+    return derive_equations(m)
 
 
 def test_compile_state_layout_sphere():
@@ -77,14 +78,14 @@ def test_compile_hamiltonian_layout():
 def test_compile_rejects_singular_top():
     m = parse_model("base t\nfibre y\nequation y_tt*0 + y\n")
     with pytest.raises((SingularEquationError, CompileError)):
-        compile_system(deviation_system(m.operator()))
+        compile_system(deviation_system(derive_equations(m)))
 
 
 def test_compile_rejects_vanishing_coefficient():
     # the y_tt coefficient is the symbol y itself: structurally nonzero,
     # so compilation succeeds and the blow-up happens at run time instead
     m = parse_model("base t\nfibre y\nequation y*y_tt - 1\n")
-    fos = compile_system(deviation_system(m.operator()))
+    fos = compile_system(deviation_system(derive_equations(m)))
     with pytest.raises(IntegrationError):
         integrate(fos, (0.0, 1.0, 0.0, 0.0), 0.0, 1.0, 1e-3)
 
@@ -92,7 +93,7 @@ def test_compile_rejects_vanishing_coefficient():
 def test_compile_rejects_unbound_params():
     m = parse_model("base t\nfibre y\nparam k\nequation y_t - k*y\n")
     with pytest.raises(CompileError):
-        compile_system(deviation_system(m.operator()))
+        compile_system(deviation_system(derive_equations(m)))
 
 
 def test_compile_rejects_multidimensional_base():
@@ -104,7 +105,7 @@ def test_compile_rejects_multidimensional_base():
 def test_compile_rejects_coupled_tops():
     m = parse_model("base t\nfibre y u\nequation y_t + u_t\nequation y_t - u_t + y\n")
     with pytest.raises(CompileError):
-        compile_system(deviation_system(m.operator()))
+        compile_system(deviation_system(derive_equations(m)))
 
 
 @pytest.mark.parametrize("text,error,message", [
@@ -128,7 +129,7 @@ def test_compile_refusals(text, error, message):
 
 def test_integrate_exponential_accuracy():
     m = parse_model("base t\nfibre y\nequation y_t - y\n")
-    fos = compile_system(deviation_system(m.operator()))
+    fos = compile_system(deviation_system(derive_equations(m)))
     traj = integrate(fos, (1.0, 1.0), 0.0, 1.0, 1e-3)
     assert abs(traj.states[-1, 0] - math.e) < 1e-10
 
@@ -148,7 +149,7 @@ def test_rk4_halving_factor():
 
 def test_integrate_partial_final_step():
     m = parse_model("base t\nfibre y\nequation y_t - y\n")
-    fos = compile_system(deviation_system(m.operator()))
+    fos = compile_system(deviation_system(derive_equations(m)))
     traj = integrate(fos, (1.0, 0.0), 0.0, 1.0005, 1e-3)
     assert traj.times[-1] == pytest.approx(1.0005, abs=0)
     assert abs(traj.states[-1, 0] - math.exp(1.0005)) < 1e-10
@@ -156,7 +157,7 @@ def test_integrate_partial_final_step():
 
 def test_integrate_window_shorter_than_rounding_slack_ends_at_t1():
     m = parse_model("base t\nfibre y\nequation y_t - y\n")
-    fos = compile_system(deviation_system(m.operator()))
+    fos = compile_system(deviation_system(derive_equations(m)))
     traj = integrate(fos, (1.0, 0.0), 0.0, 1e-300, 1e-3)
     assert len(traj) == 2
     assert traj.times[-1] == 1e-300
@@ -164,7 +165,7 @@ def test_integrate_window_shorter_than_rounding_slack_ends_at_t1():
 
 def test_integrate_rejects_bad_windows():
     m = parse_model("base t\nfibre y\nequation y_t - y\n")
-    fos = compile_system(deviation_system(m.operator()))
+    fos = compile_system(deviation_system(derive_equations(m)))
     with pytest.raises(SpecError):
         integrate(fos, (1.0, 0.0), 0.0, 1.0, 0.0)
     with pytest.raises(SpecError):
@@ -175,7 +176,7 @@ def test_integrate_rejects_bad_windows():
 
 def test_integrate_reports_blowup_time():
     m = corpus_model("riccati")
-    fos = compile_system(deviation_system(m.operator()))
+    fos = compile_system(deviation_system(derive_equations(m)))
     with pytest.raises(IntegrationError) as err:
         integrate(fos, (1.0, 0.0), 0.0, 2.0, 1e-3)
     assert err.value.last_time is not None
@@ -239,7 +240,7 @@ def _first_order(rhs):
     """y, u with y' = 1 and u' = rhs(t, y, u), as built, not normalized."""
     t, y, u = (Symbol("t", SymbolKind.BASE), Symbol("y", SymbolKind.FIBRE),
                Symbol("u", SymbolKind.FIBRE))
-    return FirstOrderSystem(t, (y, u), (Rat(Fraction(1)), rhs(Sym(t), Sym(y), Sym(u))), (False, False))
+    return FirstOrderSystem(t, (y, u), (Rat(Fraction(1)), rhs(Sym(t), Sym(y), Sym(u))))
 
 
 def test_rk4_step_computes_a_repeated_subtree_once_per_stage():
@@ -464,7 +465,7 @@ def test_integrate_refuses_a_grid_that_does_not_increase(t0, t1):
 
 def test_first_order_system_needs_a_state():
     with pytest.raises(CompileError, match="at least one state"):
-        FirstOrderSystem(Symbol("t", SymbolKind.BASE), (), (), ())
+        FirstOrderSystem(Symbol("t", SymbolKind.BASE), (), ())
 
 
 @pytest.mark.parametrize("z0,t0,t1,dt,message", [
@@ -493,7 +494,7 @@ def test_residual_refuses_grid_without_interior(t1):
 
 def test_jacobi_problem_requires_deviation_pair():
     m = corpus_model("riccati")
-    plain = EquationSystem(m.operator().components, m.spec, "plain")
+    plain = EquationSystem(derive_equations(m).equations, m.spec, "plain")
     with pytest.raises(SpecError):
         JacobiProblem(plain, {"y": -1.0}, {}, 0.0, 1.0)
 

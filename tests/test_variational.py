@@ -10,18 +10,21 @@ from deviq import (
     Fun,
     Lagrangian,
     SpecError,
+    VerticalExtensionError,
     Sym,
     check_el_vertical_commute,
+    derive_equations,
     deviation_system,
     equivalent,
     euler_lagrange,
     is_vertical_linear,
+    max_jet_order,
     normalize,
     total_derivative,
     vertical_extension_density,
 )
 from deviq.expr import Symbol, SymbolKind, sin, sqrt
-from conftest import corpus_model, first_order_atoms, rand_expr
+from conftest import LAGRANGIAN_MODELS, corpus_model, first_order_atoms, rand_expr
 
 
 def S(spec, name):
@@ -31,33 +34,33 @@ def S(spec, name):
 def test_euler_lagrange_oscillator():
     m = corpus_model("oscillator")
     op = euler_lagrange(m.lagrangian())
-    assert len(op.components) == 1
+    assert len(op.equations) == 1
     spec = op.spec
     expect = normalize(-(S(spec, "y_tt") + S(spec, "omega") ** 2 * S(spec, "y")))
-    assert op.components[0] == expect
-    assert op.order == 2
+    assert op.equations[0] == expect
+    assert max_jet_order(op.equations[0], spec) == 2
 
 
 def test_euler_lagrange_cubic_velocity():
     m = corpus_model("cubic")
     op = euler_lagrange(m.lagrangian())
     spec = op.spec
-    assert op.components[0] == normalize(-2 * S(spec, "y_t") * S(spec, "y_tt"))
+    assert op.equations[0] == normalize(-2 * S(spec, "y_t") * S(spec, "y_tt"))
 
 
 def test_euler_lagrange_laplace():
     m = corpus_model("laplace")
     op = euler_lagrange(m.lagrangian())
     spec = op.spec
-    assert op.components[0] == normalize(-(S(spec, "u_xx") + S(spec, "u_tt")))
+    assert op.equations[0] == normalize(-(S(spec, "u_xx") + S(spec, "u_tt")))
 
 
 def test_euler_lagrange_second_order_density():
     m = corpus_model("elastica")
     op = euler_lagrange(m.lagrangian())
     spec = op.spec
-    assert op.order == 4
-    assert op.components[0] == S(spec, "y_tttt")
+    assert max_jet_order(op.equations[0], spec) == 4
+    assert op.equations[0] == S(spec, "y_tttt")
 
 
 def test_euler_lagrange_sphere():
@@ -68,7 +71,7 @@ def test_euler_lagrange_sphere():
     theta_eq = normalize(
         Fun("sin", th) * Fun("cos", th) * S(spec, "phi_t") ** 2 - S(spec, "theta_tt")
     )
-    assert op.components[0] == theta_eq
+    assert op.equations[0] == theta_eq
 
 
 def test_vertical_extension_density_oscillator():
@@ -87,7 +90,7 @@ def test_vertical_extension_density_oscillator():
 
 def test_deviation_system_riccati():
     m = corpus_model("riccati")
-    ds = deviation_system(m.operator())
+    ds = deviation_system(derive_equations(m))
     spec = ds.spec
     assert ds.structure == "deviation-pair"
     assert ds.equations[0] == normalize(S(spec, "y_t") - S(spec, "y") ** 2)
@@ -139,14 +142,19 @@ def test_symbol_kind_must_match_its_name(name, kind, decoded):
 
 def test_deviation_system_rejects_vertical_input():
     m = corpus_model("riccati")
-    ds = deviation_system(m.operator())
-    with pytest.raises(Exception):
-        deviation_system(ds.to_operator())
+    ds = deviation_system(derive_equations(m))
+    with pytest.raises(VerticalExtensionError, match="already a vertical extension"):
+        deviation_system(ds)
+    # a vertical symbol on a plain spec is refused as well
+    stray = EquationSystem((Sym(Symbol("v_y", SymbolKind.VERTICAL)) - S(m.spec, "y_t"),), m.spec)
+    assert not stray.spec.vertical
+    with pytest.raises(VerticalExtensionError, match="already a vertical extension"):
+        deviation_system(stray)
 
 
 def test_equation_system_validation():
     m = corpus_model("riccati")
-    ds = deviation_system(m.operator())
+    ds = deviation_system(derive_equations(m))
     with pytest.raises(SpecError):
         EquationSystem(ds.equations[:1], ds.spec, "deviation-pair")
     nonlinear = normalize(S(ds.spec, "v_y") ** 2)
@@ -171,13 +179,13 @@ def test_commutation_detects_broken_pairing():
     m = corpus_model("pendulum")
     vl = vertical_extension_density(m.lagrangian())
     spec = vl.spec
-    wrong = Lagrangian.make(
+    wrong = Lagrangian(
         normalize(vl.density + S(spec, "v_y") * S(spec, "y")), spec
     )
     a = euler_lagrange(wrong)
     b = euler_lagrange(m.lagrangian())
-    left = a.components[0]
-    right = b.components[0]
+    left = a.equations[0]
+    right = b.equations[0]
     assert not bool(equivalent(left, right))
 
 
@@ -190,9 +198,18 @@ def test_null_lagrangian_property():
         rng = random.Random(300 + trial)
         f = rand_expr(rng, atoms, 3)
         df = total_derivative(f, 0, wide)
-        op = euler_lagrange(Lagrangian.make(normalize(df), wide))
-        for comp in op.components:
+        op = euler_lagrange(Lagrangian(normalize(df), wide))
+        for comp in op.equations:
             assert normalize(comp) == normalize(0)
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN_MODELS)
+def test_lagrangian_order_is_read_from_its_density(name):
+    m = corpus_model(name)
+    d = m.payload[0]
+    L = Lagrangian(d, m.spec)
+    assert L.order == max_jet_order(d, m.spec)
+    assert vertical_extension_density(L).order == L.order
 
 
 def test_lagrangian_make_infers_order():
@@ -205,6 +222,6 @@ def test_lagrangian_make_infers_order():
 def test_multi_field_component_count():
     m = corpus_model("twofield")
     op = euler_lagrange(m.lagrangian())
-    assert len(op.components) == 2
+    assert len(op.equations) == 2
     ds = deviation_system(op)
     assert len(ds.equations) == 4
