@@ -17,11 +17,12 @@ Two independent numeric oracles back the symbolic construction:
 
 Integration is classical RK4 with a fixed step: bit-exact deterministic
 for fixed inputs, no adaptivity anywhere.  Each system's step is generated
-as one straight-line function.
+as one straight-line function, and so is each problem's residual sweep.
 
-`integrate` and `Trajectory.to_csv` work on Python floats and never load
-numpy.  It loads on the first read of a trajectory's `times`, `states` or
-`column`, and in `solve_jacobi`, the two oracles and `numpy_eval`.
+`integrate`, `perturbation_residual` and `Trajectory.to_csv` work on
+Python floats and never load numpy.  It loads where an array is made: on
+the first read of a trajectory's `times`, `states` or `column`, and in
+`solve_jacobi`, `finite_difference_jacobi` and `numpy_eval`.
 """
 
 from __future__ import annotations
@@ -87,21 +88,30 @@ MAX_STEPS = 10**5
 
 # --------------------------------------------------------------------------
 # code generation: `_emit` writes one expression node.  `_lambdify` inlines
-# every subtree, for the numpy evaluations; `_rk4_step` writes a whole RK4
-# step as straight-line code over scalars.  numpy is imported where an
-# array is made, so the symbolic commands and `simulate` never load it.
+# every subtree, for `FirstOrderSystem.__call__` and `numpy_eval`;
+# `_rk4_step` and `_residual_sweep` write straight-line code over scalars
+# that computes each repeated subtree once.
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
-
-
-def _numpy_env() -> dict:
-    import numpy as np
-
-    return {**{n: getattr(np, n) for n in _FUNCTIONS}, "pow": np.power, "__builtins__": {}}
-
+#: what float arithmetic and `math` raise where numpy gives inf or nan
+_MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+_SWEEP_ENV = {
+    **_SCALAR_ENV, "abs": abs, "enumerate": enumerate, "zip": zip, "nan": math.nan, "MathError": _MATH_ERRORS
+}
 
 _FUN_NAMES = {"ln": "log"}
+
+
+def _float_text(n: int) -> str:
+    """An integer constant as a float literal.  Float arithmetic converts an
+    int operand to the same double on every operation, so the literal gives
+    bit-identical results without that conversion.  An integer beyond the
+    float range keeps its int text and still fails where it is used."""
+    try:
+        return repr(float(n))
+    except OverflowError:
+        return str(n)
 
 
 def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
@@ -109,7 +119,7 @@ def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
     if isinstance(e, Rat):
         v = e.value
         if v.denominator == 1:
-            return f"({v.numerator})"
+            return f"({_float_text(v.numerator)})"
         return f"({v.numerator}/{v.denominator})"
     if isinstance(e, Sym):
         try:
@@ -124,7 +134,7 @@ def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
         return "(" + "*".join(map(sub, e.factors)) + ")"
     if isinstance(e, Pow):
         if e.exponent.denominator == 1:
-            return f"({sub(e.base)})**({int(e.exponent)})"
+            return f"({sub(e.base)})**({_float_text(int(e.exponent))})"
         return f"pow({sub(e.base)}, {float(e.exponent)!r})"
     if isinstance(e, Fun):
         return f"{_FUN_NAMES.get(e.name, e.name)}({sub(e.arg)})"
@@ -209,7 +219,8 @@ def _rk4_step(f: "FirstOrderSystem"):
     side that is a state, the base coordinate or a constant is an alias.
     Every float operation runs in the order of the textbook loop
     (k = F(t, z), z + 0.5*h*k, ..., z + h*(k1 + 2*k2 + 2*k3 + k4)/6), so
-    the result is bit-identical to it."""
+    the result is bit-identical to it.  It returns None when a component of
+    the new state is not finite: then n - n is nan for that component."""
     n = f.dimension
     zs = [f"z{i}" for i in range(n)]
     shared = _Subtrees(f.rhs, {**dict(zip(f.state_names, zs)), f.base.name: "t"})
@@ -229,7 +240,10 @@ def _rk4_step(f: "FirstOrderSystem"):
             coef = "h" if stage == 3 else "hh"
             zs = [f"y{stage + 1}_{i}" for i in range(n)]
             lines += [f"{y} = z{i} + {coef} * {ki}" for i, (y, ki) in enumerate(zip(zs, k))]
-    new = (f"z{i} + h * ({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0" for i, (a, b, c, d) in enumerate(zip(*ks)))
+    new = [f"n{i}" for i in range(n)]
+    for i, (a, b, c, d) in enumerate(zip(*ks)):
+        lines.append(f"n{i} = z{i} + h * ({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0")
+    lines += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return None"]
     lines.append(f"return ({', '.join(new)},)")
     return _define("def f(t, t_half, t_next, h, z):\n    " + "\n    ".join(lines) + "\n", _SCALAR_ENV)
 
@@ -242,7 +256,8 @@ def numpy_eval(e: Expr, env: Mapping[str, object]):
             raise UnboundSymbolError(s.name)
     import numpy as np
 
-    f = _lambdify((e,), None, symbols, _numpy_env())
+    functions = {**{n: getattr(np, n) for n in _FUNCTIONS}, "pow": np.power, "__builtins__": {}}
+    f = _lambdify((e,), None, symbols, functions)
     return f(None, [np.asarray(env[s.name]) for s in symbols])[0]
 
 
@@ -527,11 +542,11 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     for t, t_next, h in zip(times, times[1:], sizes):
         try:
             z = step(t, t + 0.5 * h, t_next, h, z)
-        except (OverflowError, ValueError, ZeroDivisionError) as ex:
+        except _MATH_ERRORS as ex:
             raise IntegrationError(
                 f"right-hand side failed between t={t:.6g} and t={t_next:.6g}: {ex}", t
             ) from None
-        if not all(map(math.isfinite, z)):
+        if z is None:
             raise IntegrationError(
                 f"state became non-finite at t={t_next:.6g}", t
             )
@@ -589,6 +604,10 @@ class JacobiProblem:
     def initial_state(self) -> tuple:
         data = {**self.base_init, **self.jacobi_init}
         return tuple(data[s.name] for s in self.compiled.states)
+
+    @cached_property
+    def _sweep(self):
+        return _residual_sweep(self)
 
 
 def _init_name(k) -> str:
@@ -668,27 +687,18 @@ class ResidualTable:
         return "residual of the original equations on s + eps*psi (max over grid):\n" + body + "\n" + tail
 
 
-def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAULT_EPS_LADDER) -> ResidualTable:
-    """Evaluate the original equations on the perturbed solution s + eps*psi.
+def _residual_sweep(prob: "JacobiProblem"):
+    """`sweep(times, rows, ladder, uniform, h2)`: for each eps of `ladder`,
+    the largest |value| of the original equations on s + eps*psi over the
+    interior points of the grid, or nan where a value is not finite or a
+    math function failed.
 
-    Derivatives up to order r-1 come from the integrated states; the top
-    derivative of the unperturbed part is read off the compiled equation
-    itself (exact on the discrete solution), and the top derivative of
-    psi is a central finite difference, so the finite-difference noise
-    enters only at O(eps * dt^2).  Endpoints are excluded from the max.
-    The fitted exponent is the log-log least-squares slope over the
-    positive-residual entries.
-    """
-    import numpy as np
-
-    eps_list = tuple(float(e) for e in eps_list)
-    for e in eps_list:
-        if not 0 <= e < math.inf:
-            raise SpecError(f"perturbation size must be non-negative and finite, got {e}")
-    base, jac = solve_jacobi(prob)
-    times = base.times
-    if len(times) < 3:
-        raise SpecError("grid too short for an interior residual")
+    `rows` are the joint states that `integrate` gives for `times`.  At each
+    interior point the top derivatives of s come from the compiled
+    equations, and those of psi are central differences of its chain tails
+    with numpy.gradient's arithmetic: (f[k+1] - f[k-1]) / h2 when `uniform`
+    (every gap of the grid equal, h2 = 2*gap), else its weights for
+    uneven gaps."""
     fos = prob.compiled
     spec = prob.system.spec
     half = fos.dimension // 2
@@ -700,43 +710,110 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
     # equations hold one derivative more, the top
     step = MultiIndex((0,))
     tails = [i for i, s in enumerate(base_states) if spec.jet(s, step) not in fos.states]
-    tops = tuple(spec.jet(base_states[i], step) for i in tails)
-    top_rhs = _lambdify([fos.rhs[i] for i in tails], fos.base, base_states, _numpy_env())
-    residuals = _lambdify(originals, fos.base, base_states + tops, _numpy_env())
+    tops = [spec.jet(base_states[i], step) for i in tails]
 
-    with np.errstate(all="ignore"):
-        # the top of s from its compiled equation, the top of psi by central
-        # differences of its chain tail
-        top_s = [
-            v + np.zeros_like(times)
-            for v in top_rhs(times, [base.states[:, i] for i in range(half)])
-        ]
-        top_psi = [np.gradient(jac.states[:, i], times) for i in tails]
+    # per point: s{i} and v{i} (psi) from the row, the tops S{j} of s and
+    # P{j} of psi; per eps: p{i} and q{j} on s + eps*psi, the equations r{k}
+    state_names = {**{s.name: f"s{i}" for i, s in enumerate(base_states)}, fos.base.name: "t"}
+    top_rhs = [fos.rhs[i] for i in tails]
+    fixed = []
+    text = _Subtrees(top_rhs, state_names).writer(state_names, "cs", fixed)
+    fixed += [f"S{j} = {text(e)}" for j, e in enumerate(top_rhs)]
+    fixed.append("if uniform:")
+    fixed += [f"    P{j} = (zn[{half + i}] - zp[{half + i}]) / h2" for j, i in enumerate(tails)]
+    fixed += [
+        "else:",
+        "    dx1 = t - tp",
+        "    dx2 = tn - t",
+        "    ga = -dx2 / (dx1 * (dx1 + dx2))",
+        "    gb = (dx2 - dx1) / (dx1 * dx2)",
+        "    gc = dx1 / (dx2 * (dx1 + dx2))",
+    ]
+    fixed += [f"    P{j} = ga * zp[{half + i}] + gb * v{i} + gc * zn[{half + i}]" for j, i in enumerate(tails)]
 
-        entries = []
-        for eps in eps_list:
-            z = [base.states[:, i] + eps * jac.states[:, i] for i in range(half)]
-            z += [s + eps * p for s, p in zip(top_s, top_psi)]
-            worst = 0.0
-            for vals in residuals(times, z):
-                vals = vals + np.zeros_like(times)
-                peak = float(np.max(np.abs(vals[1:-1])))
-                if not math.isfinite(peak):
-                    raise IntegrationError(
-                        f"residual evaluation produced non-finite values at eps={eps}",
-                        float(times[-1]),
-                    )
-                worst = max(worst, peak)
-            entries.append((eps, worst))
+    perturbed_names = {
+        **{s.name: f"p{i}" for i, s in enumerate(base_states)},
+        **{s.name: f"q{j}" for j, s in enumerate(tops)},
+        fos.base.name: "t",
+    }
+    used = set().union(*map(free_symbols, originals))
+    per_eps = [f"p{i} = s{i} + e * v{i}" for i, s in enumerate(base_states) if s in used]
+    per_eps += [f"q{j} = S{j} + e * P{j}" for j, s in enumerate(tops) if s in used]
+    text = _Subtrees(originals, perturbed_names).writer(perturbed_names, "cr", per_eps)
+    per_eps += [f"r{k} = {text(e)}" for k, e in enumerate(originals)]
+    peak = ["w = abs(r0)"]
+    for k in range(1, m):
+        peak += [f"a = abs(r{k})", "if a > w:", "    w = a"]
 
-    pts = [(e, r) for e, r in entries if e > 0 and r > 0]
+    def block(lines, depth):
+        return [" " * (4 * depth) + line for line in lines]
+
+    # r - r is nan exactly when r is not finite; a nan in `worst` stays, as
+    # no w compares greater than it
+    source = [
+        "def f(times, rows, ladder, uniform, h2):",
+        "    worst = [0.0 for e in ladder]",
+        "    for tp, t, tn, zp, z, zn in zip(times, times[1:], times[2:], rows, rows[1:], rows[2:]):",
+        "        " + ", ".join([f"s{i}" for i in range(half)] + [f"v{i}" for i in range(half)]) + ", = z",
+        "        try:",
+        *block(fixed, 3),
+        "        except MathError:",
+        "            return [nan for e in ladder]",
+        "        for j, e in enumerate(ladder):",
+        "            try:",
+        *block(per_eps, 4),
+        "            except MathError:",
+        "                worst[j] = nan",
+        "                continue",
+        "            if " + " + ".join(f"(r{k} - r{k})" for k in range(m)) + " != 0.0:",
+        "                worst[j] = nan",
+        "                continue",
+        *block(peak, 3),
+        "            if w > worst[j]:",
+        "                worst[j] = w",
+        "    return worst",
+    ]
+    return _define("\n".join(source) + "\n", _SWEEP_ENV)
+
+
+def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAULT_EPS_LADDER) -> ResidualTable:
+    """Evaluate the original equations on the perturbed solution s + eps*psi.
+
+    Derivatives up to order r-1 come from the integrated states; the top
+    derivative of the unperturbed part is read off the compiled equation
+    itself (exact on the discrete solution), and the top derivative of
+    psi is a central finite difference, so the finite-difference noise
+    enters only at O(eps * dt^2).  Endpoints are excluded from the max.
+    One generated function, built once per problem, sweeps the grid for
+    the whole ladder.  The fitted exponent is the log-log least-squares
+    slope over the positive-residual entries, None without two distinct
+    eps among them.
+    """
+    eps_list = tuple(float(e) for e in eps_list)
+    for e in eps_list:
+        if not 0 <= e < math.inf:
+            raise SpecError(f"perturbation size must be non-negative and finite, got {e}")
+    traj = integrate(prob.compiled, prob.initial_state(), prob.t0, prob.t1, prob.dt)
+    times, rows = traj._times, traj._states
+    if len(times) < 3:
+        raise SpecError("grid too short for an interior residual")
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    worst = prob._sweep(times, rows, eps_list, gaps.count(gaps[0]) == len(gaps), 2.0 * gaps[0])
+    for eps, r in zip(eps_list, worst):
+        if not math.isfinite(r):
+            raise IntegrationError(
+                f"residual evaluation produced non-finite values at eps={eps}", times[-1]
+            )
+    entries = tuple(zip(eps_list, worst))
+
+    pts = [(math.log(e), math.log(r)) for e, r in entries if e > 0 and r > 0]
     exponent = None
-    if len(pts) >= 2:
-        xs = np.log([p[0] for p in pts])
-        ys = np.log([p[1] for p in pts])
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+    if len({x for x, _ in pts}) >= 2:
+        mx = sum(x for x, _ in pts) / len(pts)
+        my = sum(y for _, y in pts) / len(pts)
+        exponent = sum((x - mx) * (y - my) for x, y in pts) / sum((x - mx) ** 2 for x, _ in pts)
     return ResidualTable(
-        tuple(entries),
+        entries,
         exponent,
         {
             "norm": "max-over-grid-interior",

@@ -180,6 +180,19 @@ def test_residual_custom_ladder():
     assert rows[2].startswith("0.001,")
 
 
+def test_residual_leaving_the_domain_is_numeric_error(tmp_path):
+    """y stays positive along the run; y + eps*v_y does not, and sqrt fails."""
+    src = tmp_path / "root.eqn"
+    src.write_text("base t\nfibre y\nequation y_t - sqrt(y)\n")
+    res = run_cli("residual", src, "--init", "y=0.001", "--jacobi-init", "v_y=-1", "--t1", "0.1", "--dt", "0.01")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == (
+        "deviq: numeric failure: residual evaluation produced non-finite values at eps=0.01 "
+        "(last valid time t=0.1)\n"
+    )
+
+
 def test_seeded_runs_are_byte_identical(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -411,4 +424,4 @@ def test_symbolic_commands_never_load_numpy():
         print(code, "numpy" in sys.modules)
     """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert res.stdout == "False\n[0, 0, 0] False\n0 False\n0 True\n", res.stderr
+    assert res.stdout == "False\n[0, 0, 0] False\n0 False\n0 False\n", res.stderr

@@ -37,8 +37,9 @@ from deviq import (
     perturbation_residual,
     solve_jacobi,
 )
-from deviq.expr import Symbol, SymbolKind, exp, ln, sin
-from deviq.numeric import MAX_STEPS
+from deviq.bundle import MultiIndex
+from deviq.expr import Pow, Symbol, SymbolKind, exp, ln, sin, substitute
+from deviq.numeric import MAX_STEPS, _emit
 from conftest import ODE_CORPUS, corpus_model, first_order_atoms, model_path, rand_expr
 
 CHAIN_MODELS = sorted((Path(__file__).resolve().parent / "golden" / "models").glob("*.eqn"))
@@ -268,6 +269,36 @@ def test_rk4_step_failure_is_integration_error_with_last_valid_time(rhs, error):
     assert "failed between t=0.75 and t=1" in str(err.value)
 
 
+def test_rk4_step_returns_none_for_a_non_finite_state():
+    """1e300 * u * u overflows to inf without an exception: the step returns
+    None, and integrate reports the end of that step."""
+    fos = _first_order(lambda t, y, u: Rat(Fraction(10**300)) * u * u)
+    assert fos._step(0.0, 0.125, 0.25, 0.25, (0.0, 1.0)) is None
+    with pytest.raises(IntegrationError, match=r"state became non-finite at t=0\.25 ") as err:
+        integrate(fos, (0.0, 1.0), 0.0, 1.0, 0.25)
+    assert err.value.last_time == 0.0
+
+
+def test_emit_writes_integer_constants_as_float_literals():
+    """A float literal is the double that float arithmetic converts the int
+    to; an int beyond the float range keeps its text and still fails when
+    the generated code runs."""
+    y = Sym(Symbol("y", SymbolKind.FIBRE))
+
+    def text(e):
+        return _emit(e, {"y": "y"}, text)
+
+    assert text(Rat(Fraction(3))) == "(3.0)"
+    assert text(Rat(Fraction(-12))) == "(-12.0)"
+    assert text(Pow(y, Fraction(3))) == "(y)**(3.0)"
+    assert text(Pow(y, Fraction(-2))) == "(y)**(-2.0)"
+    assert text(Pow(y, Fraction(1, 2))) == "pow(y, 0.5)"
+    big = 10**400
+    assert text(Rat(Fraction(big))) == f"({big})"
+    with pytest.raises(IntegrationError, match="int too large to convert to float"):
+        integrate(_first_order(lambda t, y, u: Rat(Fraction(big)) * u), (0.0, 1.0), 0.0, 1.0, 0.25)
+
+
 def test_trajectory_csv_and_immutability():
     prob = jacobi_problem("oscillator")
     base, jac = solve_jacobi(prob)
@@ -391,6 +422,79 @@ def test_residual_csv():
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "eps,residual"
     assert len(lines) == 3
+
+
+def numpy_residual(prob, eps_list):
+    """The residual sweep as whole-array numpy arithmetic, with np.gradient
+    for the tops of psi and np.polyfit for the exponent: the reference the
+    generated sweep must reproduce."""
+    base, jac = solve_jacobi(prob)
+    times, fos, spec = base.times, prob.compiled, prob.system.spec
+    half = fos.dimension // 2
+    base_states = fos.states[:half]
+    binding = {p: Rat(spec.param_value(p)) for p in spec.params}
+    originals = [substitute(e, binding) for e in prob.system.equations[: len(prob.system.equations) // 2]]
+    step = MultiIndex((0,))
+    tails = [i for i, s in enumerate(base_states) if spec.jet(s, step) not in fos.states]
+    tops = [spec.jet(base_states[i], step) for i in tails]
+    t = fos.base.name
+    env = {t: times, **{s.name: base.states[:, i] for i, s in enumerate(base_states)}}
+    with np.errstate(all="ignore"):
+        top_s = [numpy_eval(fos.rhs[i], env) + np.zeros_like(times) for i in tails]
+        top_psi = [np.gradient(jac.states[:, i], times) for i in tails]
+        entries = []
+        for eps in eps_list:
+            env = {t: times, **{s.name: base.states[:, i] + eps * jac.states[:, i] for i, s in enumerate(base_states)}}
+            env.update({top.name: s + eps * p for top, s, p in zip(tops, top_s, top_psi)})
+            values = [numpy_eval(e, env) + np.zeros_like(times) for e in originals]
+            entries.append((eps, max(float(np.max(np.abs(v[1:-1]))) for v in values)))
+    pts = [(e, r) for e, r in entries if e > 0 and r > 0]
+    if len(pts) < 2:
+        return entries, None
+    return entries, float(np.polyfit(np.log([e for e, _ in pts]), np.log([r for _, r in pts]), 1)[0])
+
+
+@pytest.mark.parametrize("name,t1,dt", [(n, None, 1e-3) for n in ODE_CORPUS] + [("pendulum", 0.5, 0.125)])
+def test_residual_matches_numpy_reference(name, t1, dt):
+    init, jac, corpus_t1 = ODE_CORPUS[name]
+    prob = JacobiProblem(deviation_equations(corpus_model(name)), init, jac, 0.0, t1 or corpus_t1, dt)
+    if t1 is not None:  # every gap equal: np.gradient's uniform formula
+        assert len(set(np.diff(solve_jacobi(prob)[0].times))) == 1
+    eps_list = (1e-2, 5e-3, 2.5e-3)
+    table = perturbation_residual(prob, eps_list)
+    entries, exponent = numpy_residual(prob, eps_list)
+    assert [e for e, _ in table.entries] == list(eps_list)
+    assert [r for _, r in table.entries] == pytest.approx([r for _, r in entries], rel=1e-9, abs=0)
+    if exponent is None:
+        assert table.exponent is None
+    else:
+        assert table.exponent == pytest.approx(exponent, rel=0, abs=1e-9)
+
+
+def test_residual_reports_the_first_eps_whose_values_fail():
+    """s stays in sqrt's domain; s + eps*psi leaves it only at the larger
+    eps, which comes second in the ladder."""
+    system = deviation_equations(parse_model("base t\nfibre y\nequation y_t - sqrt(y)\n"))
+    prob = JacobiProblem(system, {"y": 1e-3}, {"v_y": -1.0}, 0.0, 0.1, 0.01)
+    assert perturbation_residual(prob, (1e-4,)).entries[0][1] > 0
+    with pytest.raises(IntegrationError, match=r"non-finite values at eps=0\.01 "):
+        perturbation_residual(prob, (1e-4, 1e-2))
+
+
+def test_residual_grid_too_fine_for_the_gradient_weights():
+    """At dt = 1e-200 the weights' denominators underflow to 0: Python
+    raises where numpy gave inf, and every eps fails as it did there."""
+    init, jac, _ = ODE_CORPUS["oscillator"]
+    prob = JacobiProblem(deviation_equations(corpus_model("oscillator")), init, jac, 0.0, 1e-199, 1e-200)
+    with pytest.raises(IntegrationError, match=r"non-finite values at eps=0\.01 "):
+        perturbation_residual(prob)
+
+
+def test_residual_exponent_needs_two_distinct_eps():
+    prob = jacobi_problem("pendulum")
+    table = perturbation_residual(prob, (1e-2, 1e-2))
+    assert table.entries[0] == table.entries[1]
+    assert table.exponent is None
 
 
 def test_jacobi_problem_validates_initial_data():
