@@ -5,6 +5,9 @@ declared over a fibred space, forms the deviation (linearization)
 system by applying the vertical derivative, checks that variation and
 vertical differentiation commute, and integrates Jacobi fields along
 base solutions in mechanics (one-dimensional base).
+
+The numeric names (`integrate`, `JacobiProblem`, ...) load `deviq.numeric`
+on their first use, so `import deviq` alone does not.
 """
 
 from .bundle import (
@@ -66,20 +69,6 @@ from .model import (
     load_model,
     parse_model,
 )
-from .numeric import (
-    DEFAULT_DT,
-    DEFAULT_EPS_LADDER,
-    FirstOrderSystem,
-    JacobiProblem,
-    ResidualTable,
-    Trajectory,
-    compile_system,
-    finite_difference_jacobi,
-    integrate,
-    numpy_eval,
-    perturbation_residual,
-    solve_jacobi,
-)
 from .render import json_tree, render, spec_json, to_latex
 from .variational import (
     CommutationReport,
@@ -94,6 +83,37 @@ from .variational import (
 )
 
 __version__ = "0.1.0"
+
+#: names of `deviq.numeric`, which is imported on the first read of one:
+#: the symbolic commands never run it
+_NUMERIC = frozenset({
+    "DEFAULT_DT",
+    "DEFAULT_EPS_LADDER",
+    "FirstOrderSystem",
+    "JacobiProblem",
+    "ResidualTable",
+    "Trajectory",
+    "compile_system",
+    "finite_difference_jacobi",
+    "integrate",
+    "numpy_eval",
+    "perturbation_residual",
+    "solve_jacobi",
+})
+
+
+def __getattr__(name):
+    # nothing is bound here, so each read sees `deviq.numeric`'s current
+    # binding, also one that a profiler has replaced and later restores
+    if name in _NUMERIC:
+        from . import numeric
+
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERIC})
 
 __all__ = [
     "Add",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -50,6 +49,7 @@ from .expr import (
     free_symbols,
     normalize,
 )
+from .value import Value
 
 __all__ = [
     "MultiIndex",
@@ -72,18 +72,17 @@ _IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9]*\Z")
 MAX_JET_INDICES = 256
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(Value):
     """Unordered multi-index: a multiset of base-coordinate positions.
 
     Entries are stored sorted by declaration order, so the symmetric
     jets y_{xt} and y_{tx} canonicalize to the same index.
     """
 
-    entries: tuple = ()
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        ent = tuple(sorted(self.entries))
+    def __init__(self, entries: tuple = ()):
+        ent = tuple(sorted(entries))
         for p in ent:
             if not isinstance(p, int) or p < 0:
                 raise SpecError(f"multi-index entries must be base positions, got {p!r}")
@@ -116,19 +115,23 @@ def multiindices(n: int, max_order: int, min_order: int = 0) -> Iterable[MultiIn
             yield MultiIndex(combo)
 
 
-@dataclass(frozen=True)
-class _Coord:
-    """Internal classification of a generated-coordinate name."""
+class _Coord(Value):
+    """Internal classification of a generated-coordinate name: its family
+    ("fibre" or "momentum"), field position, multi-index, whether it is
+    vertical, and for a momentum its base position."""
 
-    family: str  # "fibre" or "momentum"
-    field: int
-    index: MultiIndex
-    vertical: bool
-    mom_base: Optional[int] = None
+    _fields = ("family", "field", "index", "vertical", "mom_base")
+
+    def __init__(self, family: str, field: int, index: MultiIndex, vertical: bool,
+                 mom_base: Optional[int] = None):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "vertical", vertical)
+        object.__setattr__(self, "mom_base", mom_base)
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(Value):
     """The bundle chart: base and fibre coordinates, parameters, jet order.
 
     `momenta` switches on the conjugate-momentum coordinates (one per
@@ -138,13 +141,7 @@ class BundleSpec:
     to derive variants.
     """
 
-    base: tuple
-    fibre: tuple
-    params: tuple = ()
-    order: int = 1
-    param_values: tuple = ()  # sorted ((name, Fraction), ...) pairs
-    momenta: bool = False
-    vertical: bool = False
+    _fields = ("base", "fibre", "params", "order", "param_values", "momenta", "vertical")
 
     # -- construction -----------------------------------------------------
 
@@ -163,27 +160,24 @@ class BundleSpec:
             momenta=momenta,
         )
 
-    def __post_init__(self):
-        base = tuple(
-            s if isinstance(s, Symbol) else Symbol(s, SymbolKind.BASE)
-            for s in self.base
-        )
-        fibre = tuple(
-            s if isinstance(s, Symbol) else Symbol(s, SymbolKind.FIBRE)
-            for s in self.fibre
-        )
+    def __init__(self, base: tuple, fibre: tuple, params: tuple = (), order: int = 1,
+                 param_values: tuple = (), momenta: bool = False, vertical: bool = False):
+        """`param_values` holds (name, value) pairs, stored sorted with
+        Fraction values; names may be given for Symbols."""
+        base = tuple(s if isinstance(s, Symbol) else Symbol(s, SymbolKind.BASE) for s in base)
+        fibre = tuple(s if isinstance(s, Symbol) else Symbol(s, SymbolKind.FIBRE) for s in fibre)
         params = tuple(
-            s if isinstance(s, Symbol) else Symbol(s, SymbolKind.PARAMETER)
-            for s in self.params
+            s if isinstance(s, Symbol) else Symbol(s, SymbolKind.PARAMETER) for s in params
         )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "fibre", fibre)
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "order", order)
         object.__setattr__(
-            self,
-            "param_values",
-            tuple(sorted((k, Fraction(v)) for k, v in self.param_values)),
+            self, "param_values", tuple(sorted((k, Fraction(v)) for k, v in param_values))
         )
+        object.__setattr__(self, "momenta", momenta)
+        object.__setattr__(self, "vertical", vertical)
         self._validate()
 
     def _validate(self):
@@ -312,23 +306,27 @@ class BundleSpec:
     # -- derived specs -----------------------------------------------------
 
     def with_order(self, order: int) -> "BundleSpec":
-        return replace(self, order=order)
+        return BundleSpec(self.base, self.fibre, self.params, order, self.param_values,
+                          self.momenta, self.vertical)
 
     def with_momenta(self) -> "BundleSpec":
-        return replace(self, momenta=True)
+        return BundleSpec(self.base, self.fibre, self.params, self.order, self.param_values,
+                          True, self.vertical)
 
     def vertical_extension(self) -> "BundleSpec":
         if self.vertical:
             raise VerticalExtensionError(
                 "vertical extension applied twice: spec already carries vertical coordinates"
             )
-        return replace(self, vertical=True)
+        return BundleSpec(self.base, self.fibre, self.params, self.order, self.param_values,
+                          self.momenta, True)
 
     def bind_params(self, values) -> "BundleSpec":
         table = dict(self.param_values)
         for k, v in values.items():
             table[_sym_name(k)] = Fraction(v)
-        return replace(self, param_values=tuple(sorted(table.items())))
+        return BundleSpec(self.base, self.fibre, self.params, self.order,
+                          tuple(sorted(table.items())), self.momenta, self.vertical)
 
     # -- name generation and classification --------------------------------
 
@@ -439,7 +437,7 @@ class BundleSpec:
         idx = MultiIndex(c.index.entries + index.entries)
         if idx.order > self.order:
             raise OrderOverflowError(_sym_name(sym), idx.order)
-        return self._coord_symbol(replace(c, index=idx))
+        return self._coord_symbol(_Coord(c.family, c.field, idx, c.vertical, c.mom_base))
 
     def momentum(self, lam, fld, vertical: bool = False) -> Symbol:
         if not self.momenta:
@@ -470,7 +468,7 @@ class BundleSpec:
             raise VerticalExtensionError(
                 f"'{_sym_name(sym)}' is already a vertical coordinate"
             )
-        return self._coord_symbol(replace(c, vertical=True))
+        return self._coord_symbol(_Coord(c.family, c.field, c.index, True, c.mom_base))
 
     def jet_order(self, sym) -> int:
         """Jet order of a coordinate; a Symbol's kind must match its name."""

@@ -9,7 +9,8 @@
 
 Exit codes: 0 success or theorem pass, 1 theorem failure, 2 usage or
 model errors, 3 numeric failures (compilation, domain, integration).
-All commands are deterministic for a fixed --seed.
+All commands are deterministic for a fixed --seed.  `deviq.numeric` is
+imported only by `simulate` and `residual`.
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ from .errors import (
     VerticalExtensionError,
 )
 from .model import check_model, derive_equations, deviation_equations, load_model
-from .numeric import (
-    DEFAULT_DT,
-    DEFAULT_EPS_LADDER,
-    JacobiProblem,
-    integrate,
-    perturbation_residual,
-)
 from .render import FORMATS, render
 
 USAGE_ERRORS = (
@@ -69,6 +63,8 @@ def _parse_assignments(text: str, flag: str) -> dict:
         name = name.strip()
         if not eq or not name:
             raise SpecError(f"{flag} entries must look like name=value, got {piece!r}")
+        if name in out:
+            raise SpecError(f"{flag} gives '{name}' more than once")
         try:
             out[name] = float(value.strip())
         except ValueError:
@@ -94,7 +90,9 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _jacobi_problem(args) -> JacobiProblem:
+def _jacobi_problem(args):
+    from .numeric import DEFAULT_DT, JacobiProblem
+
     model = load_model(args.file, order=args.order)
     if model.spec.n != 1:
         raise SpecError(
@@ -103,7 +101,8 @@ def _jacobi_problem(args) -> JacobiProblem:
         )
     init = _parse_assignments(args.init or "", "--init")
     jacobi = _parse_assignments(args.jacobi_init or "", "--jacobi-init")
-    return JacobiProblem(deviation_equations(model), init, jacobi, args.t0, args.t1, args.dt)
+    dt = DEFAULT_DT if args.dt is None else args.dt
+    return JacobiProblem(deviation_equations(model), init, jacobi, args.t0, args.t1, dt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--jacobi-init", default="", help="Jacobi initial data (missing entries are 0)")
     window.add_argument("--t0", type=float, default=0.0)
     window.add_argument("--t1", type=float, default=10.0)
-    window.add_argument("--dt", type=float, default=DEFAULT_DT)
+    window.add_argument("--dt", type=float, default=None)  # None: numeric.DEFAULT_DT
 
     parser = argparse.ArgumentParser(
         prog="deviq",
@@ -132,11 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("check", parents=[common], help="commutation theorem report")
     sub.add_parser("simulate", parents=[common, window], help="integrate base + Jacobi field")
     res = sub.add_parser("residual", parents=[common, window], help="perturbation residual sweep")
-    res.add_argument(
-        "--eps",
-        default=",".join(str(e) for e in DEFAULT_EPS_LADDER),
-        help="comma-separated epsilon ladder",
-    )
+    # None: numeric.DEFAULT_EPS_LADDER
+    res.add_argument("--eps", default=None, help="comma-separated epsilon ladder")
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
@@ -157,13 +153,18 @@ def run(args) -> int:
         _emit(str(report), args.out)
         return 0 if report.passed else 1
     if args.command == "simulate":
+        from .numeric import integrate
+
         prob = _jacobi_problem(args)
         traj = integrate(prob.compiled, prob.initial_state(), prob.t0, prob.t1, prob.dt)
         _emit(traj.to_csv(), args.out)
         return 0
     if args.command == "residual":
+        from .numeric import DEFAULT_EPS_LADDER, perturbation_residual
+
         prob = _jacobi_problem(args)
-        table = perturbation_residual(prob, _parse_eps(args.eps))
+        ladder = DEFAULT_EPS_LADDER if args.eps is None else _parse_eps(args.eps)
+        table = perturbation_residual(prob, ladder)
         _emit(table.to_csv(), args.out)
         fitted = "n/a" if table.exponent is None else f"{table.exponent:.4f}"
         sys.stderr.write(f"fitted exponent: {fitted} (norm: {table.metadata['norm']})\n")

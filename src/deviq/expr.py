@@ -19,11 +19,11 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError, ExpansionLimitError, UnboundSymbolError
+from .value import Value
 
 __all__ = [
     "Symbol",
@@ -81,12 +81,30 @@ DEPENDENT_KINDS = frozenset(
 VERTICAL_KINDS = frozenset({SymbolKind.VERTICAL, SymbolKind.VERTICAL_MOMENTUM})
 
 
-@dataclass(frozen=True)
-class Symbol:
+#: sets a field of a new node or symbol past the frozen `__setattr__`
+_set = object.__setattr__
+
+
+class Symbol(Value):
     """A named coordinate or parameter.  Name and kind never change."""
 
-    name: str
-    kind: SymbolKind
+    __slots__ = ("name", "kind", "_hash")
+    _fields = ("name", "kind")
+
+    def __init__(self, name: str, kind: SymbolKind):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        # a symbol is hashed about 80 times for each one made when the
+        # chains derive, and an enum hashes in Python, so the hash is kept
+        _set(self, "_hash", hash((name, kind)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copies and unpickled symbols are made anew: a kept hash holds
+        # only in the process that computed it
+        return Symbol, (self.name, self.kind)
 
     def __repr__(self):
         return f"Symbol({self.name!r}, {self.kind.name})"
@@ -95,14 +113,20 @@ class Symbol:
         return self.name
 
 
-class Expr:
-    """Base class for expression nodes; provides operator sugar."""
+class Expr(Value):
+    """Base class for expression nodes; provides operator sugar.
 
-    __slots__ = ()
+    Nodes keep their fields in slots, as a derivation makes hundreds of
+    thousands of them.  `_expansion` is the polynomial of a node built by
+    `_from_poly`, else None; it takes no part in equality, hashing or repr.
+    """
 
-    #: the polynomial of a node built by `_from_poly`, else None; it takes
-    #: no part in equality, hashing or repr
-    _expansion = None
+    __slots__ = ("_expansion",)
+
+    def __reduce__(self):
+        # copies and unpickled nodes are made anew by their constructor: the
+        # slots refuse assignment, and a kept hash holds only in one process
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -138,48 +162,72 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Rat(Expr):
     """Exact rational constant."""
 
-    value: Fraction
+    __slots__ = ("value",)
+    _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        _set(self, "value", value)
+        _set(self, "_expansion", None)
 
     def __repr__(self):
         return f"Rat({self.value})"
 
 
-@dataclass(frozen=True, repr=False)
 class Sym(Expr):
     """Reference to a Symbol."""
 
-    symbol: Symbol
+    __slots__ = ("symbol", "_hash")
+    _fields = ("symbol",)
+
+    def __init__(self, symbol: Symbol):
+        _set(self, "symbol", symbol)
+        _set(self, "_expansion", None)
+        _set(self, "_hash", hash((symbol,)))  # kept, like its symbol's
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Sym({self.symbol.name})"
 
 
-@dataclass(frozen=True, repr=False)
 class Add(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        _set(self, "terms", terms)
+        _set(self, "_expansion", None)
 
     def __repr__(self):
         return "Add(" + ", ".join(map(repr, self.terms)) + ")"
 
 
-@dataclass(frozen=True, repr=False)
 class Mul(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple):
+        _set(self, "factors", factors)
+        _set(self, "_expansion", None)
 
     def __repr__(self):
         return "Mul(" + ", ".join(map(repr, self.factors)) + ")"
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(Expr):
     """Power with a literal integer or rational exponent."""
 
-    base: Expr
-    exponent: Fraction
+    __slots__ = ("base", "exponent")
+    _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Fraction):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "_expansion", None)
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exponent})"
@@ -188,16 +236,23 @@ class Pow(Expr):
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 
 
-@dataclass(frozen=True, repr=False)
 class Fun(Expr):
     """Builtin function application; `name` is one of FUNCTIONS."""
 
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg", "_hash")
+    _fields = ("name", "arg")
 
-    def __post_init__(self):
-        if self.name not in FUNCTIONS:
-            raise ValueError(f"unknown builtin function '{self.name}'")
+    def __init__(self, name: str, arg: Expr):
+        if name not in FUNCTIONS:
+            raise ValueError(f"unknown builtin function '{name}'")
+        _set(self, "name", name)
+        _set(self, "arg", arg)
+        _set(self, "_expansion", None)
+        # an atom of many monomials, hashed with them: keep its hash
+        _set(self, "_hash", hash((name, arg)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Fun({self.name}, {self.arg!r})"
@@ -298,6 +353,16 @@ _Poly = dict
 MAX_CONSTANT_DIGITS = 1000
 MAX_EXPANSION_TERMS = 500
 _CONSTANT_BOUND = 10**MAX_CONSTANT_DIGITS
+
+#: The model parser refuses with ParseError an expression nested deeper
+#: than this; a parenthesis, a function call, a unary sign and the
+#: exponent of a `^` each open a level.  Normalization and the
+#: derivatives recurse through the tree, so a deep one would pass
+#: Python's recursion limit, and the chain rule makes the work of nested
+#: functions double about every 10 levels: on cos nested MAX_NESTING
+#: deep, `check` takes under 1 s and `simulate` over its default window
+#: about 2 s, like the largest expansion, (y + 1)^499.
+MAX_NESTING = 35
 
 
 def _integral(x):
@@ -540,7 +605,7 @@ def _from_poly(p: _Poly) -> Expr:
         e = terms[0]
         if mono and e is mono[0][0]:
             return e  # the atom of p's one monomial, which others share
-    object.__setattr__(e, "_expansion", p)
+    _set(e, "_expansion", p)
     return e
 
 
@@ -843,8 +908,7 @@ FALLBACK_TOL = 1e-9
 _MIN_VALID_POINTS = 8
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Value):
     """Outcome of `equivalent`: 'equal', 'different' or 'undetermined'.
 
     Truthy exactly when the verdict is 'equal', so the result can be used
@@ -852,9 +916,12 @@ class EquivalenceResult:
     is never silently treated as success.
     """
 
-    verdict: str
-    reason: str
-    witness: tuple = None
+    _fields = ("verdict", "reason", "witness")
+
+    def __init__(self, verdict: str, reason: str, witness: tuple = None):
+        _set(self, "verdict", verdict)
+        _set(self, "reason", reason)
+        _set(self, "witness", witness)
 
     def __bool__(self):
         return self.verdict == "equal"

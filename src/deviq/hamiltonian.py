@@ -17,8 +17,6 @@ pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundle import BundleSpec, MultiIndex, vertical_derivative
 from .errors import SpecError, VerticalExtensionError
 from .expr import (
@@ -30,6 +28,7 @@ from .expr import (
     gradient,
     normalize,
 )
+from .value import Value
 from .variational import (
     CommutationReport,
     EquationSystem,
@@ -47,21 +46,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HamiltonianSystem:
+class HamiltonianSystem(Value):
     """A Hamiltonian density over (x^lam, y^i, p^lam_i) and parameters."""
 
-    density: Expr
-    spec: BundleSpec
+    _fields = ("density", "spec")
 
-    def __post_init__(self):
-        if not self.spec.momenta:
+    def __init__(self, density: Expr, spec: BundleSpec):
+        if not spec.momenta:
             raise SpecError("Hamiltonian spec must carry momentum coordinates")
-        d = normalize(as_expr(self.density))
+        d = normalize(as_expr(density))
         object.__setattr__(self, "density", d)
-        if check_symbols(d, self.spec) > 0:
+        object.__setattr__(self, "spec", spec)
+        if check_symbols(d, spec) > 0:
             raise SpecError("Hamiltonian density must not contain jet symbols")
-        if not self.spec.vertical and _has_vertical(d):
+        if not spec.vertical and _has_vertical(d):
             raise SpecError("Hamiltonian density contains vertical symbols")
 
 

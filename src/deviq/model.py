@@ -23,7 +23,6 @@ namespace, and claiming one is reported as a collision.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .errors import ParseError, SpecError, UnknownSymbolError
 from .expr import (
     FUNCTIONS,
     MAX_CONSTANT_DIGITS,
+    MAX_NESTING,
     Expr,
     Fun,
     Pow,
@@ -42,6 +42,7 @@ from .expr import (
     normalize,
 )
 from .hamiltonian import HamiltonianSystem, check_hamilton_deviation_commute, hamilton_equations
+from .value import Value
 from .variational import (
     CommutationReport,
     EquationSystem,
@@ -74,12 +75,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "ident" | "op"
-    text: str
-    line: int
-    column: int
+class Token(Value):
+    _fields = ("kind", "text", "line", "column")  # kind: "number" | "ident" | "op"
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 def _tokenize_line(text: str, line_no: int):
@@ -112,13 +115,26 @@ def _number(tok: Token) -> Fraction:
 
 
 class _ExprParser:
-    """Recursive-descent parser over one declaration's token tail."""
+    """Recursive-descent parser over one declaration's token tail.  It
+    refuses an expression nested more than MAX_NESTING levels deep."""
 
     def __init__(self, tokens, spec: BundleSpec, line: int):
         self.tokens = tokens
         self.spec = spec
         self.line = line
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, tok: Token, parse) -> Expr:
+        """`parse()` one level deeper, in the level that `tok` opens."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.column
+            )
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -170,7 +186,7 @@ class _ExprParser:
         tok = self.peek()
         if tok and tok.kind == "op" and tok.text in "+-":
             self.next()
-            inner = self.unary()
+            inner = self.nested(tok, self.unary)
             return inner if tok.text == "+" else -inner
         return self.power()
 
@@ -179,7 +195,7 @@ class _ExprParser:
         tok = self.peek()
         if tok and tok.kind == "op" and tok.text == "^":
             self.next()
-            exponent = self.unary()  # right-associative by recursion
+            exponent = self.nested(tok, self.unary)  # right-associative by recursion
             folded = normalize(exponent)
             if not isinstance(folded, Rat):
                 raise ParseError(
@@ -188,23 +204,25 @@ class _ExprParser:
             return Pow(base, folded.value)
         return base
 
+    def group(self) -> Expr:
+        """An expression closed by ')', the '(' taken."""
+        e = self.expr()
+        self.expect_op(")")
+        return e
+
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "number":
             return Rat(_number(tok))
         if tok.kind == "op" and tok.text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.nested(tok, self.group)
         if tok.kind == "ident":
             nxt = self.peek()
             if nxt and nxt.kind == "op" and nxt.text == "(":
                 if tok.text not in FUNCTIONS:
                     raise ParseError(f"unknown function '{tok.text}'", tok.line, tok.column)
                 self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return Fun(tok.text, arg)
+                return Fun(tok.text, self.nested(tok, self.group))
             try:
                 return Sym(self.spec.symbol(tok.text))
             except UnknownSymbolError:
@@ -216,14 +234,16 @@ class _ExprParser:
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(Value):
     """A parsed model: its kind, the fully resolved spec, and the payload
     expressions (one density, or the equation components in order)."""
 
-    kind: str
-    spec: BundleSpec
-    payload: tuple
+    _fields = ("kind", "spec", "payload")
+
+    def __init__(self, kind: str, spec: BundleSpec, payload: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "payload", payload)
 
     def lagrangian(self) -> Lagrangian:
         if self.kind != "lagrangian":

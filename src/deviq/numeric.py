@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -57,6 +56,7 @@ from .expr import (
     normalize,
     substitute,
 )
+from .value import Value
 from .variational import EquationSystem
 
 if TYPE_CHECKING:
@@ -264,25 +264,25 @@ def numpy_eval(e: Expr, env: Mapping[str, object]):
 # --------------------------------------------------------------------------
 # compiled systems and trajectories
 
-@dataclass(frozen=True)
-class FirstOrderSystem:
+class FirstOrderSystem(Value):
     """Explicit first-order ODE dZ/dt = F(t, Z) with named states.
 
     A compiled deviation pair has the mirror layout: its first half holds
     the base states, and state half + i is the Jacobi (vertical) partner
     of state i."""
 
-    base: Symbol
-    states: tuple
-    rhs: tuple
+    _fields = ("base", "states", "rhs")
 
-    def __post_init__(self):
-        if not self.states:
+    def __init__(self, base: Symbol, states: tuple, rhs: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "rhs", rhs)
+        if not states:
             raise CompileError("a first-order system needs at least one state")
-        if len(self.rhs) != len(self.states):
+        if len(rhs) != len(states):
             raise CompileError("state and rhs lengths disagree")
-        allowed = {*self.states, self.base}
-        for e in self.rhs:
+        allowed = {*states, base}
+        for e in rhs:
             for s in free_symbols(e):
                 if s not in allowed:
                     raise CompileError(
@@ -562,27 +562,27 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
 # --------------------------------------------------------------------------
 # Jacobi problems
 
-@dataclass(frozen=True)
-class JacobiProblem:
+class JacobiProblem(Value):
     """A deviation pair plus initial data for the base solution and the
     Jacobi field, and the integration window.  The base data must name
-    every base state; Jacobi states left out of `jacobi_init` start at 0."""
+    every base state; Jacobi states left out of `jacobi_init` start at 0.
+    `compiled`, the system's first-order form, is no field: it takes no
+    part in equality or repr."""
 
-    system: EquationSystem
-    base_init: dict
-    jacobi_init: dict
-    t0: float
-    t1: float
-    dt: float = DEFAULT_DT
-    compiled: FirstOrderSystem = field(init=False, compare=False, repr=False, default=None)
+    _fields = ("system", "base_init", "jacobi_init", "t0", "t1", "dt")
 
-    def __post_init__(self):
-        if self.system.structure != "deviation-pair":
+    def __init__(self, system: EquationSystem, base_init: dict, jacobi_init: dict,
+                 t0: float, t1: float, dt: float = DEFAULT_DT):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "dt", dt)
+        if system.structure != "deviation-pair":
             raise SpecError("JacobiProblem requires a deviation-pair system")
-        _check_window(self.t0, self.t1, self.dt)
-        fos = compile_system(self.system)
-        base = {_init_name(k): float(v) for k, v in self.base_init.items()}
-        given = {_init_name(k): float(v) for k, v in self.jacobi_init.items()}
+        _check_window(t0, t1, dt)
+        fos = compile_system(system)
+        base = {_init_name(k): float(v) for k, v in base_init.items()}
+        given = {_init_name(k): float(v) for k, v in jacobi_init.items()}
         for what, data in (("base", base), ("jacobi", given)):
             for k, v in data.items():
                 if not math.isfinite(v):
@@ -665,14 +665,16 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
 # --------------------------------------------------------------------------
 # perturbation residual
 
-@dataclass(frozen=True)
-class ResidualTable:
+class ResidualTable(Value):
     """max-over-grid residuals of the original equations on s + eps*psi,
     with the least-squares exponent of the residual-vs-eps law attached."""
 
-    entries: tuple  # ((eps, residual), ...)
-    exponent: Optional[float]
-    metadata: dict
+    _fields = ("entries", "exponent", "metadata")
+
+    def __init__(self, entries: tuple, exponent: Optional[float], metadata: dict):
+        object.__setattr__(self, "entries", entries)  # ((eps, residual), ...)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "metadata", metadata)
 
     def to_csv(self) -> str:
         lines = ["eps,residual"]

@@ -1,0 +1,73 @@
+"""The base of deviq's immutable value classes.
+
+A subclass lists its fields in `_fields`, in constructor order, and sets
+them in its own `__init__` with `object.__setattr__`.  From that tuple the
+class gets
+
+  * equality between instances of the same class whose fields are equal;
+  * the hash of the field tuple, so sets and dicts order values as they
+    would order the tuples (a class that keeps its hash keeps that one);
+  * the repr `Name(field=value, ...)`, unless it defines its own;
+  * immutability: assigning or deleting an attribute raises AttributeError.
+
+Attributes that are not fields (a cached expansion, a compiled system, a
+`functools.cached_property`) take no part in equality, hashing or repr.
+"""
+
+from operator import attrgetter
+
+__all__ = ["Value"]
+
+
+class Value:
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # values are compared and hashed hundreds of thousands of times in
+        # one derivation, so each class gets closures over one C field
+        # getter rather than a loop over `_fields`; a class may keep its
+        # hash and define `__hash__` itself
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            eq, hash_ = _comparisons(cls._fields)
+            cls.__eq__ = eq
+            if "__hash__" not in cls.__dict__:
+                cls.__hash__ = hash_
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _comparisons(fields: tuple):
+    """`__eq__` and `__hash__` over the tuple of `fields`."""
+    get = attrgetter(*fields)
+    if len(fields) == 1:
+        # one name makes attrgetter return the value, not a 1-tuple
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+
+    else:
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(get(self))
+
+    return __eq__, __hash__

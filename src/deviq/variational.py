@@ -13,7 +13,6 @@ vertical extension of the Euler-Lagrange operator.  Failures are data
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundle import (
@@ -39,6 +38,7 @@ from .expr import (
     normalize,
     _poly,
 )
+from .value import Value
 
 __all__ = [
     "EquationSystem",
@@ -95,24 +95,23 @@ def is_vertical_linear(e: Expr) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(Value):
     """Equations read as `expr = 0`: Euler-Lagrange, Hamilton or declared
     equations.  A `deviation-pair` system stacks the original block and
     its vertical linearization, in that order."""
 
-    equations: tuple
-    spec: BundleSpec
-    structure: str = "plain"
+    _fields = ("equations", "spec", "structure")
 
-    def __post_init__(self):
-        eqs = tuple(normalize(as_expr(e)) for e in self.equations)
+    def __init__(self, equations: tuple, spec: BundleSpec, structure: str = "plain"):
+        eqs = tuple(normalize(as_expr(e)) for e in equations)
         object.__setattr__(self, "equations", eqs)
-        if self.structure not in ("plain", "deviation-pair"):
-            raise SpecError(f"unknown system structure '{self.structure}'")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "structure", structure)
+        if structure not in ("plain", "deviation-pair"):
+            raise SpecError(f"unknown system structure '{structure}'")
         for e in eqs:
-            check_symbols(e, self.spec)
-        if self.structure == "deviation-pair":
+            check_symbols(e, spec)
+        if structure == "deviation-pair":
             if len(eqs) % 2:
                 raise SpecError("deviation-pair system must have even length")
             m = len(eqs) // 2
@@ -126,19 +125,17 @@ class EquationSystem:
         return len(self.equations)
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(Value):
     """A density on the jet space; its order k is the highest jet order
     occurring in it."""
 
-    density: Expr
-    spec: BundleSpec
-    order: int = field(init=False)
+    _fields = ("density", "spec", "order")
 
-    def __post_init__(self):
-        d = normalize(as_expr(self.density))
+    def __init__(self, density: Expr, spec: BundleSpec):
+        d = normalize(as_expr(density))
         object.__setattr__(self, "density", d)
-        object.__setattr__(self, "order", check_symbols(d, self.spec))
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "order", check_symbols(d, spec))
 
 
 def vertical_extension_density(L: Lagrangian) -> Lagrangian:
@@ -191,21 +188,25 @@ def deviation_system(system: EquationSystem) -> EquationSystem:
     return EquationSystem(system.equations + vblock, vspec, "deviation-pair")
 
 
-@dataclass(frozen=True)
-class PairCheck:
-    label: str
-    left: Expr
-    right: Expr
-    result: EquivalenceResult
+class PairCheck(Value):
+    _fields = ("label", "left", "right", "result")
+
+    def __init__(self, label: str, left: Expr, right: Expr, result: EquivalenceResult):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "result", result)
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(Value):
     """Outcome of a commutation theorem check, one entry per matched pair.
     Undetermined equivalences count as failures, never as passes."""
 
-    title: str
-    entries: tuple
+    _fields = ("title", "entries")
+
+    def __init__(self, title: str, entries: tuple):
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def passed(self) -> bool:

@@ -425,3 +425,74 @@ def test_symbolic_commands_never_load_numpy():
     """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.stdout == "False\n[0, 0, 0] False\n0 False\n0 False\n", res.stderr
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--init", "y=1,y=2,y_t=0", "y"),
+    ("--jacobi-init", "v_y=1,v_y_t=0,v_y_t=1", "v_y_t"),
+])
+def test_repeated_assignment_is_usage_error(flag, value, name):
+    argv = ["simulate", model_path("pendulum"), "--init", "y=1,y_t=0", "--t1", "0.1", flag, value]
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"deviq: error: {flag} gives '{name}' more than once\n"
+
+
+#: a form nested n levels deep, and the offset in it of the token that
+#: opens level k + 1
+NESTINGS = {
+    "unary signs": (lambda n: "-" * n + "y", lambda k: k),
+    "parentheses": (lambda n: "(" * n + "y" + ")" * n, lambda k: k),
+    "calls": (lambda n: "sin(" * n + "y" + ")" * n, lambda k: 4 * k),
+    "exponents": (lambda n: "y" + "^1" * n, lambda k: 2 * k + 1),
+}
+
+
+@pytest.mark.parametrize("form", NESTINGS)
+def test_nesting_cap(tmp_path, form):
+    from deviq.expr import MAX_NESTING
+
+    nested, opener = NESTINGS[form]
+    head = "lagrangian 0.5*y_t^2 - "
+    src = tmp_path / "deep.eqn"
+    src.write_text(f"base t\nfibre y\n{head}{nested(MAX_NESTING)}\n")
+    res = run_cli("derive", src)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith(" = 0\n")
+    src.write_text(f"base t\nfibre y\n{head}{nested(MAX_NESTING + 1)}\n")
+    res = run_cli("derive", src)
+    assert res.returncode == 2
+    column = len(head) + 1 + opener(MAX_NESTING)
+    assert res.stderr == (
+        f"deviq: error: line 3, column {column}: "
+        f"expression nested more than {MAX_NESTING} levels deep\n"
+    )
+
+
+def _imported(*argv):
+    """Modules a cold `python -m deviq` process imports, from `-X importtime`."""
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "deviq", *[str(a) for a in argv]],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    return {
+        line.split("|")[-1].strip()
+        for line in res.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize("command", ["derive", "deviate", "check"])
+def test_symbolic_commands_import_no_numeric_layer(command):
+    loaded = _imported(command, model_path("pendulum"))
+    assert "deviq.model" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "deviq.numeric", "numpy"})
+
+
+@pytest.mark.parametrize("command", ["simulate", "residual"])
+def test_numeric_commands_import_no_dataclasses_or_numpy(command):
+    loaded = _imported(command, model_path("pendulum"), "--init", "y=1,y_t=0", "--t1", "0.1",
+                       "--dt", "0.01")
+    assert "deviq.numeric" in loaded
+    assert loaded.isdisjoint({"dataclasses", "numpy"})

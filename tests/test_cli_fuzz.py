@@ -103,6 +103,11 @@ def run_main(text, argv):
     text="base t\nfibre y\nhamiltonian 0.5*pt_y^2\n",
     argv=["residual", "--init=y=1,pt_y=0", "--t1=1e-300"],
 )
+# nested past the recursion limit: a parse error, not a RecursionError
+@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "-" * 1000 + "y\n", argv=["derive"])
+@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
+@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "sin(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
+@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - y" + "^1" * 1000 + "\n", argv=["derive"])
 def test_exit_code_contract(text, argv):
     code, err = run_main(text, argv)
     assert code in (0, 1, 2, 3), (code, err)

@@ -5,7 +5,9 @@ modules hand coordinates around as Symbols and ask the spec for jets and
 partners, so they neither name the private coordinate record nor decode
 names.  `render` is the one reader of decoded names, for LaTeX output.
 Generated code is defined in one place, `numeric._define`, from text that
-`numeric._emit` writes.
+`numeric._emit` writes.  No module builds its classes with `dataclasses`,
+and only the package and the CLI load `numeric`, where a numeric name is
+used, so the symbolic commands start without it.
 """
 
 import ast
@@ -25,6 +27,21 @@ def _names(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
+
+
+def _imports(tree):
+    """Modules a source imports anywhere, package-relative names bare:
+    `from .numeric import x`, `from . import numeric` and `import
+    deviq.numeric` all give `numeric`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield name.removeprefix("deviq.")
 
 
 def _calls(tree, attr):
@@ -77,3 +94,19 @@ def test_eval_and_exec_only_in_the_code_generator():
         if name in ("eval", "exec")
     }
     assert where == {("numeric.py", "_define")}
+
+
+def test_no_module_imports_dataclasses():
+    offenders = [
+        p.name for p in SOURCES
+        if any(name.split(".")[0] == "dataclasses" for name in _imports(ast.parse(p.read_text())))
+    ]
+    assert offenders == []
+
+
+def test_numeric_imported_only_by_the_package_and_the_cli():
+    importers = {
+        p.name for p in SOURCES
+        if "numeric" in set(_imports(ast.parse(p.read_text())))
+    }
+    assert importers == {"__init__.py", "cli.py"}
