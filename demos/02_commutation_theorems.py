@@ -10,9 +10,9 @@ Two facts make deviation equations trustworthy:
 * Hamiltonian: the Hamilton equations of the vertical Hamiltonian VH
   equal the deviation of the Hamilton equations of H.
 
-check_model verifies either identity pair by pair with the canonical
-normal form, falling back to seeded numeric sampling when two normal
-forms differ syntactically.
+check_model verifies either identity pair by pair, exactly: both sides
+of a pair are built by derivations over the same atoms, so the pair
+holds when their canonical normal forms coincide.
 """
 
 from pathlib import Path

@@ -3,14 +3,15 @@
     deviq derive   <file>   equations of motion (Euler-Lagrange or Hamilton)
     deviq deviate  <file>   deviation system (equations plus their vertical
                             derivative)
-    deviq check    <file>   commutation theorem report; exit 1 on failure
+    deviq check    <file>   commutation theorem report, each pair decided by
+                            its exact normal form; exit 1 on failure
     deviq simulate <file>   integrate a base solution and Jacobi field, CSV out
     deviq residual <file>   perturbation-residual sweep over epsilon, CSV out
 
 Exit codes: 0 success or theorem pass, 1 theorem failure, 2 usage or
 model errors, 3 numeric failures (compilation, domain, integration).
-All commands are deterministic for a fixed --seed.  `deviq.numeric` is
-imported only by `simulate` and `residual`.
+All commands are deterministic; `--seed` is accepted and ignored.
+`deviq.numeric` is imported only by `simulate` and `residual`.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="model file")
     common.add_argument("--format", choices=FORMATS, default="text")
-    common.add_argument("--seed", type=int, default=0, help="equivalence-check fallback seed")
+    common.add_argument("--seed", type=int, default=0, help="ignored: every command is exact")
     common.add_argument("--order", type=int, default=None, help="override the inferred jet order")
     common.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -149,7 +150,7 @@ def run(args) -> int:
         return 0
     if args.command == "check":
         model = load_model(args.file, order=args.order)
-        report = check_model(model, seed=args.seed)
+        report = check_model(model)
         _emit(str(report), args.out)
         return 0 if report.passed else 1
     if args.command == "simulate":

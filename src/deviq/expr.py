@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from fractions import Fraction
 from typing import Mapping
 
@@ -462,26 +461,25 @@ def _poly(e: Expr) -> _Poly:
         return {(): e.value} if e.value else {}
     if isinstance(e, Sym):
         return _atom_poly(e)
-    if isinstance(e, Add):
-        # nested sums (the parser builds a + b + c left-deep) add their
-        # terms into one dict, so no partial sum is copied
-        out: _Poly = {}
+    if isinstance(e, (Add, Mul)):
+        # nested sums and products (the parser builds a + b + c and a*b*c
+        # left-deep) are walked with a stack, not a recursion per level; a
+        # sum adds its terms into one dict, so no partial sum is copied
+        kind = type(e)
+        out: _Poly = {} if kind is Add else {(): Fraction(1)}
         stack = [e]
         while stack:
             t = stack.pop()
-            if isinstance(t, Add) and t._expansion is None:
-                stack.extend(reversed(t.terms))
-                continue
-            for mono, c in _poly(t).items():
-                if v := out.get(mono, 0) + c:
-                    out[mono] = v
-                else:
-                    del out[mono]
-        return out
-    if isinstance(e, Mul):
-        out = {(): Fraction(1)}
-        for f in e.factors:
-            out = _poly_mul(out, _poly(f))
+            if type(t) is kind and t._expansion is None:
+                stack.extend(reversed(t.terms if kind is Add else t.factors))
+            elif kind is Mul:
+                out = _poly_mul(out, _poly(t))
+            else:
+                for mono, c in _poly(t).items():
+                    if v := out.get(mono, 0) + c:
+                        out[mono] = v
+                    else:
+                        del out[mono]
         return out
     if isinstance(e, Fun):
         arg = normalize(e.arg)
@@ -958,6 +956,8 @@ def equivalent(a: Expr, b: Expr, seed: int = 0) -> EquivalenceResult:
     d = normalize(a - b)
     if d == ZERO:
         return EquivalenceResult("equal", "normal forms coincide")
+    import random  # only the sampling route needs it, and it costs the cold start
+
     syms = sorted(free_symbols(d) | free_symbols(a) | free_symbols(b), key=lambda s: s.name)
     rng = random.Random(seed)
     valid = 0

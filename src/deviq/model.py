@@ -444,10 +444,10 @@ def deviation_equations(model: ModelFile) -> EquationSystem:
     return deviation_system(derive_equations(model))
 
 
-def check_model(model: ModelFile, seed: int = 0) -> CommutationReport:
+def check_model(model: ModelFile) -> CommutationReport:
     """Run the commutation theorem applicable to the model kind."""
     if model.kind == "lagrangian":
-        return check_el_vertical_commute(model.lagrangian(), seed=seed)
+        return check_el_vertical_commute(model.lagrangian())
     if model.kind == "hamiltonian":
-        return check_hamilton_deviation_commute(model.hamiltonian(), seed=seed)
+        return check_hamilton_deviation_commute(model.hamiltonian())
     raise SpecError("equation models state no theorem to check; use derive or deviate")

@@ -13,7 +13,6 @@ and systems as an object ``{"equations": [...], "spec": {...}}``.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Optional
 
@@ -189,6 +188,8 @@ def render(obj, format: str = "text", spec: Optional[BundleSpec] = None) -> str:
     """
     if format not in FORMATS:
         raise SpecError(f"unknown format '{format}'; expected one of {', '.join(FORMATS)}")
+    if format == "json":
+        import json  # only JSON output needs it, and it costs every cold start
 
     if isinstance(obj, ModelFile):
         if format == "text":

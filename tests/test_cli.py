@@ -4,9 +4,10 @@ Every test shells out to ``python -m deviq`` so that exit codes,
 stream separation, and byte-level determinism are observed exactly as
 a user would see them; the console-script test also runs the declared
 ``deviq`` entry point through an installer-style launcher.  The
-exceptions run ``deviq.cli.main`` in process with a stub: the
-exit-code-1 mapping (no well-formed model can make the commutation
-theorem fail), and tests that watch or forbid ``compile_system`` calls.
+exceptions run ``deviq.cli.main`` in process with a stub or a tampered
+derivation: the exit-code-1 mapping (no well-formed model can make the
+commutation theorem fail), and tests that watch or forbid
+``compile_system`` calls.
 """
 
 import json
@@ -19,7 +20,10 @@ import textwrap
 import pytest
 
 import deviq.cli
+import deviq.hamiltonian
 import deviq.numeric
+import deviq.variational
+from deviq import HamiltonianSystem, Lagrangian, Sym
 from conftest import MODELS_DIR, model_path
 
 
@@ -219,6 +223,52 @@ def test_failing_report_maps_to_exit_one(monkeypatch, capsys):
     code = deviq.cli.main(["check", str(model_path("pendulum"))])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _tampered(extend, make, extra):
+    """`extend` with `extra(y, v_y)` added to the density it gives."""
+    def tampered(system):
+        ext = extend(system)
+        y, v = (Sym(ext.spec.symbol(name)) for name in ("y", "v_y"))
+        return make(ext.density + extra(y, v), ext.spec)
+    return tampered
+
+
+@pytest.mark.parametrize("module,name,make,extra,model,failing", [
+    (deviq.variational, "vertical_extension_density", Lagrangian,
+     lambda y, v: v * y + v * y**3, "pendulum",
+     {"v_y-variation of VL vs component 1 of the original operator": 2,
+      "y-variation of VL vs vertical derivative of component 1": 2}),
+    (deviq.hamiltonian, "vertical_hamiltonian", HamiltonianSystem,
+     lambda y, v: v * v * y, "hpend",
+     {"momentum equation of y vs linearized momentum equation": 1,
+      "momentum equation of v_y vs original momentum equation": 1}),
+])
+def test_tampered_vertical_density_fails_check(monkeypatch, capsys, module, name, make, extra,
+                                                model, failing):
+    monkeypatch.setattr(module, name, _tampered(getattr(module, name), make, extra))
+    report = deviq.check_model(deviq.load_model(model_path(model)))
+    assert not report.passed
+    assert str(report).splitlines()[0].endswith(f": FAIL ({len(report.entries)} pairs)")
+    got = {e.label: e.result.reason for e in report.entries if not e.result}
+    assert got == {label: f"normal forms differ by {n} terms" for label, n in failing.items()}
+    for label in failing:
+        assert f"  [different] {label}\n" in str(report)
+    assert deviq.cli.main(["check", str(model_path(model))]) == 1
+    assert capsys.readouterr().out == str(report) + "\n"
+
+
+def test_long_products_and_quotients_are_flattened(tmp_path):
+    """A product or quotient of 1500 factors, which the parser nests
+    1500 levels deep, derives and checks without a recursion error."""
+    src = tmp_path / "long.eqn"
+    for op, derivative in (("*", "-1500*y^1499"), ("/", "1498/y^1499")):
+        src.write_text("base t\nfibre y\nlagrangian 0.5*y_t^2 - " + op.join(["y"] * 1500) + "\n")
+        res = run_cli("derive", src)
+        assert (res.returncode, res.stdout, res.stderr) == (0, f"{derivative} - y_tt = 0\n", "")
+        res = run_cli("check", src)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("δ(VL) = V(δL): PASS (2 pairs)\n")
 
 
 def write_console_script(bin_dir, name, target):

@@ -7,11 +7,19 @@ names.  `render` is the one reader of decoded names, for LaTeX output.
 Generated code is defined in one place, `numeric._define`, from text that
 `numeric._emit` writes.  No module builds its classes with `dataclasses`,
 and only the package and the CLI load `numeric`, where a numeric name is
-used, so the symbolic commands start without it.
+used, so the symbolic commands start without it.  `check` decides each
+pair by its normal form, so only `expr` and the package's re-export name
+`equivalent` and its sampler; a cold symbolic command loads neither
+`random`, nor `json`, nor `numpy`.
 """
 
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 import deviq
 
@@ -110,3 +118,30 @@ def test_numeric_imported_only_by_the_package_and_the_cli():
         if "numeric" in set(_imports(ast.parse(p.read_text())))
     }
     assert importers == {"__init__.py", "cli.py"}
+
+
+def test_equivalent_named_only_by_expr_and_the_package():
+    namers = {
+        p.name for p in SOURCES
+        if "equivalent" in set(_names(ast.parse(p.read_text())))
+    }
+    # `expr` defines it, and the package re-exports it
+    assert namers - {"expr.py"} == {"__init__.py"}
+
+
+@pytest.mark.parametrize("command", ["derive", "deviate", "check"])
+def test_symbolic_commands_load_no_random_json_or_numpy(tmp_path, command):
+    model = Path(deviq.__file__).parents[2] / "models" / "pendulum.eqn"
+    # site hooks may load some of these before any user code runs: forget
+    # them, so the command must import them anew to have them again
+    script = textwrap.dedent(f"""
+        import sys
+        AVOIDED = ("random", "json", "numpy")
+        for name in AVOIDED:
+            sys.modules.pop(name, None)
+        from deviq import cli
+        code = cli.main([{command!r}, {str(model)!r}, "--out", {str(tmp_path / "out")!r}])
+        print(code, [name for name in AVOIDED if name in sys.modules])
+    """)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.stdout == "0 []\n", res.stderr
