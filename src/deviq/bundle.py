@@ -178,6 +178,10 @@ class BundleSpec(Value):
         )
         object.__setattr__(self, "momenta", momenta)
         object.__setattr__(self, "vertical", vertical)
+        # name -> its `classify` decode: a derivation asks for the same few
+        # dozen names thousands of times.  Not a field, so it takes no part
+        # in equality, hashing or repr.
+        object.__setattr__(self, "_decodes", {})
         self._validate()
 
     def _validate(self):
@@ -370,8 +374,15 @@ class BundleSpec(Value):
         return MultiIndex(tuple(out))
 
     def classify(self, name: str) -> Optional[_Coord]:
-        """Parse a generated-coordinate name; None if it is not one."""
+        """Parse a generated-coordinate name; None if it is not one.  A
+        name is decoded once per spec; an ambiguous one raises every time."""
         name = _sym_name(name)
+        decodes = self._decodes
+        if name not in decodes:
+            decodes[name] = self._decode(name)
+        return decodes[name]
+
+    def _decode(self, name: str) -> Optional[_Coord]:
         segs = name.split("_")
         readings = []
         fnames = self.fibre_names

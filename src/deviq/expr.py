@@ -394,10 +394,13 @@ def _poly_mul(p: _Poly, q: _Poly, out=None) -> _Poly:
         for m2, c2 in q.items():
             mono = _mono_mul(m1, m2)
             c = c1 * c2
-            s = out.get(mono, Fraction(0)) + c
-            if s:
+            # a new monomial takes its coefficient as it is, with no
+            # Fraction(0) made to add it to
+            if (s := out.get(mono)) is None:
+                out[mono] = c
+            elif s := s + c:
                 out[mono] = s
-            elif mono in out:
+            else:
                 del out[mono]
     return out
 
@@ -476,7 +479,9 @@ def _poly(e: Expr) -> _Poly:
                 out = _poly_mul(out, _poly(t))
             else:
                 for mono, c in _poly(t).items():
-                    if v := out.get(mono, 0) + c:
+                    if (v := out.get(mono)) is None:
+                        out[mono] = c
+                    elif v := v + c:
                         out[mono] = v
                     else:
                         del out[mono]
@@ -673,7 +678,9 @@ def _partials(p: _Poly, symbols) -> dict:
                 acc = out.setdefault(s, {})
                 if dp is not None:
                     _poly_mul({lowered: k}, dp, acc)
-                elif v := acc.get(lowered, 0) + k:
+                elif (v := acc.get(lowered)) is None:
+                    acc[lowered] = k
+                elif v := v + k:
                     acc[lowered] = v
                 else:
                     del acc[lowered]
@@ -762,14 +769,19 @@ def substitute(e: Expr, bindings: Mapping[Symbol, object]) -> Expr:
     """Simultaneous substitution of symbols by expressions; result normalized.
 
     All replacements refer to the original expression: swapping two
-    symbols through `bindings` exchanges them rather than chaining.
+    symbols through `bindings` exchanges them rather than chaining.  When
+    no bound symbol occurs in `e`, this is `normalize(e)`, found without
+    rebuilding the tree.
     """
     table = {}
     for k, v in bindings.items():
         if isinstance(k, Sym):
             k = k.symbol
         table[k] = as_expr(v)
-    return normalize(_substitute(as_expr(e), table))
+    e = as_expr(e)
+    if not table or table.keys().isdisjoint(free_symbols(e)):
+        return normalize(e)
+    return normalize(_substitute(e, table))
 
 
 def _substitute(e: Expr, table) -> Expr:

@@ -51,6 +51,8 @@ from .expr import (
     Rat,
     Sym,
     Symbol,
+    _from_poly,
+    _poly,
     diff,
     free_symbols,
     normalize,
@@ -403,11 +405,13 @@ def _param_bindings(spec: BundleSpec) -> dict:
 def compile_system(system: EquationSystem) -> FirstOrderSystem:
     """Reduce a system over a 1-dimensional base to explicit normal form.
 
-    Each equation must be affine in its single unsolved top derivative;
+    Each equation must be affine in its single unsolved top derivative w;
     equations are processed in order with earlier solutions substituted,
-    so one division per equation suffices.  A field whose derivative
-    never appears, or whose leading coefficient vanished identically, is
-    a singular equation.
+    so one division per equation suffices.  The leading coefficient is
+    one partial, de/dw, and the remainder is read from the stored
+    expansion of the equation: its monomials without a plain w factor,
+    at w = 0.  A field whose derivative never appears, or whose leading
+    coefficient vanished identically, is a singular equation.
     """
     spec = system.spec
     if spec.n != 1:
@@ -475,7 +479,11 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
             raise SingularEquationError(
                 f"zero leading coefficient for '{w.name}' in equation '{e}'"
             )
-        rest = substitute(e, {w: _ZERO})
+        # e is affine in w, so its monomials with a plain w factor vanish
+        # at w = 0; w may still sit inside the atoms of the others
+        plain = (Sym(w), 1)
+        r = _from_poly({m: k for m, k in _poly(e).items() if plain not in m})
+        rest = substitute(r, {w: _ZERO})
         solved[w] = normalize(Mul((Rat(Fraction(-1)), rest, Pow(c, Fraction(-1)))))
 
     states, rhs = [], []

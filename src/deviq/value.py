@@ -11,7 +11,8 @@ class gets
   * immutability: assigning or deleting an attribute raises AttributeError.
 
 Attributes that are not fields (a cached expansion, a compiled system, a
-`functools.cached_property`) take no part in equality, hashing or repr.
+spec's memo of decoded coordinate names, a `functools.cached_property`)
+take no part in equality, hashing or repr.
 """
 
 from operator import attrgetter

@@ -1,5 +1,7 @@
 """Jet coordinates: naming, classification, total and vertical derivatives."""
 
+import copy
+import pickle
 import re
 from pathlib import Path
 
@@ -211,3 +213,23 @@ def test_every_exported_name_resolves():
     listed = re.findall(r"`(\w+)`", paragraph)
     assert len(listed) >= 10
     assert [name for name in listed if name not in deviq.__all__] == []
+
+
+def test_decode_memo_is_invisible():
+    spec = BundleSpec.make(["t"], ["y"], order=2, momenta=True).vertical_extension()
+    fresh = BundleSpec.make(["t"], ["y"], order=2, momenta=True).vertical_extension()
+    text = repr(fresh)
+    for name in ("y_tt", "v_y_t", "pt_y", "vpt_y_t", "t", "nope"):
+        spec.classify(name)
+    assert spec._decodes  # the names were decoded, and kept
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == text
+    for clone in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert clone == spec and hash(clone) == hash(spec) and repr(clone) == text
+        assert clone.classify("v_y_t") == spec.classify("v_y_t")
+    # an unknown name is None on every call, an ambiguous one raises on every call
+    assert spec.classify("nope") is None and spec.classify("nope") is None
+    assert spec.classify(spec.symbol("y_tt")) is spec.classify("y_tt")
+    odd = BundleSpec.make(["t", "x"], ["v", "tx"], order=1)
+    for _ in range(2):
+        with pytest.raises(SpecError, match="coordinate name 'v_tx' is ambiguous"):
+            odd.classify("v_tx")

@@ -21,11 +21,12 @@ from deviq import (
     equivalent,
     evaluate,
     free_symbols,
+    gradient,
     normalize,
     substitute,
     to_text,
 )
-from deviq.expr import MAX_CONSTANT_DIGITS, MAX_EXPANSION_TERMS, _collect_symbols
+from deviq.expr import MAX_CONSTANT_DIGITS, MAX_EXPANSION_TERMS, ZERO, _collect_symbols, exp, ln
 from conftest import first_order_atoms, rand_expr
 
 SPEC = BundleSpec.make(["t"], ["y", "u"], order=2)
@@ -139,6 +140,34 @@ def test_substitute_is_simultaneous():
     e = normalize(Y * Y + U)
     swapped = substitute(e, {SPEC.symbol("y"): U, SPEC.symbol("u"): Y})
     assert swapped == normalize(U * U + Y)
+
+
+def test_substitute_of_no_occurring_symbol_is_the_normal_form_itself():
+    e = normalize(Y * Y + U)
+    assert substitute(e, {}) is e
+    assert substitute(e, {SPEC.symbol("t"): as_expr(5)}) is e
+    assert substitute(Y * U, {T: 1}) == normalize(Y * U)
+    with pytest.raises(TypeError):
+        substitute(e, {SPEC.symbol("t"): "five"})  # values are still checked
+
+
+def test_cancelling_terms_leave_no_key():
+    y = SPEC.symbol("y")
+    # a sum, a product and a partial, each of whose terms cancel entirely
+    assert normalize((Y + 1) * (Y - 1) - (Y * Y - 1)) is ZERO
+    assert gradient(Fun("sin", Y) ** 2 + Fun("cos", Y) ** 2, [y]) == {y: ZERO}
+    # the symbol's own term and the chain rule through an atom cancel
+    for e in (Y - ln(exp(Y)), ln(exp(Y)) - Y):
+        assert normalize(e) != ZERO
+        assert gradient(e, [y]) == {y: ZERO} and diff(e, y) is ZERO
+    # partly cancelling ones keep just the surviving monomials
+    for e, survivors in [
+        ((Y + 1) * (Y - 1), {((Y, 2),), ()}),
+        (Y * U + Y + 3 - Y, {((U, 1), (Y, 1)), ()}),
+        (diff(Y * Y * U - Y * U + ln(exp(Y)) * U, y), {((U, 1), (Y, 1))}),
+    ]:
+        p = normalize(e)._expansion
+        assert set(p) == survivors and all(p.values())
 
 
 def test_substitute_into_functions():

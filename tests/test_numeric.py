@@ -128,6 +128,44 @@ def test_compile_refusals(text, error, message):
         compile_system(EquationSystem(m.payload, m.spec))
 
 
+def _compile_one(equation):
+    m = parse_model(f"base t\nfibre y\nequation {equation}\n")
+    return compile_system(EquationSystem(m.payload, m.spec))
+
+
+@pytest.mark.parametrize("equation,rhs", [
+    # the top derivative also sits inside atoms that fold at y_t = 0
+    ("sqrt(y_t)^2 - y", "y"),
+    ("ln(exp(y_t)) - y", "y"),
+    ("y_t + sin(y_t)^2 + cos(y_t)^2 - y", "-1 + y"),
+])
+def test_compile_solves_a_top_derivative_inside_atoms(equation, rhs):
+    fos = _compile_one(equation)
+    assert fos.state_names == ("y",)
+    assert [str(r) for r in fos.rhs] == [rhs]
+
+
+@pytest.mark.parametrize("equation,shown", [
+    ("y_t - y_t^2", "y_t - y_t^2"),
+    ("y_t*cos(y_t) - y", "-y + y_t*cos(y_t)"),
+    ("sqrt(y_t) - y", "-y + sqrt(y_t)"),
+])
+def test_compile_refuses_an_equation_not_affine_in_its_top(equation, shown):
+    with pytest.raises(CompileError) as info:
+        _compile_one(equation)
+    assert str(info.value) == (
+        f"equation '{shown}' is not affine in 'y_t'; not in solvable normal form"
+    )
+
+
+def test_compile_refuses_a_zero_leading_coefficient():
+    with pytest.raises(SingularEquationError) as info:
+        _compile_one("sin(y_t)^2 + cos(y_t)^2 - y")
+    assert str(info.value) == (
+        "zero leading coefficient for 'y_t' in equation '-y + cos(y_t)^2 + sin(y_t)^2'"
+    )
+
+
 def test_integrate_exponential_accuracy():
     m = parse_model("base t\nfibre y\nequation y_t - y\n")
     fos = compile_system(deviation_system(derive_equations(m)))
