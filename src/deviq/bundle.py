@@ -180,7 +180,8 @@ class BundleSpec(Value):
         object.__setattr__(self, "vertical", vertical)
         # name -> its `classify` decode: a derivation asks for the same few
         # dozen names thousands of times.  Not a field, so it takes no part
-        # in equality, hashing or repr.
+        # in equality, hashing or repr; specs derived from this one share it
+        # (see `_sharing_decodes`).
         object.__setattr__(self, "_decodes", {})
         self._validate()
 
@@ -309,9 +310,16 @@ class BundleSpec(Value):
 
     # -- derived specs -----------------------------------------------------
 
+    def _sharing_decodes(self, spec: "BundleSpec") -> "BundleSpec":
+        # `_decode` reads only the base and fibre names and `momenta`, so a
+        # spec derived with those unchanged keeps the names decoded so far
+        object.__setattr__(spec, "_decodes", self._decodes)
+        return spec
+
     def with_order(self, order: int) -> "BundleSpec":
-        return BundleSpec(self.base, self.fibre, self.params, order, self.param_values,
-                          self.momenta, self.vertical)
+        return self._sharing_decodes(BundleSpec(
+            self.base, self.fibre, self.params, order, self.param_values,
+            self.momenta, self.vertical))
 
     def with_momenta(self) -> "BundleSpec":
         return BundleSpec(self.base, self.fibre, self.params, self.order, self.param_values,
@@ -322,15 +330,17 @@ class BundleSpec(Value):
             raise VerticalExtensionError(
                 "vertical extension applied twice: spec already carries vertical coordinates"
             )
-        return BundleSpec(self.base, self.fibre, self.params, self.order, self.param_values,
-                          self.momenta, True)
+        return self._sharing_decodes(BundleSpec(
+            self.base, self.fibre, self.params, self.order, self.param_values,
+            self.momenta, True))
 
     def bind_params(self, values) -> "BundleSpec":
         table = dict(self.param_values)
         for k, v in values.items():
             table[_sym_name(k)] = Fraction(v)
-        return BundleSpec(self.base, self.fibre, self.params, self.order,
-                          tuple(sorted(table.items())), self.momenta, self.vertical)
+        return self._sharing_decodes(BundleSpec(
+            self.base, self.fibre, self.params, self.order,
+            tuple(sorted(table.items())), self.momenta, self.vertical))
 
     # -- name generation and classification --------------------------------
 

@@ -332,13 +332,18 @@ def _key(e: Expr):
 # --------------------------------------------------------------------------
 # normalization
 #
-# Internal form: a polynomial maps monomials to Fraction coefficients.
-# A monomial is a sorted tuple of (atom, exponent) pairs, where atoms are
+# Internal form: a polynomial maps monomials to coefficients.  A
+# coefficient is a reduced (numerator, denominator) pair of ints, the
+# denominator positive and the numerator never 0 (a sum that cancels
+# deletes its monomial); `_qmul`, `_qadd` and `_qpow` do the arithmetic on
+# plain ints, several times faster than `Fraction`'s Python methods.  A
+# monomial is a sorted tuple of (atom, exponent) pairs, where atoms are
 # canonical non-product expressions (symbols, function applications, or
 # powers kept opaque because expanding them would be unsound).  Whole
 # exponents are ints, which hash and add far faster than Fractions; the
 # others are Fractions.  A normal form built by `_from_poly` keeps its
-# polynomial in `_expansion`.
+# polynomial in `_expansion`; `Fraction`s are made only for the `Rat`
+# nodes of the tree.
 
 _Poly = dict
 
@@ -362,6 +367,45 @@ _CONSTANT_BOUND = 10**MAX_CONSTANT_DIGITS
 #: deep, `check` takes under 1 s and `simulate` over its default window
 #: about 2 s, like the largest expansion, (y + 1)^499.
 MAX_NESTING = 35
+
+
+#: the coefficient 1
+_QONE = (1, 1)
+
+
+def _qmul(a, b):
+    """The product of two coefficients."""
+    (an, ad), (bn, bd) = a, b
+    if ad == 1 and bd == 1:
+        return (an * bn, 1)
+    g, h = math.gcd(an, bd), math.gcd(bn, ad)
+    return ((an // g) * (bn // h), (ad // h) * (bd // g))
+
+
+def _qadd(a, b):
+    """The sum of two coefficients, None when it is zero."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        n = an + bn
+        if not n:
+            return None
+        if ad == 1:
+            return (n, 1)
+        d = ad
+    else:
+        # reduced values with different denominators never cancel
+        n, d = an * bd + bn * ad, ad * bd
+    g = math.gcd(n, d)
+    return (n // g, d // g)
+
+
+def _qpow(a, n: int):
+    """A coefficient to the power of the int `n`, which may be negative."""
+    an, ad = a
+    if n >= 0:
+        return (an**n, ad**n)
+    num, den = ad ** -n, an ** -n
+    return (-num, -den) if den < 0 else (num, den)
 
 
 def _integral(x):
@@ -393,12 +437,12 @@ def _poly_mul(p: _Poly, q: _Poly, out=None) -> _Poly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             mono = _mono_mul(m1, m2)
-            c = c1 * c2
-            # a new monomial takes its coefficient as it is, with no
-            # Fraction(0) made to add it to
+            c = _qmul(c1, c2)
+            # a new monomial takes its coefficient as it is, with no zero
+            # made to add it to
             if (s := out.get(mono)) is None:
                 out[mono] = c
-            elif s := s + c:
+            elif s := _qadd(s, c):
                 out[mono] = s
             else:
                 del out[mono]
@@ -406,7 +450,7 @@ def _poly_mul(p: _Poly, q: _Poly, out=None) -> _Poly:
 
 
 def _poly_int_pow(p: _Poly, n: int) -> _Poly:
-    result = {(): Fraction(1)}
+    result = {(): _QONE}
     square = p
     while n:
         if n & 1:
@@ -418,7 +462,7 @@ def _poly_int_pow(p: _Poly, n: int) -> _Poly:
 
 
 def _atom_poly(atom: Expr, exponent=1) -> _Poly:
-    return {((atom, exponent),): Fraction(1)}
+    return {((atom, exponent),): _QONE}
 
 
 def _rational_root(c: Fraction, q: Fraction):
@@ -455,13 +499,17 @@ _EXACT_FUN_VALUES = {
 }
 
 
+def _rat_poly(r: Fraction) -> _Poly:
+    return {(): (r.numerator, r.denominator)} if r else {}
+
+
 def _poly(e: Expr) -> _Poly:
     """The expansion of `e`.  It may be the one a normal form carries, so
     callers read it and never change it."""
     if e._expansion is not None:
         return e._expansion
     if isinstance(e, Rat):
-        return {(): e.value} if e.value else {}
+        return _rat_poly(e.value)
     if isinstance(e, Sym):
         return _atom_poly(e)
     if isinstance(e, (Add, Mul)):
@@ -469,7 +517,7 @@ def _poly(e: Expr) -> _Poly:
         # left-deep) are walked with a stack, not a recursion per level; a
         # sum adds its terms into one dict, so no partial sum is copied
         kind = type(e)
-        out: _Poly = {} if kind is Add else {(): Fraction(1)}
+        out: _Poly = {} if kind is Add else {(): _QONE}
         stack = [e]
         while stack:
             t = stack.pop()
@@ -481,7 +529,7 @@ def _poly(e: Expr) -> _Poly:
                 for mono, c in _poly(t).items():
                     if (v := out.get(mono)) is None:
                         out[mono] = c
-                    elif v := v + c:
+                    elif v := _qadd(v, c):
                         out[mono] = v
                     else:
                         del out[mono]
@@ -491,11 +539,11 @@ def _poly(e: Expr) -> _Poly:
         if isinstance(arg, Rat):
             exact = _EXACT_FUN_VALUES.get((e.name, arg.value))
             if exact is not None:
-                return {(): exact} if exact else {}
+                return _rat_poly(exact)
             if e.name == "sqrt":
                 r = _rational_root(arg.value, Fraction(1, 2))
                 if r is not None:
-                    return {(): r} if r else {}
+                    return _rat_poly(r)
             if e.name == "ln" and arg.value == 0:
                 raise DomainError(e, "logarithm of zero")
         return _atom_poly(e if arg is e.arg else Fun(e.name, arg))
@@ -504,7 +552,7 @@ def _poly(e: Expr) -> _Poly:
         base = _poly(e.base)
         if q == 0:
             # 0**0 follows the polynomial convention and folds to 1
-            return {(): Fraction(1)}
+            return {(): _QONE}
         if not base:
             if q < 0:
                 raise DomainError(e, "zero raised to a negative power")
@@ -517,13 +565,14 @@ def _poly(e: Expr) -> _Poly:
                 out_mono = tuple(
                     (atom, _integral(ex * n)) for atom, ex in mono if ex * n != 0
                 )
-                return {out_mono: coeff**n}
+                return {out_mono: _qpow(coeff, n)}
             if not mono:
-                r = _rational_root(coeff, q)
+                c = Fraction(*coeff)
+                r = _rational_root(c, q)
                 if r is not None:
-                    return {(): r} if r else {}
-                return _atom_poly(Pow(Rat(coeff), q))
-            if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
+                    return _rat_poly(r)
+                return _atom_poly(Pow(Rat(c), q))
+            if coeff == _QONE and len(mono) == 1 and mono[0][1] == 1:
                 return _atom_poly(mono[0][0], q)
             return _atom_poly(_opaque_pow(e, base))
         if q.denominator == 1 and q > 0:
@@ -549,7 +598,7 @@ def _check_power(e: Pow, base: _Poly) -> None:
                 raise ExpansionLimitError(
                     f"a power would build an exponent longer than {MAX_CONSTANT_DIGITS} digits"
                 )
-        size = max(abs(c.numerator), c.denominator)
+        size = max(abs(c[0]), c[1])
     elif den != 1 or e.exponent < 0:
         return  # an opaque atom: nothing is expanded
     else:
@@ -562,7 +611,7 @@ def _check_power(e: Pow, base: _Poly) -> None:
                 raise ExpansionLimitError(
                     f"'{e}' would expand to more than {MAX_EXPANSION_TERMS} terms"
                 )
-        size = k * max(max(abs(c.numerator), c.denominator) for c in base.values())
+        size = k * max(max(abs(n), d) for n, d in base.values())
     # a numerator or denominator of the result is at most size^(num/den),
     # with size = k times the largest numerator or denominator of `base`
     if size > 1 and (
@@ -586,20 +635,20 @@ def _from_poly(p: _Poly) -> Expr:
     terms = []
     for mono in sorted(p, key=lambda m: tuple((_key(a), (x.numerator, x.denominator)) for a, x in m)):
         coeff = p[mono]
-        if not (-_CONSTANT_BOUND < coeff.numerator < _CONSTANT_BOUND
-                and coeff.denominator < _CONSTANT_BOUND):
+        num, den = coeff
+        if not (-_CONSTANT_BOUND < num < _CONSTANT_BOUND and den < _CONSTANT_BOUND):
             raise ExpansionLimitError(
                 f"a normal form would hold a constant longer than {MAX_CONSTANT_DIGITS} digits"
             )
         factors = [atom if ex == 1 else Pow(atom, Fraction(ex)) for atom, ex in mono]
         if not factors:
-            terms.append(Rat(coeff))
-        elif coeff == 1 and len(factors) == 1:
+            terms.append(Rat(Fraction(num, den)))
+        elif coeff == _QONE and len(factors) == 1:
             terms.append(factors[0])
-        elif coeff == 1:
+        elif coeff == _QONE:
             terms.append(Mul(tuple(factors)))
         else:
-            terms.append(Mul((Rat(coeff), *factors)))
+            terms.append(Mul((Rat(Fraction(num, den)), *factors)))
     if not terms:
         return ZERO
     if len(terms) > 1:
@@ -673,14 +722,14 @@ def _partials(p: _Poly, symbols) -> dict:
                 continue
             rest = mono[i + 1 :] if ex == 1 else ((atom, ex - 1), *mono[i + 1 :])
             lowered = mono[:i] + rest
-            k = c * ex
+            k = _qmul(c, (ex.numerator, ex.denominator))
             for s, dp in inner:
                 acc = out.setdefault(s, {})
                 if dp is not None:
                     _poly_mul({lowered: k}, dp, acc)
                 elif (v := acc.get(lowered)) is None:
                     acc[lowered] = k
-                elif v := v + k:
+                elif v := _qadd(v, k):
                     acc[lowered] = v
                 else:
                     del acc[lowered]

@@ -88,3 +88,13 @@ def first_order_atoms(spec: BundleSpec):
         out.append(Sym(spec.symbol(f)))
         out.append(Sym(spec.symbol(f + "_" + spec.base_names[0])))
     return out
+
+
+def reduced_pairs(p: dict) -> bool:
+    """True when every coefficient of the expansion `p` is a reduced
+    (numerator, denominator) pair of ints, the denominator positive and
+    the numerator not zero."""
+    return all(
+        type(n) is int and type(d) is int and n and d > 0 and math.gcd(n, d) == 1
+        for n, d in p.values()
+    )

@@ -233,3 +233,46 @@ def test_decode_memo_is_invisible():
     for _ in range(2):
         with pytest.raises(SpecError, match="coordinate name 'v_tx' is ambiguous"):
             odd.classify("v_tx")
+
+
+def test_derived_specs_share_the_decode_memo(monkeypatch):
+    decoded = []
+    plain = BundleSpec._decode
+
+    def counting(self, name):
+        decoded.append(name)
+        return plain(self, name)
+
+    monkeypatch.setattr(BundleSpec, "_decode", counting)
+    names = ("y_tt", "v_y_t", "pt_y", "vpt_y_t", "nope")
+    spec = BundleSpec.make(["t"], ["y"], params=["k"], order=1, momenta=True)
+    for name in names:
+        spec.classify(name)
+    assert decoded == list(names)
+    derived = [spec.with_order(3), spec.vertical_extension(), spec.bind_params({"k": 2}),
+               spec.with_order(2).vertical_extension().bind_params({"k": 1})]
+    for d in derived:
+        for name in names:
+            assert d.classify(name) == spec.classify(name)
+        assert d._decodes is spec._decodes
+    assert decoded == list(names)  # no name was decoded again
+    # the memo stays out of equality, hashing, repr, copies and pickles
+    for d in derived:
+        fresh = BundleSpec(d.base, d.fibre, d.params, d.order, d.param_values, d.momenta,
+                           d.vertical)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
+            assert clone.classify("v_y_t") == spec.classify("v_y_t")
+    # momenta change what a name decodes to, so `with_momenta` starts afresh
+    bare = BundleSpec.make(["t"], ["y"], order=1)
+    assert bare.classify("pt_y") is None
+    with_momenta = bare.with_momenta()
+    assert with_momenta._decodes is not bare._decodes
+    assert with_momenta.classify("pt_y") is not None and bare.classify("pt_y") is None
+    # an ambiguous name is never kept, so it raises on every call of every spec
+    odd = BundleSpec.make(["t", "x"], ["v", "tx"], order=1)
+    for s in (odd, odd.with_order(1), odd.bind_params({})):
+        for _ in range(2):
+            with pytest.raises(SpecError, match="coordinate name 'v_tx' is ambiguous"):
+                s.classify("v_tx")

@@ -36,13 +36,15 @@ from deviq import (
     gradient,
     load_model,
     normalize,
+    parse_model,
     substitute,
+    to_text,
     total_derivative,
     vertical_derivative,
 )
 from deviq import expr
 from deviq.expr import DEPENDENT_KINDS, ZERO, _diff, _poly, _substitute, derivation, ln, sqrt
-from conftest import rand_expr
+from conftest import rand_expr, reduced_pairs
 
 GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 
@@ -222,6 +224,7 @@ def test_stored_expansion_survives_every_operation():
         assert substitute(n, {}) is n, seed
         assert substitute(n, {absent: Rat(Fraction(2))}) is n, seed
         assert n._expansion is stored and stored == snapshot, seed
+        assert reduced_pairs(stored), seed
     assert compared >= 50
 
 
@@ -260,3 +263,24 @@ def test_constructors_take_normal_forms_without_expanding(monkeypatch):
     monkeypatch.setattr(expr, "_poly_mul", refuse)
     assert EquationSystem(system.equations, system.spec, "deviation-pair") == system
     assert Lagrangian(lagrangian.density, lagrangian.spec) == lagrangian
+
+
+def test_kernel_does_no_fraction_arithmetic(monkeypatch):
+    text = (GOLDEN_MODELS / "fpu-L4.eqn").read_text(encoding="utf-8")
+    expected = load_model(GOLDEN_MODELS / "fpu-L4.eqn").lagrangian().density
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the polynomial kernel")
+
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    density = parse_model(text).lagrangian().density
+    symbols = sorted(free_symbols(density), key=lambda s: s.name)
+    partials = gradient(density, symbols)
+    flow = derivation(density, lambda s: True, lambda s: Sym(s))
+    monkeypatch.undo()
+    # rendering multiplies Fractions, so it is compared with the patch undone
+    assert density == expected
+    assert partials == gradient(expected, symbols)
+    assert flow == derivation(expected, lambda s: True, lambda s: Sym(s))
+    assert len(symbols) == 8 and "q4^3" in to_text(flow)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deviq import (
     BundleSpec,
@@ -26,8 +28,18 @@ from deviq import (
     substitute,
     to_text,
 )
-from deviq.expr import MAX_CONSTANT_DIGITS, MAX_EXPANSION_TERMS, ZERO, _collect_symbols, exp, ln
-from conftest import first_order_atoms, rand_expr
+from deviq.expr import (
+    MAX_CONSTANT_DIGITS,
+    MAX_EXPANSION_TERMS,
+    ZERO,
+    _collect_symbols,
+    _qadd,
+    _qmul,
+    _qpow,
+    exp,
+    ln,
+)
+from conftest import first_order_atoms, rand_expr, reduced_pairs
 
 SPEC = BundleSpec.make(["t"], ["y", "u"], order=2)
 T = Sym(SPEC.symbol("t"))
@@ -167,7 +179,29 @@ def test_cancelling_terms_leave_no_key():
         (diff(Y * Y * U - Y * U + ln(exp(Y)) * U, y), {((U, 1), (Y, 1))}),
     ]:
         p = normalize(e)._expansion
-        assert set(p) == survivors and all(p.values())
+        assert set(p) == survivors and reduced_pairs(p)
+
+
+def _pair(q: Fraction) -> tuple:
+    return (q.numerator, q.denominator)
+
+
+#: signed rationals whose numerators and denominators reach past 2^64
+COEFFICIENTS = st.builds(
+    Fraction, st.integers(-(2**80), 2**80).filter(bool), st.integers(1, 2**70)
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(a=COEFFICIENTS, b=COEFFICIENTS, n=st.integers(-7, 7))
+@example(a=Fraction(-3, 2), b=Fraction(3, 2), n=-3)
+@example(a=Fraction(2**65 + 1, 3), b=Fraction(-(2**65) + 2, 3), n=-2)
+@example(a=Fraction(-4), b=Fraction(4), n=-1)
+def test_pair_arithmetic_is_fraction_arithmetic(a, b, n):
+    assert _qmul(_pair(a), _pair(b)) == _pair(a * b)
+    assert _qadd(_pair(a), _pair(b)) == (_pair(a + b) if a + b else None)
+    assert _qadd(_pair(a), _pair(-a)) is None  # a sum that cancels
+    assert _qpow(_pair(a), n) == _pair(a**n)
 
 
 def test_substitute_into_functions():
