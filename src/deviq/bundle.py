@@ -1,21 +1,22 @@
 """Coordinate atlas of jet prolongations and their vertical extension.
 
 A BundleSpec fixes base coordinates x^lam, fibre coordinates y^i and
-parameters.  Derived coordinates are generated by deterministic naming
-rules and never stored:
+parameters.  A derived coordinate is never stored: its name is a prefix,
+a fibre name, and for a jet `_<suffix>`, the base names of its index in
+declaration order.  One table per spec maps (vertical, momentum base) to
+the prefix; `_coord_name` writes names and `_decode` reads them with it:
 
-    jet              y_tt, u_xt     <field>_<suffix>, suffix = base names
-                                    sorted by declaration order
-    vertical         v_y, v_y_tt    v_<field>[_<suffix>]
-    momentum         pt_y           p<base>_<fibre>
-    vertical mom.    vpt_y          vp<base>_<fibre>
+    (False, None)   ""        y, y_tt, u_xt
+    (True, None)    "v_"      v_y, v_y_tt
+    (False, lam)    "p<x>_"   pt_y, pt_y_t    x the name of base lam;
+    (True, lam)     "vp<x>_"  vpt_y           with momenta only
 
 Momentum coordinates carry jets of their own (pt_y_t) so the divergence
 of p^lam_i along the base is expressible.  User identifiers never
 contain underscores, which keeps the generated namespace disjoint from
-user names; residual ambiguities between generated families (a fibre
-named `xt` versus the two-entry jet suffix `xt`) are detected when the
-spec is built.
+user names; residual ambiguities between readings (a fibre named `xt`
+versus the two-entry jet suffix `xt`) are refused when the spec is
+built, or at lookup for a jet above the spec's order.
 
 The vertical partner of a jet coordinate and the jet of a vertical
 coordinate produce the same symbol by construction, so the canonical
@@ -116,15 +117,14 @@ def multiindices(n: int, max_order: int, min_order: int = 0) -> Iterable[MultiIn
 
 
 class _Coord(Value):
-    """Internal classification of a generated-coordinate name: its family
-    ("fibre" or "momentum"), field position, multi-index, whether it is
-    vertical, and for a momentum its base position."""
+    """Internal classification of a generated-coordinate name: its field
+    position, multi-index, whether it is vertical, and for a momentum its
+    base position (None for every other coordinate)."""
 
-    _fields = ("family", "field", "index", "vertical", "mom_base")
+    _fields = ("field", "index", "vertical", "mom_base")
 
-    def __init__(self, family: str, field: int, index: MultiIndex, vertical: bool,
+    def __init__(self, field: int, index: MultiIndex, vertical: bool,
                  mom_base: Optional[int] = None):
-        object.__setattr__(self, "family", family)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "vertical", vertical)
@@ -148,17 +148,7 @@ class BundleSpec(Value):
     @staticmethod
     def make(base, fibre, params=(), order=1, values=None, momenta=False):
         """Build a spec from plain strings; `values` binds parameters."""
-        values = dict(values or {})
-        return BundleSpec(
-            base=tuple(Symbol(b, SymbolKind.BASE) for b in base),
-            fibre=tuple(Symbol(f, SymbolKind.FIBRE) for f in fibre),
-            params=tuple(Symbol(p, SymbolKind.PARAMETER) for p in params),
-            order=order,
-            param_values=tuple(
-                sorted((k, Fraction(v)) for k, v in values.items())
-            ),
-            momenta=momenta,
-        )
+        return BundleSpec(base, fibre, params, order, tuple(dict(values or {}).items()), momenta)
 
     def __init__(self, base: tuple, fibre: tuple, params: tuple = (), order: int = 1,
                  param_values: tuple = (), momenta: bool = False, vertical: bool = False):
@@ -183,6 +173,14 @@ class BundleSpec(Value):
         # in equality, hashing or repr; specs derived from this one share it
         # (see `_sharing_decodes`).
         object.__setattr__(self, "_decodes", {})
+        # (vertical, momentum base) -> name prefix: the naming rule, read by
+        # `_coord_name` and `_decode` alike.  Not a field either.
+        prefixes = {(False, None): "", (True, None): "v_"}
+        if momenta:
+            for b, s in enumerate(base):
+                prefixes[False, b] = f"p{s.name}_"
+                prefixes[True, b] = f"vp{s.name}_"
+        object.__setattr__(self, "_prefixes", prefixes)
         self._validate()
 
     def _validate(self):
@@ -244,10 +242,12 @@ class BundleSpec(Value):
                 f"jet order {self.order} over {n} base coordinate(s) gives {count} "
                 f"multi-indices per field, more than {MAX_JET_INDICES}"
             )
-        families = [("fibre", None)] + [("momentum", b) for b in range(n) if self.momenta]
+        # claimed by momentum base, then index, then vertical: the order
+        # fixes which claimant a collision message names first
+        mom_bases = dict.fromkeys(mb for _, mb in self._prefixes)
         indices = tuple(multiindices(n, top))
         for i, f in enumerate(self.fibre_names):
-            for (family, mb), idx, vertical in itertools.product(families, indices, (False, True)):
+            for mb, idx, vertical in itertools.product(mom_bases, indices, (False, True)):
                 if idx.order:
                     what = f"jet of '{f}'"
                 elif mb is not None:
@@ -257,7 +257,7 @@ class BundleSpec(Value):
                 else:
                     continue  # the declared fibre name itself
                 what = ("vertical " if vertical else "") + ("momentum " if mb is not None else "") + what
-                claim(self._coord_name(_Coord(family, i, idx, vertical, mb)), what)
+                claim(self._coord_name(_Coord(i, idx, vertical, mb)), what)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -311,7 +311,7 @@ class BundleSpec(Value):
     # -- derived specs -----------------------------------------------------
 
     def _sharing_decodes(self, spec: "BundleSpec") -> "BundleSpec":
-        # `_decode` reads only the base and fibre names and `momenta`, so a
+        # `_decode` reads only the fibre names and the prefix table, so a
         # spec derived with those unchanged keeps the names decoded so far
         object.__setattr__(spec, "_decodes", self._decodes)
         return spec
@@ -345,25 +345,17 @@ class BundleSpec(Value):
     # -- name generation and classification --------------------------------
 
     def _coord_name(self, c: _Coord) -> str:
-        f = self.fibre[c.field].name
-        if c.family == "momentum":
-            stem = f"p{self.base[c.mom_base].name}_{f}"
-            if c.vertical:
-                stem = "v" + stem
-        else:
-            stem = f"v_{f}" if c.vertical else f
+        name = self._prefixes[c.vertical, c.mom_base] + self.fibre[c.field].name
         if c.index.order:
-            stem += "_" + c.index.suffix(self.base_names)
-        return stem
+            name += "_" + c.index.suffix(self.base_names)
+        return name
 
     def _coord_kind(self, c: _Coord) -> SymbolKind:
-        if c.family == "momentum":
-            if c.vertical:
-                return SymbolKind.VERTICAL_MOMENTUM
-            return SymbolKind.JET if c.index.order else SymbolKind.MOMENTUM
         if c.vertical:
-            return SymbolKind.VERTICAL
-        return SymbolKind.JET if c.index.order else SymbolKind.FIBRE
+            return SymbolKind.VERTICAL if c.mom_base is None else SymbolKind.VERTICAL_MOMENTUM
+        if c.index.order:
+            return SymbolKind.JET
+        return SymbolKind.FIBRE if c.mom_base is None else SymbolKind.MOMENTUM
 
     def _coord_symbol(self, c: _Coord) -> Symbol:
         return Symbol(self._coord_name(c), self._coord_kind(c))
@@ -393,48 +385,29 @@ class BundleSpec(Value):
         return decodes[name]
 
     def _decode(self, name: str) -> Optional[_Coord]:
-        segs = name.split("_")
-        readings = []
+        # one reading per prefix the name starts with: a declared fibre,
+        # then an optional `_suffix` of jet order at least 1
         fnames = self.fibre_names
-
-        def fibre_reading(segs, vertical):
-            if segs[0] not in fnames:
-                return
-            fld = fnames.index(segs[0])
-            if len(segs) == 1:
-                readings.append(_Coord("fibre", fld, MultiIndex(), vertical))
-            elif len(segs) == 2:
-                idx = self._decode_suffix(segs[1])
-                if idx is not None and idx.order:
-                    readings.append(_Coord("fibre", fld, idx, vertical))
-
-        def momentum_reading(segs, vertical):
-            if not self.momenta or segs[0][:1] != "p":
-                return
-            bname = segs[0][1:]
-            if bname not in self.base_names or len(segs) < 2 or segs[1] not in fnames:
-                return
-            mb = self.base_names.index(bname)
-            fld = fnames.index(segs[1])
-            if len(segs) == 2:
-                readings.append(_Coord("momentum", fld, MultiIndex(), vertical, mb))
-            elif len(segs) == 3:
-                idx = self._decode_suffix(segs[2])
-                if idx is not None and idx.order:
-                    readings.append(_Coord("momentum", fld, idx, vertical, mb))
-
-        fibre_reading(segs, False)
-        if segs[0] == "v" and len(segs) > 1:
-            fibre_reading(segs[1:], True)
-        momentum_reading(segs, False)
-        if segs[0][:1] == "v":
-            momentum_reading([segs[0][1:], *segs[1:]], True)
-
-        if not readings:
-            return None
-        if len(set(readings)) > 1:
+        readings = []
+        for (vertical, mb), prefix in self._prefixes.items():
+            if not name.startswith(prefix):
+                continue
+            fibre, sep, suffix = name[len(prefix):].partition("_")
+            if fibre not in fnames:
+                continue
+            idx = self._decode_suffix(suffix)
+            if idx is None or (sep and not idx.order):
+                continue
+            readings.append(_Coord(fnames.index(fibre), idx, vertical, mb))
+        if len(readings) > 1:
             raise SpecError(f"coordinate name '{name}' is ambiguous")
-        return readings[0]
+        return readings[0] if readings else None
+
+    def _coord(self, sym) -> _Coord:
+        c = self.classify(sym)
+        if c is None:
+            raise UnknownSymbolError(_sym_name(sym))
+        return c
 
     def symbol(self, name) -> Symbol:
         """Resolve any valid coordinate or parameter name to its Symbol."""
@@ -442,23 +415,18 @@ class BundleSpec(Value):
         for s in (*self.base, *self.params):
             if s.name == name:
                 return s
-        c = self.classify(name)
-        if c is None:
-            raise UnknownSymbolError(name)
-        return self._coord_symbol(c)
+        return self._coord_symbol(self._coord(name))
 
     def jet(self, sym, index: MultiIndex) -> Symbol:
         """The coordinate holding d_index of the coordinate `sym`: a fibre,
         vertical or momentum coordinate, or a jet of one of them."""
-        c = self.classify(_sym_name(sym))
-        if c is None:
-            raise UnknownSymbolError(_sym_name(sym))
+        c = self._coord(sym)
         if index.entries and max(index.entries) >= self.n:
             raise SpecError(f"multi-index {index} exceeds base dimension {self.n}")
         idx = MultiIndex(c.index.entries + index.entries)
         if idx.order > self.order:
             raise OrderOverflowError(_sym_name(sym), idx.order)
-        return self._coord_symbol(_Coord(c.family, c.field, idx, c.vertical, c.mom_base))
+        return self._coord_symbol(_Coord(c.field, idx, c.vertical, c.mom_base))
 
     def momentum(self, lam, fld, vertical: bool = False) -> Symbol:
         if not self.momenta:
@@ -466,7 +434,7 @@ class BundleSpec(Value):
         mb = lam if isinstance(lam, int) else self.base_position(lam)
         if not isinstance(fld, int):
             fld = self.fibre_position(fld)
-        return self._coord_symbol(_Coord("momentum", fld, MultiIndex(), vertical, mb))
+        return self._coord_symbol(_Coord(fld, MultiIndex(), vertical, mb))
 
     def conjugate_momentum(self, fld, lam) -> Symbol:
         """Momentum conjugate to a variational field along base direction lam.
@@ -475,27 +443,23 @@ class BundleSpec(Value):
         vertical momentum, the partner of v_y is the plain momentum.
         """
         c = self.classify(_sym_name(fld))
-        if c is None or c.family != "fibre" or c.index.order:
+        if c is None or c.mom_base is not None or c.index.order:
             raise SpecError(f"'{_sym_name(fld)}' is not an order-0 field coordinate")
         if c.vertical:
             return self.momentum(lam, c.field, vertical=False)
         return self.momentum(lam, c.field, vertical=self.vertical)
 
     def vertical_partner(self, sym) -> Symbol:
-        c = self.classify(_sym_name(sym))
-        if c is None:
-            raise UnknownSymbolError(_sym_name(sym))
+        c = self._coord(sym)
         if c.vertical:
             raise VerticalExtensionError(
                 f"'{_sym_name(sym)}' is already a vertical coordinate"
             )
-        return self._coord_symbol(_Coord(c.family, c.field, c.index, True, c.mom_base))
+        return self._coord_symbol(_Coord(c.field, c.index, True, c.mom_base))
 
     def jet_order(self, sym) -> int:
         """Jet order of a coordinate; a Symbol's kind must match its name."""
-        c = self.classify(_sym_name(sym))
-        if c is None:
-            raise UnknownSymbolError(_sym_name(sym))
+        c = self._coord(sym)
         if isinstance(sym, Symbol) and sym.kind is not self._coord_kind(c):
             raise SpecError(f"'{sym.name}' is a {self._coord_kind(c).value}, not a {sym.kind.value}")
         return c.index.order

@@ -66,7 +66,7 @@ def _symbol_tex(sym: Symbol, spec: Optional[BundleSpec]) -> str:
     c = spec.classify(name)
     if c is None:  # foreign symbol: escape and move on
         return r"\mathrm{" + name.replace("_", r"\_") + "}"
-    if c.family == "fibre":
+    if c.mom_base is None:
         core = _name_tex(spec.fibre[c.field].name)
         if c.vertical:
             core = r"\dot{" + core + "}"

@@ -2,7 +2,9 @@
 
 import copy
 import pickle
+import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -126,6 +128,76 @@ def test_ambiguous_name_rejected_at_lookup():
     spec = BundleSpec.make(["t", "x"], ["v", "tx"], order=1)
     with pytest.raises(SpecError):
         spec.classify("v_tx")
+
+
+#: fibre names that read as prefixes, fibres or jet suffixes of one another
+CONFUSABLE = ("v", "p", "pt", "vp", "vpt", "tt", "tx", "yt", "y")
+BASES = (("t",), ("t", "x"), ("x", "t"), ("t", "y"))
+
+
+def _resolves(spec, sym, order, seen):
+    """Whether the generated `sym` resolves by name to itself, of jet order
+    `order`; if not, its name reads two ways and every lookup refuses it."""
+    try:
+        back = spec.symbol(sym.name)
+    except SpecError:
+        for _ in range(2):
+            with pytest.raises(SpecError, match=f"coordinate name '{sym.name}' is ambiguous"):
+                spec.symbol(sym.name)
+        seen["ambiguous"] += 1
+        return False
+    assert (back.name, back.kind) == (sym.name, sym.kind)
+    assert spec.jet_order(sym) == order
+    seen[sym.kind] += 1
+    return True
+
+
+def test_generated_names_round_trip():
+    # every name that `jet`, `vertical_partner` and `momentum` write reads
+    # back to the same symbol, or is refused on every lookup as ambiguous;
+    # a spec whose names collide within its order is refused outright
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(300):
+        base = rng.choice(BASES)
+        fibre = rng.sample(CONFUSABLE, rng.randint(1, 3))
+        order, momenta = rng.randint(0, 3), rng.random() < 0.5
+        try:
+            spec = BundleSpec.make(base, fibre, order=order, momenta=momenta)
+        except SpecError as refused:
+            for _ in range(2):
+                with pytest.raises(SpecError, match=re.escape(str(refused))):
+                    BundleSpec.make(base, fibre, order=order, momenta=momenta)
+            seen["refused"] += 1
+            continue
+        if rng.random() < 0.5:
+            spec = spec.vertical_extension()
+        roots = [(f, None) for f in spec.fibre]
+        if momenta:
+            roots += [(spec.momentum(lam, f), spec.momentum(lam, f, vertical=True))
+                      for lam in spec.base for f in spec.fibre]
+        for root, vertical_root in roots:
+            if not _resolves(spec, root, 0, seen):
+                with pytest.raises(SpecError, match="is ambiguous"):
+                    spec.jet(root, MultiIndex((0,)))
+                continue
+            partner = spec.vertical_partner(root)
+            assert vertical_root in (None, partner)
+            partner_resolves = _resolves(spec, partner, 0, seen)
+            for idx in multiindices(spec.n, spec.order, 1):
+                jet = spec.jet(root, idx)
+                if _resolves(spec, jet, idx.order, seen):
+                    vertical_jet = spec.vertical_partner(jet)
+                    if _resolves(spec, vertical_jet, idx.order, seen) and partner_resolves:
+                        assert spec.jet(partner, idx) == vertical_jet
+    assert set(seen) == {*SymbolKind, "ambiguous", "refused"} - {
+        SymbolKind.BASE, SymbolKind.PARAMETER}
+    assert seen["ambiguous"] >= 10 and seen["refused"] >= 10
+    # a separator is followed by a jet suffix of order at least 1
+    spec = BundleSpec.make(["t"], ["y"], momenta=True).vertical_extension()
+    for name in ("y_", "v_y_", "pt_y_", "vpt_y_", "y__t", "v_", "pt_", "v__y"):
+        with pytest.raises(UnknownSymbolError):
+            spec.symbol(name)
 
 
 def test_vertical_extension_applied_once():

@@ -2,8 +2,9 @@
 
 The naming rule of generated coordinates lives in `deviq.bundle`: other
 modules hand coordinates around as Symbols and ask the spec for jets and
-partners, so they neither name the private coordinate record nor decode
-names.  `render` is the one reader of decoded names, for LaTeX output.
+partners, so they name neither the private coordinate record, nor the
+prefix table that writes and reads names, nor the decoder.  `render` is
+the one reader of decoded names, for LaTeX output.
 Generated code is defined in one place, `numeric._define`, from text that
 `numeric._emit` writes.  No module builds its classes with `dataclasses`,
 and only the package and the CLI load `numeric`, where a numeric name is
@@ -24,7 +25,7 @@ import pytest
 import deviq
 
 SOURCES = sorted(Path(deviq.__file__).parent.glob("*.py"))
-PRIVATE_CODEC = {"_Coord", "_coord_name", "_coord_symbol"}
+PRIVATE_CODEC = {"_Coord", "_coord", "_coord_name", "_coord_symbol", "_decode", "_prefixes"}
 
 
 def _names(tree):

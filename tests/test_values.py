@@ -80,9 +80,9 @@ ROWS = [
     (MultiIndex, dict(entries=(1, 0)), ("entries",), "MultiIndex(0, 1)"),
     (
         _Coord,
-        dict(family="fibre", field=0, index=MultiIndex((0,)), vertical=True, mom_base=None),
-        ("family", "field", "index", "vertical", "mom_base"),
-        "_Coord(family='fibre', field=0, index=MultiIndex(0,), vertical=True, mom_base=None)",
+        dict(field=0, index=MultiIndex((0,)), vertical=True, mom_base=None),
+        ("field", "index", "vertical", "mom_base"),
+        "_Coord(field=0, index=MultiIndex(0,), vertical=True, mom_base=None)",
     ),
     (
         BundleSpec,
@@ -188,7 +188,7 @@ def test_value_semantics(cls, kwargs, fields, text):
 @pytest.mark.parametrize("make,field,default", [
     (lambda: EquivalenceResult("equal", "r"), "witness", None),
     (lambda: MultiIndex(), "entries", ()),
-    (lambda: _Coord("fibre", 0, MultiIndex(), False), "mom_base", None),
+    (lambda: _Coord(0, MultiIndex(), False), "mom_base", None),
     (lambda: BundleSpec(("t",), ("y",)), "params", ()),
     (lambda: BundleSpec(("t",), ("y",)), "order", 1),
     (lambda: BundleSpec(("t",), ("y",)), "param_values", ()),
