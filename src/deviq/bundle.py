@@ -202,9 +202,7 @@ class BundleSpec(Value):
 
         def claim(name, what):
             if name in claimed:
-                raise SpecError(
-                    f"coordinate name '{name}' is ambiguous: {claimed[name]} collides with {what}"
-                )
+                raise _ambiguous(name, (claimed[name], what))
             claimed[name] = what
 
         for s in (*self.base, *self.fibre, *self.params):
@@ -248,16 +246,9 @@ class BundleSpec(Value):
         indices = tuple(multiindices(n, top))
         for i, f in enumerate(self.fibre_names):
             for mb, idx, vertical in itertools.product(mom_bases, indices, (False, True)):
-                if idx.order:
-                    what = f"jet of '{f}'"
-                elif mb is not None:
-                    what = f"of '{f}' along '{names[mb]}'"
-                elif vertical:
-                    what = f"partner of '{f}'"
-                else:
-                    continue  # the declared fibre name itself
-                what = ("vertical " if vertical else "") + ("momentum " if mb is not None else "") + what
-                claim(self._coord_name(_Coord(i, idx, vertical, mb)), what)
+                if idx.order or mb is not None or vertical:  # not the fibre name itself
+                    c = _Coord(i, idx, vertical, mb)
+                    claim(self._coord_name(c), self._describe(c))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -400,8 +391,20 @@ class BundleSpec(Value):
                 continue
             readings.append(_Coord(fnames.index(fibre), idx, vertical, mb))
         if len(readings) > 1:
-            raise SpecError(f"coordinate name '{name}' is ambiguous")
+            raise _ambiguous(name, map(self._describe, readings))
         return readings[0] if readings else None
+
+    def _describe(self, c: _Coord) -> str:
+        """`c`, a generated name other than a fibre's own, as an ambiguity
+        message names it: "jet of 'y'", "vertical partner of 'y'" and so on."""
+        f = self.fibre[c.field].name
+        if c.index.order:
+            what = f"jet of '{f}'"
+        elif c.mom_base is not None:
+            what = f"of '{f}' along '{self.base[c.mom_base].name}'"
+        else:
+            what = f"partner of '{f}'"
+        return ("vertical " if c.vertical else "") + ("momentum " if c.mom_base is not None else "") + what
 
     def _coord(self, sym) -> _Coord:
         c = self.classify(sym)
@@ -473,6 +476,11 @@ def _sym_name(s) -> str:
     if isinstance(s, str):
         return s
     raise TypeError(f"expected a symbol or name, got {s!r}")
+
+
+def _ambiguous(name: str, readings) -> SpecError:
+    """The error for a coordinate name that reads as each of `readings`."""
+    return SpecError(f"coordinate name '{name}' is ambiguous: {' collides with '.join(readings)}")
 
 
 # --------------------------------------------------------------------------

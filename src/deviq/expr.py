@@ -11,7 +11,9 @@ All values here are immutable and hashable; every operation is a pure
 function, so expressions can be shared freely across threads.  A normal
 form carries the expansion it was built from, attached once when the node
 is made and never changed afterwards, so normalizing it again, or
-expanding it for a derivative, costs nothing.
+expanding it for a derivative, costs nothing.  A normal form that is a
+sum sorts and builds its terms only when they are first read, and two
+such sums compare by their expansions.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class Expr(Value):
 
     Nodes keep their fields in slots, as a derivation makes hundreds of
     thousands of them.  `_expansion` is the polynomial of a node built by
-    `_from_poly`, else None; it takes no part in equality, hashing or repr.
+    `_from_poly`, else None.  It takes no part in hashing or repr, nor in
+    equality, except that two sums that both carry one compare by it.
     """
 
     __slots__ = ("_expansion",)
@@ -194,12 +197,34 @@ class Sym(Expr):
 
 
 class Add(Expr):
-    __slots__ = ("terms",)
+    """A sum.  One made by `_from_poly` sorts and builds its `terms` when
+    they are first read; two that both carry an expansion compare by it."""
+
+    __slots__ = ("_terms",)
     _fields = ("terms",)
 
     def __init__(self, terms: tuple):
-        _set(self, "terms", terms)
+        _set(self, "_terms", terms)
         _set(self, "_expansion", None)
+
+    @property
+    def terms(self) -> tuple:
+        terms = self._terms
+        if terms is None:
+            p = self._expansion
+            terms = tuple(_term(mono, p[mono]) for mono in sorted(p, key=_mono_key))
+            _set(self, "_terms", terms)
+        return terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._expansion is not None and other._expansion is not None:
+            return self._expansion == other._expansion
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def __repr__(self):
         return "Add(" + ", ".join(map(repr, self.terms)) + ")"
@@ -343,7 +368,7 @@ def _key(e: Expr):
 # exponents are ints, which hash and add far faster than Fractions; the
 # others are Fractions.  A normal form built by `_from_poly` keeps its
 # polynomial in `_expansion`; `Fraction`s are made only for the `Rat`
-# nodes of the tree.
+# nodes of the tree, which a sum builds when its terms are first read.
 
 _Poly = dict
 
@@ -630,35 +655,39 @@ def _opaque_pow(e: Pow, base: _Poly) -> Pow:
 
 
 def _from_poly(p: _Poly) -> Expr:
-    """The tree of `p`.  A node made here carries `p`, which must not be
-    changed afterwards; an atom handed back as it is carries nothing."""
-    terms = []
-    for mono in sorted(p, key=lambda m: tuple((_key(a), (x.numerator, x.denominator)) for a, x in m)):
-        coeff = p[mono]
-        num, den = coeff
+    """The normal form of `p`.  A node made here carries `p`, which must
+    not be changed afterwards; an atom handed back as it is carries
+    nothing.  A sum is made without its terms: most normal forms are only
+    expanded again, and `Add.terms` builds them when first read."""
+    for num, den in p.values():
         if not (-_CONSTANT_BOUND < num < _CONSTANT_BOUND and den < _CONSTANT_BOUND):
             raise ExpansionLimitError(
                 f"a normal form would hold a constant longer than {MAX_CONSTANT_DIGITS} digits"
             )
-        factors = [atom if ex == 1 else Pow(atom, Fraction(ex)) for atom, ex in mono]
-        if not factors:
-            terms.append(Rat(Fraction(num, den)))
-        elif coeff == _QONE and len(factors) == 1:
-            terms.append(factors[0])
-        elif coeff == _QONE:
-            terms.append(Mul(tuple(factors)))
-        else:
-            terms.append(Mul((Rat(Fraction(num, den)), *factors)))
-    if not terms:
-        return ZERO
-    if len(terms) > 1:
-        e = Add(tuple(terms))
-    else:
-        e = terms[0]
+    if len(p) > 1:
+        e = Add(None)
+    elif p:
+        ((mono, coeff),) = p.items()
+        e = _term(mono, coeff)
         if mono and e is mono[0][0]:
             return e  # the atom of p's one monomial, which others share
+    else:
+        return ZERO
     _set(e, "_expansion", p)
     return e
+
+
+def _mono_key(mono) -> tuple:
+    """The sort key of a monomial among the terms of a sum."""
+    return tuple((_key(a), (x.numerator, x.denominator)) for a, x in mono)
+
+
+def _term(mono, coeff) -> Expr:
+    """The term of one monomial with its coefficient."""
+    factors = tuple(atom if ex == 1 else Pow(atom, Fraction(ex)) for atom, ex in mono)
+    if coeff != _QONE or not factors:
+        factors = (Rat(Fraction(*coeff)), *factors)
+    return factors[0] if len(factors) == 1 else Mul(factors)
 
 
 def normalize(e: Expr) -> Expr:

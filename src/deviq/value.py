@@ -4,7 +4,9 @@ A subclass lists its fields in `_fields`, in constructor order, and sets
 them in its own `__init__` with `object.__setattr__`.  From that tuple the
 class gets
 
-  * equality between instances of the same class whose fields are equal;
+  * equality between instances of the same class whose fields are equal,
+    unless the class defines `__eq__` (and then `__hash__`: Python sets the
+    hash of a class whose body defines `__eq__` alone to None);
   * the hash of the field tuple, so sets and dicts order values as they
     would order the tuples (a class that keeps its hash keeps that one);
   * the repr `Name(field=value, ...)`, unless it defines its own;
@@ -27,12 +29,13 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         # values are compared and hashed hundreds of thousands of times in
         # one derivation, so each class gets closures over one C field
-        # getter rather than a loop over `_fields`; a class may keep its
-        # hash and define `__hash__` itself
+        # getter rather than a loop over `_fields`; a class may define its
+        # own `__eq__` and `__hash__`
         super().__init_subclass__(**kwargs)
         if "_fields" in cls.__dict__:
             eq, hash_ = _comparisons(cls._fields)
-            cls.__eq__ = eq
+            if "__eq__" not in cls.__dict__:
+                cls.__eq__ = eq
             if "__hash__" not in cls.__dict__:
                 cls.__hash__ = hash_
 

@@ -386,6 +386,18 @@ def test_jet_order_past_cap_is_usage_error(tmp_path, model, order, message):
     assert res.stderr == f"deviq: error: line 1, column 1: {message} per field, more than 256\n"
 
 
+def test_ambiguous_coordinate_name_names_both_readings(tmp_path):
+    src = tmp_path / "ambiguous.eqn"
+    src.write_text("base t x\nfibre v tx\nlagrangian 0.5*v_t^2 + v_tx^2\n")
+    res = run_cli("derive", src)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "deviq: error: line 3, column 24: coordinate name 'v_tx' is ambiguous: "
+        "jet of 'v' collides with vertical partner of 'tx'\n"
+    )
+
+
 def test_simulate_two_dimensional_base_is_usage_error():
     res = run_cli("simulate", model_path("kg"))
     assert res.returncode == 2

@@ -7,9 +7,13 @@ compared, on random expressions, with the definition by the tree rule
 `_diff` followed by `normalize`, and the bundle operators with their
 sum-of-partials formula built term by term.  The stored expansion of a
 normal form is compared with a fresh expansion of an equal tree, and
-checked to stay unchanged by every operation that reads it.
+checked to stay unchanged by every operation that reads it.  A sum made
+as a normal form builds its terms on first read; before and after that
+read it behaves as the sum built from the same terms.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +25,7 @@ from deviq import (
     BundleSpec,
     DomainError,
     EquationSystem,
+    ExpansionLimitError,
     Fun,
     Lagrangian,
     Mul,
@@ -28,6 +33,7 @@ from deviq import (
     Pow,
     Rat,
     Sym,
+    check_model,
     deviation_system,
     diff,
     equivalent,
@@ -236,6 +242,74 @@ def test_untouched_subtrees_are_kept():
     swapped = _substitute(e, {t.symbol: y})
     assert swapped.terms[0] is e.terms[0]
     assert _substitute(e, {}) is e
+
+
+# --------------------------------------------------------------------------
+# a sum's terms, built on first read
+
+class TwinAdd(Add):
+    """A subclass, never equal to an `Add`."""
+
+
+#: what a normal form shares with the sum built from its terms
+LAZY_CHECKS = {
+    "equality": lambda n, built: n == built and built == n and not n != built,
+    "hash": lambda n, built: hash(n) == hash(built) and {built: 1}[n] == 1,
+    "repr": lambda n, built: repr(n) == repr(built),
+    "copy": lambda n, built: copy.copy(n) == built,
+    "deepcopy": lambda n, built: copy.deepcopy(n) == built,
+    "pickle": lambda n, built: pickle.loads(pickle.dumps(n)) == built,
+    "subclass": lambda n, built: n != TwinAdd(built.terms) and TwinAdd(built.terms) != n,
+}
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("name", LAZY_CHECKS)
+def test_normal_form_sum_behaves_as_its_terms(name, read):
+    compared = 0
+    for seed, e in cases():
+        n = normalize(e)
+        if not isinstance(n, Add):
+            continue
+        assert n._terms is None, seed
+        built = Add(normalize(e).terms)
+        if read:
+            assert n.terms == built.terms and n._terms is not None, seed
+        assert LAZY_CHECKS[name](n, built), seed
+        compared += 1
+    assert compared >= 50
+
+
+def test_equal_normal_forms_compare_unread():
+    compared = 0
+    for seed, e in cases():
+        a, b = normalize(e), normalize(e)
+        if isinstance(a, Add):
+            assert a is not b and a == b and not a != b, seed
+            assert a._terms is None and b._terms is None, seed
+            assert a != normalize(e + 1) and a._terms is None, seed
+            compared += 1
+    assert compared >= 50
+
+
+def test_check_leaves_pair_sides_unread():
+    for name in ("fpu-L4", "fpu-H4"):
+        report = check_model(load_model(GOLDEN_MODELS / f"{name}.eqn"))
+        assert report.passed
+        sides = [s for pair in report.entries for s in (pair.left, pair.right)]
+        assert sum(isinstance(s, Add) for s in sides) >= 8, name
+        assert all(s._terms is None for s in sides if isinstance(s, Add)), name
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_over_long_constant_is_refused_by_normalize(read):
+    y, t = (Sym(SPEC.symbol(n)) for n in ("y", "t"))
+    n = normalize(y + t)
+    if read:
+        n.terms
+    big = Rat(Fraction(10**600))
+    with pytest.raises(ExpansionLimitError, match="a normal form would hold a constant longer"):
+        normalize(n * big * big)
 
 
 def test_mixed_exponents_fold():
