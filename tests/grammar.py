@@ -6,9 +6,18 @@ fields.  Its density is a sum of two expressions nested at most `DEPTH`
 levels, built from sums, products, quotients, the six functions and the
 powers in `POWERS`, with the fields, their jets or momenta, and small
 positive constants at the leaves.
+
+`digest(n, seed)` hashes what deviq makes of `n` such models drawn from
+one `random.Random(seed)`, so two checkouts can be compared in one line:
+
+    python tests/grammar.py --digest            # 400 models, seed 5
 """
 
+import argparse
+import hashlib
 import random
+import sys
+from pathlib import Path
 
 DEPTH = 3
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
@@ -44,3 +53,70 @@ def random_model(rng: random.Random) -> str:
         atoms = [*fields, *(f"{f}_{'t' * k}" for k in range(1, order + 1) for f in fields)]
     density = f"{random_expr(rng, atoms)} + {random_expr(rng, atoms)}"
     return f"base t\nfibre {' '.join(fields)}\n{kind} {density}\n"
+
+
+def _outputs(text: str):
+    """Every output deviq makes of one model text, each stage's error
+    message in place of its output."""
+    from deviq import (
+        DeviqError,
+        check_model,
+        compile_system,
+        deviation_equations,
+        derive_equations,
+        parse_model,
+        render,
+        to_text,
+    )
+
+    def run(stage):
+        try:
+            return stage()
+        except DeviqError as ex:
+            return f"{type(ex).__name__}: {ex}"
+
+    model = run(lambda: parse_model(text))
+    if isinstance(model, str):
+        yield model
+        return
+    for make in (derive_equations, deviation_equations):
+        system = run(lambda: make(model))
+        if isinstance(system, str):
+            yield system
+            continue
+        for fmt in ("text", "latex", "json"):
+            yield run(lambda: render(system, fmt))
+    yield run(lambda: str(check_model(model)))
+
+    def compiled():
+        fos = compile_system(deviation_equations(model))
+        return "\n".join(f"{s.name}' = {to_text(f)}" for s, f in zip(fos.states, fos.rhs))
+
+    yield run(compiled)
+
+
+def digest(n: int = 400, seed: int = 5) -> str:
+    """The sha256 of `n` models from `random.Random(seed)` and of all that
+    deviq makes of them: the derived and deviation systems as text, LaTeX
+    and JSON, the check report, the compiled deviation pair's states and
+    right-hand sides, and every error message."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(n):
+        text = random_model(rng)
+        for part in (text, *_outputs(text)):
+            h.update(part.encode() + b"\0")
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    parser = argparse.ArgumentParser(description="Seeded random models over the model grammar.")
+    parser.add_argument("--digest", action="store_true", help="print the digest of the models")
+    parser.add_argument("--models", type=int, default=400)
+    parser.add_argument("--seed", type=int, default=5)
+    args = parser.parse_args()
+    if args.digest:
+        print(digest(args.models, args.seed))
+    else:
+        print(random_model(random.Random(args.seed)), end="")

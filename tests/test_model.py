@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from deviq import ParseError, SpecError, check_model, parse_model, to_text
+from deviq import ParseError, Rat, SpecError, Sym, check_model, normalize, parse_model, to_text
+from deviq.expr import MAX_CONSTANT_DIGITS, MAX_NESTING
 from conftest import EQUATION_MODELS, HAMILTONIAN_MODELS, LAGRANGIAN_MODELS, corpus_model
 
 
@@ -126,3 +127,114 @@ def test_whole_corpus_parses():
     for name in LAGRANGIAN_MODELS + HAMILTONIAN_MODELS + EQUATION_MODELS:
         m = corpus_model(name)
         assert m.payload
+
+
+H = "base t\nfibre y\n"
+L = H + "lagrangian "
+TOO_LONG = f"number longer than {MAX_CONSTANT_DIGITS} digits"
+TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
+AMBIGUOUS = "coordinate name 'v_tx' is ambiguous: jet of 'v' collides with vertical partner of 'tx'"
+
+#: (model text, order, line, column, message): one row per way to reach
+#: each ParseError raise site of the parser
+PARSE_ERRORS = [
+    # characters
+    ("base t\nfibre y\n\t\t@lagrangian y", None, 3, 3, "unexpected character '@'"),
+    (L + "y @ # c", None, 3, 14, "unexpected character '@'"),
+    (L + "y\x0c", None, 3, 13, "unexpected character '\\x0c'"),
+    (L + "y\r+ y", None, 3, 13, "unexpected character '\\r'"),
+    # expressions
+    (L + "y +", None, 3, 15, "unexpected end of expression"),
+    (L + "y +   # comment", None, 3, 15, "unexpected end of expression"),
+    (L + "(y", None, 3, 14, "expected ')'"),
+    (L + "(y  # comment", None, 3, 14, "expected ')'"),
+    (L + "(y y)", None, 3, 15, "expected ')', got 'y'"),
+    (L + "y y", None, 3, 14, "unexpected 'y' after expression"),
+    (L + "y)", None, 3, 13, "unexpected ')' after expression"),
+    (L + ")", None, 3, 12, "unexpected ')'"),
+    (L + "y * )", None, 3, 16, "unexpected ')'"),
+    (L + "= y", None, 3, 12, "unexpected '='"),
+    (L + "y^y", None, 3, 13, "exponent of '^' must be a rational constant"),
+    (L + "cot(y)", None, 3, 12, "unknown function 'cot'"),
+    (L + "z", None, 3, 12, "unknown identifier 'z'"),
+    (L + "y + cos", None, 3, 16, "unknown identifier 'cos'"),
+    ("base t x\nfibre v tx\nlagrangian v_tx^2", None, 3, 12, AMBIGUOUS),
+    # numbers
+    (L + "y*" + "1" * 1001, None, 3, 14, TOO_LONG),
+    (L + "y*1e1001", None, 3, 14, TOO_LONG),
+    (H + "param a = 2e3000\nlagrangian y", None, 3, 11, TOO_LONG),
+    # nesting
+    (L + "(" * 36 + "y" + ")" * 36, None, 3, 47, TOO_DEEP),
+    (L + "-" * 36 + "y", None, 3, 47, TOO_DEEP),
+    (L + "sin(" * 36 + "y" + ")" * 36, None, 3, 152, TOO_DEEP),
+    (L + "2^" * 36 + "y", None, 3, 83, TOO_DEEP),
+    # declarations
+    ("foo t", None, 1, 1, "expected a declaration keyword, got 'foo'"),
+    ("1 t", None, 1, 1, "expected a declaration keyword, got '1'"),
+    ("base", None, 1, 1, "base needs at least one coordinate"),
+    ("base t 1", None, 1, 8, "expected an identifier, got '1'"),
+    ("base t\nbase x", None, 2, 1, "base must be declared once, first"),
+    ("fibre y", None, 1, 1, "missing base declaration"),
+    ("base t\nfibre", None, 2, 1, "fibre needs at least one coordinate"),
+    ("base t\nfibre y 2", None, 2, 9, "expected an identifier, got '2'"),
+    ("base t\nfibre y\nfibre u", None, 3, 1, "fibre must follow base, once"),
+    ("base t\nfibre v_y\nlagrangian y", None, 2, 7,
+     "'v_y' collides with the generated coordinate namespace "
+     "(underscores are reserved for jet, vertical and momentum names)"),
+    ("base t\nfibre sin\nlagrangian y", None, 2, 7, "'sin' is a reserved function name"),
+    ("base t\nfibre param\nlagrangian y", None, 2, 7, "'param' is a declaration keyword"),
+    ("base t\nfibre t\nlagrangian y", None, 2, 7, "'t' is declared twice"),
+    # parameters, each value form
+    ("base t\nparam a", None, 2, 1, "param must follow the fibre declaration"),
+    (L + "y\nparam a", None, 4, 1, "param must precede the model declaration"),
+    (H + "param", None, 3, 1, "param needs a name"),
+    (H + "param 1", None, 3, 1, "param needs a name"),
+    (H + "param a 1", None, 3, 9, "expected '=', got '1'"),
+    (H + "param a =", None, 3, 9, "param value must be a number"),
+    (H + "param a = -", None, 3, 9, "param value must be a number"),
+    (H + "param a = x", None, 3, 11, "param value must be a number"),
+    (H + "param a = 1 2", None, 3, 11, "param value must be a number"),
+    (H + "param a = 1/x", None, 3, 11, "param value must be a number"),
+    (H + "param a = 1/2/3", None, 3, 11, "param value must be a number"),
+    (H + "param a = (1)", None, 3, 11, "param value must be a number"),
+    (H + "param a = 1/0", None, 3, 13, "param value divides by zero"),
+    (H + "param a = -2/0.0", None, 3, 14, "param value divides by zero"),
+    # model declarations
+    ("lagrangian y", None, 1, 1, "missing base declaration"),
+    ("base t\nlagrangian y", None, 2, 1, "missing fibre declaration"),
+    (L + "y\nequation y", None, 4, 1, "multiple model kinds: 'lagrangian' and 'equation'"),
+    (L + "y\n\nlagrangian y", None, 5, 1, "'lagrangian' declared twice"),
+    (H + "lagrangian", None, 3, 1, "lagrangian needs an expression"),
+    ("", None, 1, 1, "missing base declaration"),
+    ("base t", None, 1, 1, "missing fibre declaration"),
+    (H + "param a = 1", None, 1, 1,
+     "missing model declaration (lagrangian, equation, or hamiltonian)"),
+    # symbol kinds and orders
+    (H + "hamiltonian y_t^2", None, 3, 1, "'y_t' (jet-coordinate) is not allowed in a hamiltonian"),
+    (L + "v_y^2", None, 3, 1, "'v_y' (vertical-coordinate) is not allowed in a lagrangian"),
+    (L + "y_t^2", 1, 1, 1, "--order 1 is below the inferred minimum 2 for this model"),
+    (L + "y_t^2", 300, 1, 1,
+     "jet order 300 over 1 base coordinate(s) gives 301 multi-indices per field, more than 256"),
+    (L + "y_" + "t" * 300, None, 1, 1,
+     "jet order 600 over 1 base coordinate(s) gives 601 multi-indices per field, more than 256"),
+    ("base t x\nfibre v tx\nlagrangian v", 2, 1, 1, AMBIGUOUS),
+]
+
+
+@pytest.mark.parametrize("text,order,line,column,message", PARSE_ERRORS)
+def test_parse_error_table(text, order, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text, order=order)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize("literal,value", [
+    ("1.", 1), (".5", Fraction(1, 2)), ("1e-3", Fraction(1, 1000)), ("1E+2", 100),
+    ("0003", 3), ("2.50", Fraction(5, 2)), ("7" * MAX_CONSTANT_DIGITS, int("7" * MAX_CONSTANT_DIGITS)),
+])
+def test_number_forms(literal, value):
+    m = parse_model(f"{H}param a = -{literal}\nequation y_t - {literal}*y\n")
+    assert m.spec.param_value("a") == -value
+    y, y_t = (Sym(m.spec.symbol(name)) for name in ("y", "y_t"))
+    assert m.payload == (normalize(y_t - Rat(Fraction(value)) * y),)
