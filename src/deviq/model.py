@@ -18,6 +18,12 @@ refer to momenta as pt_y etc.
 Identifiers in declarations must not contain underscores: every
 underscore name belongs to the generated jet/vertical/momentum
 namespace, and claiming one is reported as a collision.
+
+Reading is one pass.  The text is split at "\n" only, and one regular
+expression reads each line into (kind, text, line, column) tuples;
+spaces, tabs, a comment and the "\r" of a "\r\n" line end give no token.
+The expression parser reads a declaration's tokens by index, and looks
+each distinct name up in the spec once per model.
 """
 
 from __future__ import annotations
@@ -26,12 +32,13 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .bundle import BundleSpec, max_jet_order
+from .bundle import BundleSpec
 from .errors import ParseError, SpecError, UnknownSymbolError
 from .expr import (
     FUNCTIONS,
     MAX_CONSTANT_DIGITS,
     MAX_NESTING,
+    DEPENDENT_KINDS,
     Expr,
     Fun,
     Pow,
@@ -62,176 +69,159 @@ __all__ = [
 ]
 
 _KEYWORDS = ("base", "fibre", "param", "lagrangian", "equation", "hamiltonian")
-_MODEL_KINDS = ("lagrangian", "equation", "hamiltonian")
+#: the symbol kinds each model kind may use
+_ALLOWED = {
+    "lagrangian": {SymbolKind.BASE, SymbolKind.FIBRE, SymbolKind.JET, SymbolKind.PARAMETER},
+    "equation": {SymbolKind.BASE, SymbolKind.FIBRE, SymbolKind.JET, SymbolKind.PARAMETER},
+    "hamiltonian": {SymbolKind.BASE, SymbolKind.FIBRE, SymbolKind.MOMENTUM, SymbolKind.PARAMETER},
+}
 
+# One match per token; spaces and tabs between tokens are skipped by the
+# search.  A comment, or the \r of a \r\n line end, matches without a kind.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#.*)
-      | (?P<number>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?)
+    r"""(?P<number>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?)
       | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
       | (?P<op>[-+*/^()=])
+      | \#.* | \r\Z
+      | (?P<bad>[^ \t])
     """,
     re.VERBOSE,
 )
 
 
-class Token(Value):
-    _fields = ("kind", "text", "line", "column")  # kind: "number" | "ident" | "op"
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-
-
-def _tokenize_line(text: str, line_no: int):
+def _tokenize_line(text: str, line_no: int) -> list:
+    """The tokens of one line, as (kind, text, line, column) tuples with
+    kind "number", "ident" or "op"."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "comment":
-            break
-        if kind != "ws":
-            tokens.append(Token(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
+        if kind is None:
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line_no, m.start() + 1)
+        tokens.append((kind, m[0], line_no, m.start() + 1))
     return tokens
 
 
-def _number(tok: Token) -> Fraction:
+def _number(tok) -> Fraction:
     """The exact value of a number token.  One whose numerator or
     denominator could pass MAX_CONSTANT_DIGITS digits is refused before it
     is built: `Fraction("1e10000000")` alone takes seconds."""
-    mantissa, _, exponent = tok.text.lower().partition("e")
-    if (
-        len(tok.text) > MAX_CONSTANT_DIGITS
-        or len(mantissa) + abs(int(exponent or 0)) > MAX_CONSTANT_DIGITS
-    ):
-        raise ParseError(f"number longer than {MAX_CONSTANT_DIGITS} digits", tok.line, tok.column)
-    return Fraction(tok.text)
+    text = tok[1]
+    if len(text) <= MAX_CONSTANT_DIGITS:
+        if text.isdecimal():
+            return Fraction(int(text))
+        mantissa, _, exponent = text.lower().partition("e")
+        if len(mantissa) + abs(int(exponent or 0)) <= MAX_CONSTANT_DIGITS:
+            return Fraction(text)
+    raise ParseError(f"number longer than {MAX_CONSTANT_DIGITS} digits", tok[2], tok[3])
 
 
 class _ExprParser:
-    """Recursive-descent parser over one declaration's token tail.  It
-    refuses an expression nested more than MAX_NESTING levels deep."""
+    """Recursive-descent parser for the expressions of one model.  It reads
+    a declaration's token tail by index, up to the "end" token that closes
+    it, and refuses an expression nested more than MAX_NESTING levels
+    deep.  Each distinct name is looked up in the spec once, and all its
+    occurrences share one Sym."""
 
-    def __init__(self, tokens, spec: BundleSpec, line: int):
-        self.tokens = tokens
+    def __init__(self, spec: BundleSpec):
         self.spec = spec
-        self.line = line
+        self.symbols = {}
+
+    def parse(self, tokens: list) -> Expr:
+        _, text, line, column = tokens[-1]
+        self.tokens = [*tokens, ("end", "", line, column + len(text))]
         self.pos = 0
         self.depth = 0
+        e = self.expr()
+        kind, text, line, column = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r} after expression", line, column)
+        return e
 
-    def nested(self, tok: Token, parse) -> Expr:
+    def nested(self, tok, parse) -> Expr:
         """`parse()` one level deeper, in the level that `tok` opens."""
         if self.depth == MAX_NESTING:
             raise ParseError(
-                f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.column
+                f"expression nested more than {MAX_NESTING} levels deep", tok[2], tok[3]
             )
         self.depth += 1
         e = parse()
         self.depth -= 1
         return e
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = last.column + len(last.text) if last else 1
-            raise ParseError("unexpected end of expression", self.line, col)
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "op" or tok.text != text:
-            if tok is None:
-                last = self.tokens[-1] if self.tokens else None
-                line = last.line if last else self.line
-                col = last.column + len(last.text) if last else 1
-                raise ParseError(f"expected '{text}'", line, col)
-            raise ParseError(f"expected '{text}', got {tok.text!r}", tok.line, tok.column)
-        return self.next()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok.text!r} after expression", tok.line, tok.column)
-        return e
-
     def expr(self) -> Expr:
         out = self.term()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "+-":
-            self.next()
+        while (op := self.tokens[self.pos][1]) == "+" or op == "-":
+            self.pos += 1
             rhs = self.term()
-            out = out + rhs if tok.text == "+" else out - rhs
+            out = out + rhs if op == "+" else out - rhs
         return out
 
     def term(self) -> Expr:
         out = self.unary()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "*/":
-            self.next()
+        while (op := self.tokens[self.pos][1]) == "*" or op == "/":
+            self.pos += 1
             rhs = self.unary()
-            out = out * rhs if tok.text == "*" else out / rhs
+            out = out * rhs if op == "*" else out / rhs
         return out
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text in "+-":
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok[1] == "-" or tok[1] == "+":
+            self.pos += 1
             inner = self.nested(tok, self.unary)
-            return inner if tok.text == "+" else -inner
+            return inner if tok[1] == "+" else -inner
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text == "^":
-            self.next()
-            exponent = self.nested(tok, self.unary)  # right-associative by recursion
-            folded = normalize(exponent)
-            if not isinstance(folded, Rat):
-                raise ParseError(
-                    "exponent of '^' must be a rational constant", tok.line, tok.column
-                )
-            return Pow(base, folded.value)
-        return base
+        tok = self.tokens[self.pos]
+        if tok[1] != "^":
+            return base
+        self.pos += 1
+        exponent = self.nested(tok, self.unary)  # right-associative by recursion
+        folded = normalize(exponent)
+        if not isinstance(folded, Rat):
+            raise ParseError("exponent of '^' must be a rational constant", tok[2], tok[3])
+        return Pow(base, folded.value)
 
     def group(self) -> Expr:
         """An expression closed by ')', the '(' taken."""
         e = self.expr()
-        self.expect_op(")")
+        kind, text, line, column = self.tokens[self.pos]
+        if text != ")":
+            got = "" if kind == "end" else f", got {text!r}"
+            raise ParseError(f"expected ')'{got}", line, column)
+        self.pos += 1
         return e
 
     def atom(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "number":
+        tok = self.tokens[self.pos]
+        kind, text, line, column = tok
+        if kind == "end":
+            raise ParseError("unexpected end of expression", line, column)
+        self.pos += 1
+        if kind == "number":
             return Rat(_number(tok))
-        if tok.kind == "op" and tok.text == "(":
+        if kind == "ident":
+            if self.tokens[self.pos][1] == "(":
+                if text not in FUNCTIONS:
+                    raise ParseError(f"unknown function '{text}'", line, column)
+                self.pos += 1
+                return Fun(text, self.nested(tok, self.group))
+            sym = self.symbols.get(text)
+            if sym is None:
+                try:
+                    sym = self.symbols[text] = Sym(self.spec.symbol(text))
+                except UnknownSymbolError:
+                    raise ParseError(f"unknown identifier '{text}'", line, column) from None
+                except SpecError as ex:
+                    raise ParseError(str(ex), line, column) from None
+            return sym
+        if text == "(":
             return self.nested(tok, self.group)
-        if tok.kind == "ident":
-            nxt = self.peek()
-            if nxt and nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function '{tok.text}'", tok.line, tok.column)
-                self.next()
-                return Fun(tok.text, self.nested(tok, self.group))
-            try:
-                return Sym(self.spec.symbol(tok.text))
-            except UnknownSymbolError:
-                raise ParseError(
-                    f"unknown identifier '{tok.text}'", tok.line, tok.column
-                ) from None
-            except SpecError as ex:
-                raise ParseError(str(ex), tok.line, tok.column) from None
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+        raise ParseError(f"unexpected {text!r}", line, column)
 
 
 class ModelFile(Value):
@@ -256,21 +246,21 @@ class ModelFile(Value):
         return HamiltonianSystem(self.payload[0], self.spec)
 
 
-def _declaration_name(tok: Token, taken: set) -> str:
-    name = tok.text
+def _declaration_name(tok, taken: set) -> str:
+    _, name, line, column = tok
     if "_" in name:
         raise ParseError(
             f"'{name}' collides with the generated coordinate namespace "
             "(underscores are reserved for jet, vertical and momentum names)",
-            tok.line,
-            tok.column,
+            line,
+            column,
         )
     if name in FUNCTIONS:
-        raise ParseError(f"'{name}' is a reserved function name", tok.line, tok.column)
+        raise ParseError(f"'{name}' is a reserved function name", line, column)
     if name in _KEYWORDS:
-        raise ParseError(f"'{name}' is a declaration keyword", tok.line, tok.column)
+        raise ParseError(f"'{name}' is a declaration keyword", line, column)
     if name in taken:
-        raise ParseError(f"'{name}' is declared twice", tok.line, tok.column)
+        raise ParseError(f"'{name}' is declared twice", line, column)
     taken.add(name)
     return name
 
@@ -294,83 +284,66 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
         tokens = _tokenize_line(raw, line_no)
         if not tokens:
             continue
-        head = tokens[0]
-        if head.kind != "ident" or head.text not in _KEYWORDS:
-            raise ParseError(
-                f"expected a declaration keyword, got {head.text!r}", head.line, head.column
-            )
-        rest = tokens[1:]
-        if head.text == "base":
-            if stage != "base":
-                raise ParseError("base must be declared once, first", head.line, head.column)
+        (head_kind, head, *at), rest = tokens[0], tokens[1:]
+        if head_kind != "ident" or head not in _KEYWORDS:
+            raise ParseError(f"expected a declaration keyword, got {head!r}", *at)
+        if head == "base" or head == "fibre":
+            if stage != head:
+                if head == "base":
+                    msg = "base must be declared once, first"
+                else:
+                    msg = "missing base declaration" if stage == "base" else "fibre must follow base, once"
+                raise ParseError(msg, *at)
             if not rest:
-                raise ParseError("base needs at least one coordinate", head.line, head.column)
+                raise ParseError(f"{head} needs at least one coordinate", *at)
+            names = base if head == "base" else fibre
             for tok in rest:
-                if tok.kind != "ident":
-                    raise ParseError(f"expected an identifier, got {tok.text!r}", tok.line, tok.column)
-                base.append(_declaration_name(tok, taken))
-            stage = "fibre"
-        elif head.text == "fibre":
-            if stage != "fibre":
-                msg = "missing base declaration" if stage == "base" else "fibre must follow base, once"
-                raise ParseError(msg, head.line, head.column)
-            if not rest:
-                raise ParseError("fibre needs at least one coordinate", head.line, head.column)
-            for tok in rest:
-                if tok.kind != "ident":
-                    raise ParseError(f"expected an identifier, got {tok.text!r}", tok.line, tok.column)
-                fibre.append(_declaration_name(tok, taken))
-            stage = "params"
-        elif head.text == "param":
+                if tok[0] != "ident":
+                    raise ParseError(f"expected an identifier, got {tok[1]!r}", *tok[2:])
+                names.append(_declaration_name(tok, taken))
+            stage = "fibre" if head == "base" else "params"
+        elif head == "param":
             if stage == "base" or stage == "fibre":
-                raise ParseError("param must follow the fibre declaration", head.line, head.column)
+                raise ParseError("param must follow the fibre declaration", *at)
             if stage == "model":
-                raise ParseError("param must precede the model declaration", head.line, head.column)
-            if not rest or rest[0].kind != "ident":
-                raise ParseError("param needs a name", head.line, head.column)
+                raise ParseError("param must precede the model declaration", *at)
+            if not rest or rest[0][0] != "ident":
+                raise ParseError("param needs a name", *at)
             name = _declaration_name(rest[0], taken)
             params.append(name)
             if len(rest) > 1:
-                if rest[1].kind != "op" or rest[1].text != "=":
-                    raise ParseError(f"expected '=', got {rest[1].text!r}", rest[1].line, rest[1].column)
+                if rest[1][1] != "=":
+                    raise ParseError(f"expected '=', got {rest[1][1]!r}", *rest[1][2:])
                 tail = rest[2:]
                 sign = 1
-                if tail and tail[0].kind == "op" and tail[0].text in "+-":
-                    sign = -1 if tail[0].text == "-" else 1
+                if tail and (tail[0][1] == "+" or tail[0][1] == "-"):
+                    sign = -1 if tail[0][1] == "-" else 1
                     tail = tail[1:]
-                ok = len(tail) == 1 and tail[0].kind == "number"
-                if len(tail) == 3:  # rational literal p/q
-                    ok = (
-                        tail[0].kind == "number"
-                        and tail[1].kind == "op"
-                        and tail[1].text == "/"
-                        and tail[2].kind == "number"
-                    )
-                if not ok:
+                # a number, or a rational literal p/q
+                shape = [tok[1] if tok[0] == "op" else tok[0] for tok in tail]
+                if shape != ["number"] and shape != ["number", "/", "number"]:
                     where = tail[0] if tail else rest[1]
-                    raise ParseError("param value must be a number", where.line, where.column)
+                    raise ParseError("param value must be a number", *where[2:])
                 value = _number(tail[0])
                 if len(tail) == 3:
                     den = _number(tail[2])
                     if den == 0:
-                        raise ParseError("param value divides by zero", tail[2].line, tail[2].column)
+                        raise ParseError("param value divides by zero", *tail[2][2:])
                     value = value / den
                 values[name] = sign * value
         else:  # model kinds
             if stage == "base":
-                raise ParseError("missing base declaration", head.line, head.column)
+                raise ParseError("missing base declaration", *at)
             if stage == "fibre":
-                raise ParseError("missing fibre declaration", head.line, head.column)
+                raise ParseError("missing fibre declaration", *at)
             if kind is None:
-                kind = head.text
-            elif kind != head.text:
-                raise ParseError(
-                    f"multiple model kinds: '{kind}' and '{head.text}'", head.line, head.column
-                )
+                kind = head
+            elif kind != head:
+                raise ParseError(f"multiple model kinds: '{kind}' and '{head}'", *at)
             elif kind != "equation":
-                raise ParseError(f"'{kind}' declared twice", head.line, head.column)
+                raise ParseError(f"'{kind}' declared twice", *at)
             if not rest:
-                raise ParseError(f"{head.text} needs an expression", head.line, head.column)
+                raise ParseError(f"{head} needs an expression", *at)
             body.append((line_no, rest))
             stage = "model"
 
@@ -388,23 +361,17 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
     except SpecError as ex:
         raise ParseError(str(ex), 1, 1) from None
 
-    payload = []
-    for line_no, tokens in body:
-        payload.append(normalize(_ExprParser(tokens, spec, line_no).parse()))
-
-    allowed = {
-        "lagrangian": {SymbolKind.BASE, SymbolKind.FIBRE, SymbolKind.JET, SymbolKind.PARAMETER},
-        "equation": {SymbolKind.BASE, SymbolKind.FIBRE, SymbolKind.JET, SymbolKind.PARAMETER},
-        "hamiltonian": {SymbolKind.BASE, SymbolKind.FIBRE, SymbolKind.MOMENTUM, SymbolKind.PARAMETER},
-    }[kind]
+    parser = _ExprParser(spec)
+    payload = tuple(normalize(parser.parse(tokens)) for _, tokens in body)
+    top = 0
     for (line_no, _), e in zip(body, payload):
         for s in free_symbols(e):
-            if s.kind not in allowed:
+            if s.kind not in _ALLOWED[kind]:
                 raise ParseError(
                     f"'{s.name}' ({s.kind.value}) is not allowed in a {kind}", line_no, 1
                 )
-
-    top = max((max_jet_order(e, spec) for e in payload), default=0)
+            if s.kind in DEPENDENT_KINDS:
+                top = max(top, spec.jet_order(s))
     minimum = {"lagrangian": 2 * top, "equation": top, "hamiltonian": 1}[kind]
     minimum = max(minimum, 1)
     if order is None:
@@ -417,7 +384,7 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
         spec = spec.with_order(order)
     except SpecError as ex:
         raise ParseError(str(ex), 1, 1) from None
-    return ModelFile(kind, spec, tuple(payload))
+    return ModelFile(kind, spec, payload)
 
 
 def load_model(path, order: Optional[int] = None) -> ModelFile:

@@ -1,12 +1,41 @@
 """Model-file DSL: declarations, expression grammar, error positions."""
 
+import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from deviq import ParseError, Rat, SpecError, Sym, check_model, normalize, parse_model, to_text
+from deviq import (
+    Add,
+    Fun,
+    Mul,
+    ParseError,
+    Pow,
+    Rat,
+    SpecError,
+    Sym,
+    check_model,
+    load_model,
+    normalize,
+    parse_model,
+    to_text,
+)
 from deviq.expr import MAX_CONSTANT_DIGITS, MAX_NESTING
-from conftest import EQUATION_MODELS, HAMILTONIAN_MODELS, LAGRANGIAN_MODELS, corpus_model
+from conftest import (
+    EQUATION_MODELS,
+    HAMILTONIAN_MODELS,
+    LAGRANGIAN_MODELS,
+    corpus_model,
+    model_path,
+)
+from grammar import random_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from chains import FAMILIES, FORMS, make_chain, model_text  # noqa: E402
 
 
 def test_oscillator_example():
@@ -238,3 +267,62 @@ def test_number_forms(literal, value):
     assert m.spec.param_value("a") == -value
     y, y_t = (Sym(m.spec.symbol(name)) for name in ("y", "y_t"))
     assert m.payload == (normalize(y_t - Rat(Fraction(value)) * y),)
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN_MODELS + HAMILTONIAN_MODELS + EQUATION_MODELS)
+def test_crlf_line_ends(name, tmp_path):
+    text = model_path(name).read_text()
+    crlf = text.replace("\n", "\r\n")
+    path = tmp_path / f"{name}.eqn"
+    path.write_bytes(crlf.encode())
+    m = parse_model(crlf)
+    assert m == load_model(path) == parse_model(text)
+
+
+def _respace(text: str, rng: random.Random) -> str:
+    """`text` with spaces and tabs put between its tokens, a comment after
+    some lines, and a \\r\\n line end for some."""
+    assert not re.search(r"\d[eE][-+]", text)  # a split here would break a literal
+    pad = lambda: rng.choice(("", "", " ", "\t", " \t  "))  # noqa: E731
+    lines = []
+    for line in text.split("\n"):
+        pieces = [p for p in re.split(r"([-+*/^()= ])", line) if p]
+        line = pad() + "".join(p + pad() for p in pieces)
+        if rng.random() < 0.4:
+            line += rng.choice(("#", " # note", "\t# y^2 + (", "#@!\t$"))
+        lines.append(line + rng.choice(("", "", "\r")))
+    return "\n".join(lines)
+
+
+def _syms(e, out: list) -> list:
+    if isinstance(e, Sym):
+        out.append(e)
+    elif isinstance(e, (Add, Mul)):
+        for child in e.terms if isinstance(e, Add) else e.factors:
+            _syms(child, out)
+    elif isinstance(e, Pow):
+        _syms(e.base, out)
+    elif isinstance(e, Fun):
+        _syms(e.arg, out)
+    return out
+
+
+CHAIN_TEXTS = [
+    model_text(make_chain(family, form, n, random.Random(n)))
+    for family in FAMILIES for form in FORMS for n in (2, 3)
+]
+GRAMMAR_TEXTS = [random_model(random.Random(seed)) for seed in range(60)]
+
+
+@pytest.mark.parametrize("seed", range(len(CHAIN_TEXTS) + len(GRAMMAR_TEXTS)))
+def test_layout_invariance_and_shared_symbols(seed):
+    text = (CHAIN_TEXTS + GRAMMAR_TEXTS)[seed]
+    m = parse_model(text)
+    rng = random.Random(seed)
+    for _ in range(3):
+        assert parse_model(_respace(text, rng)) == m
+    syms = [sym for e in m.payload for sym in _syms(e, [])]
+    assert syms
+    by_name = {}
+    for sym in syms:
+        assert by_name.setdefault(sym.symbol.name, sym) is sym

@@ -43,7 +43,6 @@ from deviq import (
     normalize,
 )
 from deviq.bundle import _Coord
-from deviq.model import Token
 
 T = Symbol("t", SymbolKind.BASE)
 Y = Symbol("y", SymbolKind.FIBRE)
@@ -124,12 +123,6 @@ ROWS = [
         "HamiltonianSystem(density=Pow(Sym(pt_y), 2), spec=BundleSpec(base=(Symbol('t', BASE),), "
         "fibre=(Symbol('y', FIBRE),), params=(), order=1, param_values=(), momenta=True, "
         "vertical=False))",
-    ),
-    (
-        Token,
-        dict(kind="ident", text="y", line=1, column=3),
-        ("kind", "text", "line", "column"),
-        "Token(kind='ident', text='y', line=1, column=3)",
     ),
     (
         ModelFile,
