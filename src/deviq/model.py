@@ -35,10 +35,10 @@ from typing import Optional
 from .bundle import BundleSpec
 from .errors import ParseError, SpecError, UnknownSymbolError
 from .expr import (
+    DEPENDENT_KINDS,
     FUNCTIONS,
     MAX_CONSTANT_DIGITS,
     MAX_NESTING,
-    DEPENDENT_KINDS,
     Expr,
     Fun,
     Pow,
@@ -284,24 +284,31 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
         tokens = _tokenize_line(raw, line_no)
         if not tokens:
             continue
-        (head_kind, head, *at), rest = tokens[0], tokens[1:]
+        head_kind, head, *at = tokens[0]  # at: its line and column
+        rest = tokens[1:]
         if head_kind != "ident" or head not in _KEYWORDS:
             raise ParseError(f"expected a declaration keyword, got {head!r}", *at)
-        if head == "base" or head == "fibre":
-            if stage != head:
-                if head == "base":
-                    msg = "base must be declared once, first"
-                else:
-                    msg = "missing base declaration" if stage == "base" else "fibre must follow base, once"
-                raise ParseError(msg, *at)
+        if head == "base":
+            if stage != "base":
+                raise ParseError("base must be declared once, first", *at)
             if not rest:
-                raise ParseError(f"{head} needs at least one coordinate", *at)
-            names = base if head == "base" else fibre
+                raise ParseError("base needs at least one coordinate", *at)
             for tok in rest:
                 if tok[0] != "ident":
                     raise ParseError(f"expected an identifier, got {tok[1]!r}", *tok[2:])
-                names.append(_declaration_name(tok, taken))
-            stage = "fibre" if head == "base" else "params"
+                base.append(_declaration_name(tok, taken))
+            stage = "fibre"
+        elif head == "fibre":
+            if stage != "fibre":
+                msg = "missing base declaration" if stage == "base" else "fibre must follow base, once"
+                raise ParseError(msg, *at)
+            if not rest:
+                raise ParseError("fibre needs at least one coordinate", *at)
+            for tok in rest:
+                if tok[0] != "ident":
+                    raise ParseError(f"expected an identifier, got {tok[1]!r}", *tok[2:])
+                fibre.append(_declaration_name(tok, taken))
+            stage = "params"
         elif head == "param":
             if stage == "base" or stage == "fibre":
                 raise ParseError("param must follow the fibre declaration", *at)
@@ -365,7 +372,7 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
     payload = tuple(normalize(parser.parse(tokens)) for _, tokens in body)
     top = 0
     for (line_no, _), e in zip(body, payload):
-        for s in free_symbols(e):
+        for s in sorted(free_symbols(e), key=lambda s: s.name):  # the same report in every run
             if s.kind not in _ALLOWED[kind]:
                 raise ParseError(
                     f"'{s.name}' ({s.kind.value}) is not allowed in a {kind}", line_no, 1

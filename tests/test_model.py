@@ -1,7 +1,9 @@
 """Model-file DSL: declarations, expression grammar, error positions."""
 
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -256,6 +258,25 @@ def test_parse_error_table(text, order, line, column, message):
         parse_model(text, order=order)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_disallowed_symbol_report_is_deterministic():
+    # of several disallowed symbols the first by name is reported, under
+    # every string hash seed
+    script = (
+        "import sys; from deviq import ParseError, parse_model\n"
+        "try: parse_model(sys.argv[1])\n"
+        "except ParseError as ex: print(ex)"
+    )
+    text = "base t\nfibre y u\nhamiltonian y_t*u_t + v_y\n"
+    reports = {
+        subprocess.run(
+            [sys.executable, "-c", script, text],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2", "5")
+    }
+    assert reports == {"line 3, column 1: 'u_t' (jet-coordinate) is not allowed in a hamiltonian\n"}
 
 
 @pytest.mark.parametrize("literal,value", [
