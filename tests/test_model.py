@@ -240,6 +240,8 @@ PARSE_ERRORS = [
     ("base t", None, 1, 1, "missing fibre declaration"),
     (H + "param a = 1", None, 1, 1,
      "missing model declaration (lagrangian, equation, or hamiltonian)"),
+    ("base t tx\nfibre y\nlagrangian y", None, 1, 1,
+     "base coordinate 't' is a prefix of 'tx'; jet suffixes would be ambiguous"),
     # symbol kinds and orders
     (H + "hamiltonian y_t^2", None, 3, 1, "'y_t' (jet-coordinate) is not allowed in a hamiltonian"),
     (L + "v_y^2", None, 3, 1, "'v_y' (vertical-coordinate) is not allowed in a lagrangian"),
@@ -252,7 +254,10 @@ PARSE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text,order,line,column,message", PARSE_ERRORS)
+@pytest.mark.parametrize(
+    "text,order,line,column,message", PARSE_ERRORS,
+    ids=[f"{i}-{row[4][:32]}" for i, row in enumerate(PARSE_ERRORS)],
+)
 def test_parse_error_table(text, order, line, column, message):
     with pytest.raises(ParseError) as err:
         parse_model(text, order=order)
@@ -279,10 +284,13 @@ def test_disallowed_symbol_report_is_deterministic():
     assert reports == {"line 3, column 1: 'u_t' (jet-coordinate) is not allowed in a hamiltonian\n"}
 
 
-@pytest.mark.parametrize("literal,value", [
+NUMBER_FORMS = [
     ("1.", 1), (".5", Fraction(1, 2)), ("1e-3", Fraction(1, 1000)), ("1E+2", 100),
     ("0003", 3), ("2.50", Fraction(5, 2)), ("7" * MAX_CONSTANT_DIGITS, int("7" * MAX_CONSTANT_DIGITS)),
-])
+]
+
+
+@pytest.mark.parametrize("literal,value", NUMBER_FORMS, ids=[lit[:8] for lit, _ in NUMBER_FORMS])
 def test_number_forms(literal, value):
     m = parse_model(f"{H}param a = -{literal}\nequation y_t - {literal}*y\n")
     assert m.spec.param_value("a") == -value
