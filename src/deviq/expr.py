@@ -12,8 +12,8 @@ function, so expressions can be shared freely across threads.  A normal
 form carries the expansion it was built from, attached once when the node
 is made and never changed afterwards, so normalizing it again, or
 expanding it for a derivative, costs nothing.  A normal form that is a
-sum sorts and builds its terms only when they are first read, and two
-such sums compare by their expansions.
+sum sorts and builds its terms only when they are first read; it prints
+from its expansion, and two such sums compare by their expansions.
 """
 
 from __future__ import annotations
@@ -198,7 +198,9 @@ class Sym(Expr):
 
 class Add(Expr):
     """A sum.  One made by `_from_poly` sorts and builds its `terms` when
-    they are first read; two that both carry an expansion compare by it."""
+    they are first read; two that both carry an expansion compare by it.
+    The text and LaTeX writers read the expansion; JSON, the compiled code
+    (`numeric._emit`), `_key`, `_diff` and `_substitute` read `terms`."""
 
     __slots__ = ("_terms",)
     _fields = ("terms",)
@@ -658,7 +660,7 @@ def _from_poly(p: _Poly) -> Expr:
     """The normal form of `p`.  A node made here carries `p`, which must
     not be changed afterwards; an atom handed back as it is carries
     nothing.  A sum is made without its terms: most normal forms are only
-    expanded again, and `Add.terms` builds them when first read."""
+    expanded again or printed, and `Add.terms` builds them when first read."""
     for num, den in p.values():
         if not (-_CONSTANT_BOUND < num < _CONSTANT_BOUND and den < _CONSTANT_BOUND):
             raise ExpansionLimitError(
@@ -1079,48 +1081,70 @@ def equivalent(a: Expr, b: Expr, seed: int = 0) -> EquivalenceResult:
 
 # --------------------------------------------------------------------------
 # plain-text rendering (round-trips through the model-file parser)
+#
+# Text and LaTeX share one term writer, `_split_term`, over an int-pair
+# coefficient and (atom, exponent) factors.  A normal form is written from
+# its expansion, building no term nodes and no `Fraction`s; a node without
+# one is read as its factors.
 
 def to_text(e: Expr) -> str:
     return _join_terms(as_expr(e), _term_text)
 
 
 def _join_terms(e: Expr, term) -> str:
-    """A sum as its terms written by `term`, a term's leading minus
-    written as the joining ' - '."""
-    if not isinstance(e, Add):
-        return term(e)
-    parts = [term(e.terms[0])]
-    for t in e.terms[1:]:
-        s = term(t)
-        parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
+    """A sum as its terms written by `term(pairs, coeff)`, a term's leading
+    minus written as the joining ' - '.  An expansion is read in the order
+    of `Add.terms`; a monomial's atom that is a power passes its base and
+    exponent, as its tree would, so `1/(y + 1)` goes to the denominator."""
+    p = e._expansion
+    if p is None:
+        terms = map(_tree_term, e.terms if isinstance(e, Add) else (e,))
+    else:
+        terms = (([(a.base, a.exponent) if x == 1 and type(a) is Pow else (a, x) for a, x in m],
+                  p[m]) for m in sorted(p, key=_mono_key))
+    parts = [term(*next(terms))]
+    for pairs, coeff in terms:
+        s = term(pairs, coeff)
+        parts.append(" - " + s[1:] if s[0] == "-" else " + " + s)
     return "".join(parts)
 
 
-def _split_term(e: Expr, factor) -> tuple:
-    """One product as (sign, numerator, denominator): the factors written
-    by `factor`, a negative power inverted into the denominator, and the
-    rational coefficient's digits leading each list where needed."""
-    coeff = Fraction(1)
-    numer, denom = [], []
-    factors = e.factors if isinstance(e, Mul) else (e,)
-    for f in factors:
+def _tree_term(e: Expr) -> tuple:
+    """A term as (pairs, coeff): its `Rat` factors make the coefficient,
+    `Pow(b, q)` gives (b, q), any other factor f gives (f, 1)."""
+    coeff, pairs = _QONE, []
+    for f in e.factors if isinstance(e, Mul) else (e,):
         if isinstance(f, Rat):
-            coeff *= f.value
-        elif isinstance(f, Pow) and f.exponent < 0:
-            denom.append(factor(Pow(f.base, -f.exponent)))
+            coeff = _qmul(coeff, (f.value.numerator, f.value.denominator))
+        elif isinstance(f, Pow):
+            pairs.append((f.base, f.exponent))
         else:
-            numer.append(factor(f))
-    sign = "-" if coeff < 0 else ""
-    coeff = abs(coeff)
-    if coeff.numerator != 1 or not numer:
-        numer.insert(0, str(coeff.numerator))
-    if coeff.denominator != 1:
-        denom.insert(0, str(coeff.denominator))
+            pairs.append((f, 1))
+    return pairs, coeff
+
+
+def _split_term(pairs, coeff, factor) -> tuple:
+    """One term as (sign, numerator, denominator): the (atom, exponent)
+    pairs written by `factor(atom, exponent)`, a negative exponent
+    inverted into the denominator, and the digits of the reduced int-pair
+    coefficient leading each list where needed."""
+    numer, denom = [], []
+    for atom, x in pairs:
+        if x < 0:
+            denom.append(factor(atom, -x))
+        else:
+            numer.append(factor(atom, x))
+    num, den = coeff
+    sign = "-" if num < 0 else ""
+    if abs(num) != 1 or not numer:
+        numer.insert(0, str(abs(num)))
+    if den != 1:
+        denom.insert(0, str(den))
     return sign, numer, denom
 
 
-def _term_text(e: Expr) -> str:
-    sign, numer, denom = _split_term(e, _pow_text)
+def _term_text(pairs, coeff) -> str:
+    sign, numer, denom = _split_term(pairs, coeff, _pow_text)
     top = "*".join(numer)
     if not denom:
         return sign + top
@@ -1130,18 +1154,15 @@ def _term_text(e: Expr) -> str:
     return f"{sign}{top}/{bottom}"
 
 
-def _pow_text(e: Expr) -> str:
-    if isinstance(e, Pow):
-        base = _atom_text(e.base)
-        q = e.exponent
-        if q == 1:
-            return base
-        if q.denominator == 1 and q >= 0:
-            return f"{base}^{q.numerator}"
-        if q.denominator == 1:
-            return f"{base}^({q.numerator})"
-        return f"{base}^({q.numerator}/{q.denominator})"
-    return _atom_text(e)
+def _pow_text(atom: Expr, q) -> str:
+    base = _atom_text(atom)
+    if q == 1:
+        return base
+    if q.denominator == 1 and q >= 0:
+        return f"{base}^{q.numerator}"
+    if q.denominator == 1:
+        return f"{base}^({q.numerator})"
+    return f"{base}^({q.numerator}/{q.denominator})"
 
 
 def _atom_text(e: Expr) -> str:

@@ -85,7 +85,7 @@ _TOKEN_RE = re.compile(
       | \#.* | \r\Z
       | (?P<bad>[^ \t])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # a digit is 0-9, not any Unicode decimal digit
 )
 
 
@@ -371,11 +371,12 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
     parser = _ExprParser(spec)
     payload = tuple(normalize(parser.parse(tokens)) for _, tokens in body)
     top = 0
-    for (line_no, _), e in zip(body, payload):
+    for (line_no, tokens), e in zip(body, payload):
         for s in sorted(free_symbols(e), key=lambda s: s.name):  # the same report in every run
             if s.kind not in _ALLOWED[kind]:
+                column = next(tok[3] for tok in tokens if tok[1] == s.name)
                 raise ParseError(
-                    f"'{s.name}' ({s.kind.value}) is not allowed in a {kind}", line_no, 1
+                    f"'{s.name}' ({s.kind.value}) is not allowed in a {kind}", line_no, column
                 )
             if s.kind in DEPENDENT_KINDS:
                 top = max(top, spec.jet_order(s))

@@ -101,21 +101,18 @@ def _atom_tex(e: Expr, spec) -> str:
     return r"\left(" + to_latex(e, spec) + r"\right)"
 
 
-def _pow_tex(e: Expr, spec) -> str:
-    if not isinstance(e, Pow):
-        return _atom_tex(e, spec)
-    if e.exponent == 1:
-        return _atom_tex(e.base, spec)
-    base = _atom_tex(e.base, spec)
+def _pow_tex(atom: Expr, q, spec) -> str:
+    base = _atom_tex(atom, spec)
+    if q == 1:
+        return base
     if "^" in base:  # avoid double superscripts on momenta
         base = "{" + base + "}"
-    q = e.exponent
     exp = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     return base + "^{" + exp + "}"
 
 
-def _term_tex(e: Expr, spec) -> str:
-    sign, numer, denom = _split_term(e, lambda f: _pow_tex(f, spec))
+def _term_tex(pairs, coeff, spec) -> str:
+    sign, numer, denom = _split_term(pairs, coeff, lambda atom, q: _pow_tex(atom, q, spec))
     top = r" \, ".join(numer)
     if not denom:
         return sign + top
@@ -123,7 +120,7 @@ def _term_tex(e: Expr, spec) -> str:
 
 
 def to_latex(e, spec: Optional[BundleSpec] = None) -> str:
-    return _join_terms(as_expr(e), lambda t: _term_tex(t, spec))
+    return _join_terms(as_expr(e), lambda pairs, coeff: _term_tex(pairs, coeff, spec))
 
 
 def _json_rat(q: Fraction):

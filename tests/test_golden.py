@@ -93,6 +93,22 @@ def test_golden_output(name, argv):
         pytest.fail(f"{name} differs from the golden file at {first_difference(expected, actual)}")
 
 
+#: `grammar.digest(40, 5)`, see test_grammar_digest
+GRAMMAR_DIGEST = "5e131e9a8aa4a3f3f4391002324ab4f8b4730b8b1983965074b498a522959184"
+
+
+def test_grammar_digest():
+    """All that deviq makes of 40 generated models (`tests/grammar.py`,
+    seed 5) hashes to one recorded value, so an output change on models
+    past the corpus fails here as a golden file does; unlike the corpus,
+    they use tan, ln and sqrt.  A change that means to alter these outputs
+    records the value that `python tests/grammar.py --digest --models 40`
+    prints, and says why."""
+    import grammar
+
+    assert grammar.digest(40, 5) == GRAMMAR_DIGEST
+
+
 def regenerate():
     """Rewrite every golden file from the current program's output."""
     for name, argv in CASES:

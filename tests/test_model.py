@@ -124,6 +124,8 @@ def test_hamiltonian_forbids_jets_and_lagrangian_forbids_momenta():
         parse_model("base t\nfibre y\nlagrangian v_y^2\n")
     with pytest.raises(ParseError, match="unknown identifier"):
         parse_model("base t\nfibre y\nlagrangian pt_y^2\n")
+    # the check reads the normal form, where a cancelled symbol is gone
+    assert to_text(parse_model("base t\nfibre y\nlagrangian y_t^2 + v_y - v_y\n").payload[0]) == "y_t^2"
 
 
 def test_order_inference():
@@ -174,6 +176,8 @@ PARSE_ERRORS = [
     (L + "y @ # c", None, 3, 14, "unexpected character '@'"),
     (L + "y\x0c", None, 3, 13, "unexpected character '\\x0c'"),
     (L + "y\r+ y", None, 3, 13, "unexpected character '\\r'"),
+    (L + "y_t^2 + y*\u0663", None, 3, 22, "unexpected character '\u0663'"),  # Arabic-Indic three
+    (L + "y*\uff11", None, 3, 14, "unexpected character '\uff11'"),  # full-width one
     # expressions
     (L + "y +", None, 3, 15, "unexpected end of expression"),
     (L + "y +   # comment", None, 3, 15, "unexpected end of expression"),
@@ -243,8 +247,9 @@ PARSE_ERRORS = [
     ("base t tx\nfibre y\nlagrangian y", None, 1, 1,
      "base coordinate 't' is a prefix of 'tx'; jet suffixes would be ambiguous"),
     # symbol kinds and orders
-    (H + "hamiltonian y_t^2", None, 3, 1, "'y_t' (jet-coordinate) is not allowed in a hamiltonian"),
-    (L + "v_y^2", None, 3, 1, "'v_y' (vertical-coordinate) is not allowed in a lagrangian"),
+    (H + "hamiltonian y_t^2", None, 3, 13, "'y_t' (jet-coordinate) is not allowed in a hamiltonian"),
+    (L + "y_t^2 + v_y^2", None, 3, 20, "'v_y' (vertical-coordinate) is not allowed in a lagrangian"),
+    (L + "y - (v_y + v_y)", None, 3, 17, "'v_y' (vertical-coordinate) is not allowed in a lagrangian"),
     (L + "y_t^2", 1, 1, 1, "--order 1 is below the inferred minimum 2 for this model"),
     (L + "y_t^2", 300, 1, 1,
      "jet order 300 over 1 base coordinate(s) gives 301 multi-indices per field, more than 256"),
@@ -281,7 +286,7 @@ def test_disallowed_symbol_report_is_deterministic():
         ).stdout
         for seed in ("1", "2", "5")
     }
-    assert reports == {"line 3, column 1: 'u_t' (jet-coordinate) is not allowed in a hamiltonian\n"}
+    assert reports == {"line 3, column 17: 'u_t' (jet-coordinate) is not allowed in a hamiltonian\n"}
 
 
 NUMBER_FORMS = [

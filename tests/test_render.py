@@ -1,12 +1,28 @@
-"""Rendering: DSL text round trips, LaTeX conventions, JSON schema."""
+"""Rendering: DSL text round trips, LaTeX conventions, JSON schema, and
+the one term writer that a normal form's expansion and a tree both feed."""
 
+import copy
 import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from deviq import (
+    Add,
+    DeviqError,
+    Fun,
+    Mul,
+    Pow,
+    Rat,
     Sym,
     deviation_equations,
+    derive_equations,
     euler_lagrange,
     hamilton_equations,
+    load_model,
     normalize,
     parse_model,
     render,
@@ -19,6 +35,13 @@ from conftest import (
     LAGRANGIAN_MODELS,
     corpus_model,
 )
+from grammar import random_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from chains import FAMILIES, FORMS, make_chain, model_text  # noqa: E402
+
+GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 
 
 def test_latex_vertical_dot_convention():
@@ -107,3 +130,89 @@ def test_expression_text_round_trip_through_parser():
             )
             again = parse_model(body)
             assert again.payload[0] == e, name
+
+
+# --------------------------------------------------------------------------
+# one term writer: a normal form is written from its expansion, any other
+# node from its tree, and both must give the same bytes
+
+def _writer_models():
+    rng = random.Random(23)
+    texts = [random_model(rng) for _ in range(60)]
+    chain_rng = random.Random(0)
+    texts += [model_text(make_chain(family, form, n, chain_rng))
+              for family in FAMILIES for form in FORMS for n in (2, 3)]
+    return texts
+
+
+def test_expansion_and_tree_write_the_same_bytes():
+    compared = 0
+    for i, text in enumerate(_writer_models()):
+        model = parse_model(text)
+        for make in (derive_equations, deviation_equations):
+            try:
+                system = make(model)
+            except DeviqError:
+                continue  # an error message is pinned by the grammar digest
+            for e in system.equations:
+                if e._expansion is None:
+                    continue
+                written = to_text(e), to_latex(e, system.spec)
+                # a copy is made anew by its constructor, without the
+                # expansion: `Add(e.terms)` for a sum
+                tree = copy.copy(e)
+                assert tree == e and tree._expansion is None, i
+                assert (to_text(tree), to_latex(tree, system.spec)) == written, i
+                compared += 1
+    assert compared >= 300
+
+
+_SPEC = parse_model("base t\nfibre y\nlagrangian y_t^2\n").spec.vertical_extension()
+_Y, _YT, _VY = (Sym(_SPEC.symbol(n)) for n in ("y", "y_t", "v_y"))
+_ONE = Rat(Fraction(1))
+
+#: hand-built trees that carry no expansion, with their text and LaTeX
+HAND_TREES = {
+    "pow-one": (Pow(_Y, Fraction(1)), "y", "y"),
+    "pow-of-inverse": (
+        Pow(Pow(Add((_Y, _ONE)), Fraction(-1)), Fraction(2)),
+        "(1/(y + 1))^2", r"\left(\frac{1}{\left(y + 1\right)}\right)^{2}",
+    ),
+    "two-rats": (
+        Mul((Rat(Fraction(2)), _Y, Rat(Fraction(3, 4)), _YT)),
+        "3*y*y_t/2", r"\frac{3 \, y \, \dot{y}}{2}",
+    ),
+    "rats-cancel": (Mul((Rat(Fraction(2)), Rat(Fraction(1, 2)), _VY)), "v_y", r"\dot{y}"),
+    "zero-rat": (Mul((Rat(Fraction(0)), _Y)), "0*y", r"0 \, y"),
+    "mul-in-mul": (
+        Mul((Rat(Fraction(-1)), Mul((_Y, _YT)), Pow(_Y, Fraction(-2)))),
+        "-(y*y_t)/y^2", r"-\frac{\left(y \, \dot{y}\right)}{y^{2}}",
+    ),
+    "negative-rational": (
+        Mul((Rat(Fraction(-5, 3)), Pow(_YT, Fraction(2)), Pow(_Y, Fraction(-1, 2)))),
+        "-5*y_t^2/(3*y^(1/2))", r"-\frac{5 \, \dot{y}^{2}}{3 \, y^{1/2}}",
+    ),
+    "sum": (
+        Add((Mul((Rat(Fraction(-1, 2)), Pow(_VY, Fraction(3)))), Rat(Fraction(-2)),
+             Fun("sin", Add((_Y, Mul((Rat(Fraction(-1)), _YT))))),
+             Pow(Add((_Y, _YT)), Fraction(1, 2)))),
+        "-v_y^3/2 - 2 + sin(y - y_t) + (y + y_t)^(1/2)",
+        r"-\frac{\dot{y}^{3}}{2} - 2 + \sin\left(y - \dot{y}\right) + \left(y + \dot{y}\right)^{1/2}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HAND_TREES)
+def test_hand_built_tree_is_written_from_its_factors(name):
+    tree, text, latex = HAND_TREES[name]
+    assert (to_text(tree), to_latex(tree, _SPEC)) == (text, latex)
+
+
+@pytest.mark.parametrize("name", ["fpu-L4", "pendulum-H4"])
+def test_writing_reads_no_terms(name):
+    system = deviation_equations(load_model(GOLDEN_MODELS / f"{name}.eqn"))
+    render(system, "text")
+    render(system, "latex")
+    sums = [e for e in system.equations if isinstance(e, Add)]
+    assert len(sums) == len(system.equations) >= 8
+    assert all(e._terms is None for e in sums)
