@@ -1102,11 +1102,8 @@ def _join_terms(e: Expr, term) -> str:
     else:
         terms = (([(a.base, a.exponent) if x == 1 and type(a) is Pow else (a, x) for a, x in m],
                   p[m]) for m in sorted(p, key=_mono_key))
-    parts = [term(*next(terms))]
-    for pairs, coeff in terms:
-        s = term(pairs, coeff)
-        parts.append(" - " + s[1:] if s[0] == "-" else " + " + s)
-    return "".join(parts)
+    parts = [term(pairs, coeff) for pairs, coeff in terms]
+    return parts[0] + "".join(" - " + s[1:] if s[0] == "-" else " + " + s for s in parts[1:])
 
 
 def _tree_term(e: Expr) -> tuple:
