@@ -374,7 +374,11 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
     for (line_no, tokens), e in zip(body, payload):
         for s in sorted(free_symbols(e), key=lambda s: s.name):  # the same report in every run
             if s.kind not in _ALLOWED[kind]:
-                column = next(tok[3] for tok in tokens if tok[1] == s.name)
+                # by symbol, not text: y_xt and y_tx name one symbol
+                column = next(
+                    tok[3] for tok in tokens
+                    if (x := parser.symbols.get(tok[1])) is not None and x.symbol == s
+                )
                 raise ParseError(
                     f"'{s.name}' ({s.kind.value}) is not allowed in a {kind}", line_no, column
                 )

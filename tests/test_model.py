@@ -257,6 +257,11 @@ PARSE_ERRORS = [
     (L + "y_t^2 + y*\u0663", None, 3, 22, "unexpected character '\u0663'"),  # Arabic-Indic three
     (L + "y*\uff11", None, 3, 14, "unexpected character '\uff11'"),  # full-width one
     (L + "y - (v_y + v_y)", None, 3, 17, "'v_y' (vertical-coordinate) is not allowed in a lagrangian"),
+    # a jet's multi-index is sorted, so the text y_xt names the symbol y_tx
+    ("base t x\nfibre y\nhamiltonian y + y_xt^2", None, 3, 17,
+     "'y_tx' (jet-coordinate) is not allowed in a hamiltonian"),
+    ("base t x\nfibre y\nlagrangian v_y_xt", None, 3, 12,
+     "'v_y_tx' (vertical-coordinate) is not allowed in a lagrangian"),
 ]
 
 
