@@ -286,6 +286,9 @@ class Fun(Expr):
 
 ZERO = Rat(Fraction(0))
 ONE = Rat(Fraction(1))
+#: the exponent of a square root: `_poly` reads sqrt(u) as u^(1/2), and text
+#: and LaTeX write it back as sqrt
+_HALF = Fraction(1, 2)
 
 
 def _as_fraction(x) -> Fraction:
@@ -562,15 +565,14 @@ def _poly(e: Expr) -> _Poly:
                         del out[mono]
         return out
     if isinstance(e, Fun):
+        if e.name == "sqrt":
+            # one spelling of the square root: sqrt(u) is u^(1/2)
+            return _poly(Pow(e.arg, _HALF))
         arg = normalize(e.arg)
         if isinstance(arg, Rat):
             exact = _EXACT_FUN_VALUES.get((e.name, arg.value))
             if exact is not None:
                 return _rat_poly(exact)
-            if e.name == "sqrt":
-                r = _rational_root(arg.value, Fraction(1, 2))
-                if r is not None:
-                    return _rat_poly(r)
             if e.name == "ln" and arg.value == 0:
                 raise DomainError(e, "logarithm of zero")
         return _atom_poly(e if arg is e.arg else Fun(e.name, arg))
@@ -601,10 +603,10 @@ def _poly(e: Expr) -> _Poly:
                 return _atom_poly(Pow(Rat(c), q))
             if coeff == _QONE and len(mono) == 1 and mono[0][1] == 1:
                 return _atom_poly(mono[0][0], q)
-            return _atom_poly(_opaque_pow(e, base))
+            return _opaque_pow(e, base)
         if q.denominator == 1 and q > 0:
             return _poly_int_pow(base, int(q))
-        return _atom_poly(_opaque_pow(e, base))
+        return _opaque_pow(e, base)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -649,11 +651,15 @@ def _check_power(e: Pow, base: _Poly) -> None:
         )
 
 
-def _opaque_pow(e: Pow, base: _Poly) -> Pow:
-    """`e` as an atom: its base in normal form, `e` itself when it is."""
-    if e.base._expansion is base:
-        return e
-    return Pow(_from_poly(base), e.exponent)
+def _opaque_pow(e: Pow, base: _Poly) -> _Poly:
+    """`e` over an atom, its base in normal form.  An integer power is an
+    atom; b^(p/d) is the p-th power of the atom b^(1/d), so that every
+    power of b over one denominator, and sqrt(b), shares one atom."""
+    q = e.exponent
+    root, p = (q, 1) if q.denominator == 1 else (Fraction(1, q.denominator), q.numerator)
+    if e.base._expansion is base and q == root:
+        return _atom_poly(e)
+    return _atom_poly(Pow(_from_poly(base), root), p)
 
 
 def _from_poly(p: _Poly) -> Expr:
@@ -1152,9 +1158,11 @@ def _term_text(pairs, coeff) -> str:
 
 
 def _pow_text(atom: Expr, q) -> str:
-    base = _atom_text(atom)
     if q == 1:
-        return base
+        return _atom_text(atom)
+    if q == _HALF:
+        return f"sqrt({to_text(atom)})"
+    base = _atom_text(atom)
     if q.denominator == 1 and q >= 0:
         return f"{base}^{q.numerator}"
     if q.denominator == 1:
@@ -1173,4 +1181,6 @@ def _atom_text(e: Expr) -> str:
         return e.symbol.name
     if isinstance(e, Fun):
         return f"{e.name}({to_text(e.arg)})"
+    if isinstance(e, Pow) and e.exponent == _HALF:
+        return f"sqrt({to_text(e.base)})"
     return "(" + to_text(e) + ")"

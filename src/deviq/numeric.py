@@ -16,8 +16,10 @@ Two independent numeric oracles back the symbolic construction:
     and must observe the O(eps^2) law that linearization promises.
 
 Integration is classical RK4 with a fixed step: bit-exact deterministic
-for fixed inputs, no adaptivity anywhere.  Each system's step is generated
-as one straight-line function, and so is each problem's residual sweep.
+for fixed inputs, no adaptivity anywhere.  Each system's RK4 loop over a
+whole window is generated as one function with straight-line steps, and
+so is each problem's residual sweep; the finite-difference oracle runs
+its two flows as two lanes of one such loop.
 
 `integrate`, `perturbation_residual` and `Trajectory.to_csv` work on
 Python floats and never load numpy.  It loads where an array is made: on
@@ -91,13 +93,14 @@ MAX_STEPS = 10**5
 # --------------------------------------------------------------------------
 # code generation: `_emit` writes one expression node.  `_lambdify` inlines
 # every subtree, for `FirstOrderSystem.__call__` and `numpy_eval`;
-# `_rk4_step` and `_residual_sweep` write straight-line code over scalars
-# that computes each repeated subtree once.
+# `_rk4_loop` and `_residual_sweep` write loops of straight-line code over
+# scalars that computes each repeated subtree once.
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
 #: what float arithmetic and `math` raise where numpy gives inf or nan
 _MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+#: for the generated loops, the RK4 loops and the residual sweep
 _SWEEP_ENV = {
     **_SCALAR_ENV, "abs": abs, "enumerate": enumerate, "zip": zip, "nan": math.nan, "MathError": _MATH_ERRORS
 }
@@ -135,9 +138,15 @@ def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
     if isinstance(e, Mul):
         return "(" + "*".join(map(sub, e.factors)) + ")"
     if isinstance(e, Pow):
-        if e.exponent.denominator == 1:
-            return f"({sub(e.base)})**({_float_text(int(e.exponent))})"
-        return f"pow({sub(e.base)}, {float(e.exponent)!r})"
+        q = e.exponent
+        if q.denominator == 2:
+            # u^(k/2) is the normal form of sqrt(u)^k: through sqrt it
+            # computes what the model's square root did
+            root = f"sqrt({sub(e.base)})"
+            return root if q.numerator == 1 else f"({root})**({_float_text(q.numerator)})"
+        if q.denominator == 1:
+            return f"({sub(e.base)})**({_float_text(int(q))})"
+        return f"pow({sub(e.base)}, {float(q)!r})"
     if isinstance(e, Fun):
         return f"{_FUN_NAMES.get(e.name, e.name)}({sub(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
@@ -214,40 +223,76 @@ class _Subtrees:
         return text
 
 
-def _rk4_step(f: "FirstOrderSystem"):
-    """`step(t, t_half, t_next, h, z)`: one classical RK4 step of `f` as
-    straight-line code.  Each stage inlines the right-hand side over its
-    own locals and computes every repeated subtree once; a right-hand
-    side that is a state, the base coordinate or a constant is an alias.
-    Every float operation runs in the order of the textbook loop
-    (k = F(t, z), z + 0.5*h*k, ..., z + h*(k1 + 2*k2 + 2*k3 + k4)/6), so
-    the result is bit-identical to it.  It returns None when a component of
-    the new state is not finite: then n - n is nan for that component."""
+def _rk4_lane(f: "FirstOrderSystem", shared: _Subtrees, lane: str, lines: list) -> list:
+    """Append to `lines` one classical RK4 step of `f` from the states
+    `<lane>0, <lane>1, ...`, with stage times t, th, th and tn, and return
+    the names of the new states.  Every local carries the lane's prefix, so
+    several lanes share one loop body.  Each stage inlines the right-hand
+    side over its own locals and computes every repeated subtree once; a
+    right-hand side that is a state, the base coordinate or a constant is
+    an alias."""
     n = f.dimension
-    zs = [f"z{i}" for i in range(n)]
-    shared = _Subtrees(f.rhs, {**dict(zip(f.state_names, zs)), f.base.name: "t"})
-    lines = [", ".join(zs) + ", = z", "hh = 0.5 * h"]
+    zs = [f"{lane}{i}" for i in range(n)]
     ks = []
-    for stage, t in enumerate(("t", "t_half", "t_half", "t_next"), 1):
-        text = shared.writer({**dict(zip(f.state_names, zs)), f.base.name: t}, f"c{stage}_", lines)
+    for stage, t in enumerate(("t", "th", "th", "tn"), 1):
+        text = shared.writer({**dict(zip(f.state_names, zs)), f.base.name: t}, f"{lane}c{stage}_", lines)
         k = []
         for i, e in enumerate(f.rhs):
             out = text(e)
             if not (out.isidentifier() or isinstance(e, Rat)):
-                lines.append(f"k{stage}_{i} = {out}")
-                out = f"k{stage}_{i}"
+                lines.append(f"{lane}k{stage}_{i} = {out}")
+                out = f"{lane}k{stage}_{i}"
             k.append(out)
         ks.append(k)
         if stage < 4:
             coef = "h" if stage == 3 else "hh"
-            zs = [f"y{stage + 1}_{i}" for i in range(n)]
-            lines += [f"{y} = z{i} + {coef} * {ki}" for i, (y, ki) in enumerate(zip(zs, k))]
-    new = [f"n{i}" for i in range(n)]
+            zs = [f"{lane}y{stage + 1}_{i}" for i in range(n)]
+            lines += [f"{y} = {lane}{i} + {coef} * {ki}" for i, (y, ki) in enumerate(zip(zs, k))]
+    new = [f"{lane}n{i}" for i in range(n)]
     for i, (a, b, c, d) in enumerate(zip(*ks)):
-        lines.append(f"n{i} = z{i} + h * ({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0")
-    lines += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return None"]
-    lines.append(f"return ({', '.join(new)},)")
-    return _define("def f(t, t_half, t_next, h, z):\n    " + "\n    ".join(lines) + "\n", _SCALAR_ENV)
+        lines.append(f"{lane}n{i} = {lane}{i} + h * ({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0")
+    return new
+
+
+def _rk4_loop(f: "FirstOrderSystem", lanes: int):
+    """The classical RK4 loop of `f` over a whole window, as generated code.
+
+    With one lane it is `loop(times, sizes, rows, a)` and appends each new
+    state to `rows`; with two it is `loop(times, sizes, rows, eps, a, b)`,
+    which steps the flows from `a` and from `b` side by side and appends
+    (b_i - a_i) / eps.  `sizes[i]` is the step from `times[i]` to
+    `times[i + 1]`.  The loop returns early, one row short, when a new
+    state is not finite (n - n is nan just then), and a math error
+    propagates; either way `rows` ends with the last valid step.  When no
+    right-hand side reads the base coordinate, the loop reads only `sizes`.
+    Every float operation runs in the order of the textbook loop
+    (k = F(t, z), z + 0.5*h*k, ..., z + h*(k1 + 2*k2 + 2*k3 + k4)/6), so
+    its rows are bit-identical to it."""
+    n = f.dimension
+    names = ("a", "b")[:lanes]
+    timed = f.base in set().union(*map(free_symbols, f.rhs))
+    shared = _Subtrees(f.rhs, {**{s: f"z{i}" for i, s in enumerate(f.state_names)}, f.base.name: "t"})
+    body = ["hh = 0.5 * h"]
+    if timed:
+        body.append("th = t + hh")
+    new = []
+    for lane in names:
+        new += _rk4_lane(f, shared, lane, body)
+    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return"]
+    body += [f"{lane}{i} = {lane}n{i}" for lane in names for i in range(n)]
+    if lanes == 1:
+        body.append("append((" + ", ".join(f"a{i}" for i in range(n)) + ",))")
+    else:
+        body.append("append((" + ", ".join(f"(b{i} - a{i}) / eps" for i in range(n)) + ",))")
+    head = "for t, tn, h in zip(times, times[1:], sizes):" if timed else "for h in sizes:"
+    source = [
+        f"def f(times, sizes, rows, {', '.join(names if lanes == 1 else ('eps', *names))}):",
+        *(f"    {', '.join(f'{lane}{i}' for i in range(n))}, = {lane}" for lane in names),
+        "    append = rows.append",
+        "    " + head,
+        *("        " + line for line in body),
+    ]
+    return _define("\n".join(source) + "\n", _SWEEP_ENV)
 
 
 def numpy_eval(e: Expr, env: Mapping[str, object]):
@@ -312,13 +357,17 @@ class FirstOrderSystem(Value):
         return self._callable(t, z)
 
     @cached_property
-    def _step(self):
-        return _rk4_step(self)
+    def _loop(self):
+        return _rk4_loop(self, 1)
+
+    @cached_property
+    def _fd_loop(self):
+        return _rk4_loop(self, 2)
 
     @cached_property
     def base_part(self) -> "FirstOrderSystem":
         """The subsystem of non-vertical states (the original dynamics),
-        built once, so its RK4 step is generated once."""
+        built once, so its RK4 loops are generated once."""
         idx = [i for i, v in enumerate(self.vertical_mask) if not v]
         return FirstOrderSystem(
             self.base,
@@ -512,25 +561,12 @@ def _check_window(t0: float, t1: float, dt: float) -> None:
         )
 
 
-def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Trajectory:
-    """Classical fixed-step RK4 from t0 to t1.
-
-    The grid is t0 + i*dt with one shorter final step when dt does not
-    divide the span exactly; a span shorter than one step is one step
-    from t0 to t1.  Non-finite input, a window of more than MAX_STEPS
-    steps and a grid whose times do not strictly increase (dt below the
-    float spacing of the times) are refused before any step runs.  Any
-    non-finite state or failed right-hand side aborts with the last valid
-    time in the error.
-    """
+def _grid(t0: float, t1: float, dt: float) -> tuple:
+    """`(times, sizes)`: the grid t0 + i*dt, with one shorter final step to
+    t1 when dt does not divide the span, and the step sizes between its
+    points.  Refuses what `_check_window` refuses, and a grid whose times
+    do not strictly increase (dt below the float spacing of the times)."""
     _check_window(t0, t1, dt)
-    z = tuple(float(v) for v in z0)
-    if len(z) != f.dimension:
-        raise SpecError(f"initial state has length {len(z)}, system dimension is {f.dimension}")
-    for name, v in zip(f.state_names, z):
-        if not math.isfinite(v):
-            raise SpecError(f"initial state {name}={v} is not a finite number")
-
     n_full = int((t1 - t0) / dt + 1e-9)
     while t0 + n_full * dt > t1 + 1e-9 * dt:
         n_full -= 1
@@ -544,21 +580,52 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
         raise SpecError(
             f"the time grid from t0={t0} in steps of dt={dt} does not strictly increase"
         )
-    step = f._step
+    return times, sizes
 
-    rows = [z]
-    for t, t_next, h in zip(times, times[1:], sizes):
-        try:
-            z = step(t, t + 0.5 * h, t_next, h, z)
-        except _MATH_ERRORS as ex:
-            raise IntegrationError(
-                f"right-hand side failed between t={t:.6g} and t={t_next:.6g}: {ex}", t
-            ) from None
-        if z is None:
-            raise IntegrationError(
-                f"state became non-finite at t={t_next:.6g}", t
-            )
-        rows.append(z)
+
+def _initial_state(f: FirstOrderSystem, z0) -> tuple:
+    """`z0` as floats, refused unless it has one finite value per state."""
+    z = tuple(float(v) for v in z0)
+    if len(z) != f.dimension:
+        raise SpecError(f"initial state has length {len(z)}, system dimension is {f.dimension}")
+    for name, v in zip(f.state_names, z):
+        if not math.isfinite(v):
+            raise SpecError(f"initial state {name}={v} is not a finite number")
+    return z
+
+
+def _run(loop, times: list, sizes: list, rows: list, *args) -> None:
+    """Run a generated RK4 loop over the grid, `rows` holding the initial
+    row.  A math error or a non-finite state stops it after len(rows) - 1
+    steps, and the step after them is reported with its start as the last
+    valid time."""
+    try:
+        loop(times, sizes, rows, *args)
+    except _MATH_ERRORS as ex:
+        t, t_next = times[len(rows) - 1: len(rows) + 1]
+        raise IntegrationError(
+            f"right-hand side failed between t={t:.6g} and t={t_next:.6g}: {ex}", t
+        ) from None
+    if len(rows) < len(times):
+        t, t_next = times[len(rows) - 1: len(rows) + 1]
+        raise IntegrationError(f"state became non-finite at t={t_next:.6g}", t)
+
+
+def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Trajectory:
+    """Classical fixed-step RK4 from t0 to t1, one generated loop over the
+    whole window.
+
+    The grid is t0 + i*dt with one shorter final step when dt does not
+    divide the span exactly; a span shorter than one step is one step
+    from t0 to t1.  Non-finite input, a window of more than MAX_STEPS
+    steps and a grid whose times do not strictly increase (dt below the
+    float spacing of the times) are refused before any step runs.  Any
+    non-finite state or failed right-hand side aborts with the last valid
+    time in the error.
+    """
+    times, sizes = _grid(t0, t1, dt)
+    rows = [_initial_state(f, z0)]
+    _run(f._loop, times, sizes, rows, rows[0])
     return Trajectory(
         times,
         rows,
@@ -643,28 +710,24 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
     from z0 and from z0 + eps * (jacobi data embedded on the base states)
     and return the divided difference on the shared grid.
 
-    Converges to the Jacobi field linearly in eps; exactly (up to the
-    integrator) for linear systems.
+    Both flows step side by side in one generated loop, each bit-identical
+    to `integrate` from its initial state; the first step at which either
+    fails is reported.  Converges to the Jacobi field linearly in eps;
+    exactly (up to the integrator) for linear systems.
     """
     if not 0 < eps < math.inf:
         raise SpecError(f"finite-difference step must be positive and finite, got {eps}")
     fos = prob.compiled
     base_sys = fos.base_part
     names = fos.state_names[fos.dimension // 2:]
-    z0 = tuple(prob.base_init[s.name] for s in base_sys.states)
-    delta = tuple(prob.jacobi_init[n] for n in names)
-    plain = integrate(base_sys, z0, prob.t0, prob.t1, prob.dt)
-    nudged = integrate(
-        base_sys,
-        tuple(a + eps * b for a, b in zip(z0, delta)),
-        prob.t0,
-        prob.t1,
-        prob.dt,
-    )
-    diff_states = (nudged.states - plain.states) / eps
+    times, sizes = _grid(prob.t0, prob.t1, prob.dt)
+    a = _initial_state(base_sys, (prob.base_init[s.name] for s in base_sys.states))
+    b = _initial_state(base_sys, (x + eps * prob.jacobi_init[n] for x, n in zip(a, names)))
+    rows = [tuple((y - x) / eps for x, y in zip(a, b))]
+    _run(base_sys._fd_loop, times, sizes, rows, eps, a, b)
     return Trajectory(
-        plain.times,
-        diff_states,
+        times,
+        _frozen(rows),
         names,
         {"dt": prob.dt, "method": "rk4", "eps": eps, "oracle": "finite-difference"},
     )

@@ -28,6 +28,7 @@ from .expr import (
     Sym,
     Symbol,
     SymbolKind,
+    _HALF,
     _join_terms,
     _split_term,
     as_expr,
@@ -98,13 +99,17 @@ def _atom_tex(e: Expr, spec) -> str:
         if e.name == "sqrt":
             return r"\sqrt{" + arg + "}"
         return "\\" + e.name + r"\left(" + arg + r"\right)"
+    if isinstance(e, Pow) and e.exponent == _HALF:
+        return r"\sqrt{" + to_latex(e.base, spec) + "}"
     return r"\left(" + to_latex(e, spec) + r"\right)"
 
 
 def _pow_tex(atom: Expr, q, spec) -> str:
-    base = _atom_tex(atom, spec)
     if q == 1:
-        return base
+        return _atom_tex(atom, spec)
+    if q == _HALF:
+        return r"\sqrt{" + to_latex(atom, spec) + "}"
+    base = _atom_tex(atom, spec)
     if "^" in base:  # avoid double superscripts on momenta
         base = "{" + base + "}"
     exp = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

@@ -112,8 +112,8 @@ def test_exact_roots_of_big_integers():
     assert normalize(Fun("sqrt", as_expr(big**2))) == Rat(Fraction(big))
     assert normalize(Pow(as_expr(Fraction(big**3, 27)), Fraction(2, 3))) == Rat(Fraction(big**2, 9))
     assert normalize(Fun("sqrt", as_expr(Fraction(10) ** 400))) == Rat(Fraction(10**200))
-    # one more than a square has no rational root and stays an atom
-    assert isinstance(normalize(Fun("sqrt", as_expr(big**2 + 1))), Fun)
+    # one more than a square has no rational root and stays an atom, its power 1/2
+    assert normalize(Fun("sqrt", as_expr(big**2 + 1))) == Pow(as_expr(big**2 + 1), Fraction(1, 2))
     assert isinstance(normalize(Pow(as_expr(big**3 - 1), Fraction(1, 3))), Pow)
 
 
@@ -134,9 +134,23 @@ def test_diff_rules():
     assert d_ln == normalize(Pow(Y, Fraction(-1)))
     d_sqrt = normalize(diff(Fun("sqrt", Y), SPEC.symbol("y")))
     assert bool(equivalent(d_sqrt, Mul((as_expr(Fraction(1, 2)), Pow(Y, Fraction(-1, 2)))))) is True
+    # sqrt(y) and y^(1/2) are one atom of the normal form
+    assert d_sqrt == normalize(Mul((as_expr(Fraction(1, 2)), Pow(Y, Fraction(-1, 2)))))
     # independence
     assert normalize(diff(Y, SPEC.symbol("u"))) == Rat(Fraction(0))
     assert normalize(diff(YT, SPEC.symbol("y"))) == Rat(Fraction(0))
+
+
+def test_powers_of_a_sum_over_one_denominator_share_one_atom():
+    """b^(p/d) of a sum is the p-th power of the atom b^(1/d), so sqrt and
+    rational powers of one base compare by the normal form."""
+    b = Y + 1
+    half = Fraction(1, 2)
+    assert normalize(Pow(Fun("sqrt", b), Fraction(3))) == normalize(Pow(b, Fraction(3, 2)))
+    assert normalize(Pow(Fun("sqrt", b), Fraction(-1))) == normalize(Pow(b, -half))
+    assert normalize(Pow(b, half) * Pow(b, Fraction(-3, 2))) == normalize(Pow(b, Fraction(-1, 2)) ** 2)
+    assert normalize(diff(Fun("sqrt", b), SPEC.symbol("y"))) == normalize(Mul((as_expr(half), Pow(b, -half))))
+    assert to_text(normalize(Pow(b, Fraction(-3, 2)))) == "1/sqrt(1 + y)^3"
 
 
 def test_diff_chain_and_product():

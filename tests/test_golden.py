@@ -94,7 +94,7 @@ def test_golden_output(name, argv):
 
 
 #: `grammar.digest(40, 5)`, see test_grammar_digest
-GRAMMAR_DIGEST = "5e131e9a8aa4a3f3f4391002324ab4f8b4730b8b1983965074b498a522959184"
+GRAMMAR_DIGEST = "483039dd3dd7eaacf43213db880b88c9bf8e07f6f812ebd67a63f9bb473b0fb0"
 
 
 def test_grammar_digest():

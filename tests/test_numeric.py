@@ -3,12 +3,14 @@
 import math
 import random
 import re
+import symtable
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deviq.cli
 from deviq import (
     CompileError,
     DeviqError,
@@ -38,7 +40,8 @@ from deviq import (
     solve_jacobi,
 )
 from deviq.bundle import MultiIndex
-from deviq.expr import Pow, Symbol, SymbolKind, exp, ln, sin, substitute
+from deviq.expr import Pow, Symbol, SymbolKind, exp, free_symbols, ln, sin, substitute
+from deviq import numeric
 from deviq.numeric import MAX_STEPS, _emit
 from conftest import ODE_CORPUS, corpus_model, first_order_atoms, model_path, rand_expr
 
@@ -275,6 +278,30 @@ def test_rk4_step_bit_identical_with_short_final_step():
     assert_bit_identical(prob.compiled, prob.initial_state(), 0.25, 1.2345, 1e-2)
 
 
+DRIVEN = "base t\nfibre y\nequation y_tt + y - cos(t)*y\n"
+
+
+def test_simulate_bit_identical_on_a_time_dependent_model(tmp_path, capsys):
+    """No shipped model reads its base coordinate: this driven oscillator
+    takes the loop that carries the stage times."""
+    path = tmp_path / "driven.eqn"
+    path.write_text(DRIVEN)
+    code = deviq.cli.main(["simulate", str(path), "--init", "y=1,y_t=0", "--jacobi-init", "v_y=0,v_y_t=1",
+                           "--t1", "2.005", "--dt", "0.01"])
+    out = capsys.readouterr().out
+    assert code == 0
+    prob = JacobiProblem(deviation_equations(parse_model(DRIVEN)), {"y": 1.0, "y_t": 0.0},
+                         {"v_y": 0.0, "v_y_t": 1.0}, 0.0, 2.005, 0.01)
+    fos = prob.compiled
+    assert fos.base in set().union(*map(free_symbols, fos.rhs))
+    rows = reference_rk4(fos, prob.initial_state(), 0.0, 2.005, 0.01)
+    assert len(rows) == 202
+    times = [0.0] + [i * 0.01 for i in range(1, 201)] + [2.005]
+    expect = ["t," + ",".join(fos.state_names)]
+    expect += [",".join(f"{v:.17g}" for v in (t, *row)) for t, row in zip(times, rows)]
+    assert out == "\n".join(expect) + "\n"
+
+
 def _first_order(rhs):
     """y, u with y' = 1 and u' = rhs(t, y, u), as built, not normalized."""
     t, y, u = (Symbol("t", SymbolKind.BASE), Symbol("y", SymbolKind.FIBRE),
@@ -287,10 +314,11 @@ def test_rk4_step_computes_a_repeated_subtree_once_per_stage():
     fos = _first_order(lambda t, y, u: sin(y + t) * u - sin(y + t))
     assert_bit_identical(fos, (0.5, -0.25), 0.0, 1.0, 1e-2)
     calls = []
-    step = fos._step
-    step.__globals__["sin"] = lambda x: calls.append(x) or math.sin(x)
-    step(0.0, 0.005, 0.01, 0.01, (0.5, -0.25))
-    assert len(calls) == 4
+    loop = fos._loop
+    loop.__globals__["sin"] = lambda x: calls.append(x) or math.sin(x)
+    rows = [(0.5, -0.25)]
+    loop([0.0, 0.01, 0.02], [0.01, 0.01], rows, rows[0])
+    assert len(calls) == 8 and len(rows) == 3  # 4 per step
 
 
 @pytest.mark.parametrize("rhs,error", [
@@ -308,10 +336,12 @@ def test_rk4_step_failure_is_integration_error_with_last_valid_time(rhs, error):
 
 
 def test_rk4_step_returns_none_for_a_non_finite_state():
-    """1e300 * u * u overflows to inf without an exception: the step returns
-    None, and integrate reports the end of that step."""
+    """1e300 * u * u overflows to inf without an exception: the loop stops
+    before appending that step, and integrate reports its end."""
     fos = _first_order(lambda t, y, u: Rat(Fraction(10**300)) * u * u)
-    assert fos._step(0.0, 0.125, 0.25, 0.25, (0.0, 1.0)) is None
+    rows = [(0.0, 1.0)]
+    assert fos._loop([0.0, 0.25, 0.5], [0.25, 0.25], rows, rows[0]) is None
+    assert rows == [(0.0, 1.0)]
     with pytest.raises(IntegrationError, match=r"state became non-finite at t=0\.25 ") as err:
         integrate(fos, (0.0, 1.0), 0.0, 1.0, 0.25)
     assert err.value.last_time == 0.0
@@ -330,7 +360,10 @@ def test_emit_writes_integer_constants_as_float_literals():
     assert text(Rat(Fraction(-12))) == "(-12.0)"
     assert text(Pow(y, Fraction(3))) == "(y)**(3.0)"
     assert text(Pow(y, Fraction(-2))) == "(y)**(-2.0)"
-    assert text(Pow(y, Fraction(1, 2))) == "pow(y, 0.5)"
+    assert text(Pow(y, Fraction(1, 3))) == "pow(y, 0.3333333333333333)"
+    # an exponent over 2 goes through sqrt, as the model's sqrt(y)^k did
+    assert text(Pow(y, Fraction(1, 2))) == "sqrt(y)"
+    assert text(Pow(y, Fraction(-3, 2))) == "(sqrt(y))**(-3.0)"
     big = 10**400
     assert text(Rat(Fraction(big))) == f"({big})"
     with pytest.raises(IntegrationError, match="int too large to convert to float"):
@@ -435,6 +468,80 @@ def test_finite_difference_first_order_in_eps():
     order2 = math.log10(errs[1] / errs[2])
     assert 0.8 <= order1 <= 1.2
     assert 0.8 <= order2 <= 1.2
+
+
+def chain_problem(chain, t1=2.0, dt=1e-3):
+    path = next(p for p in CHAIN_MODELS if p.stem == chain)
+    system = deviation_equations(load_model(path))
+    states = compile_system(system).states
+    half = len(states) // 2
+    base = {s.name: 0.3 * math.sin(i + 1) for i, s in enumerate(states[:half])}
+    jac = {s.name: 0.2 * math.cos(i + 1) for i, s in enumerate(states[half:])}
+    return JacobiProblem(system, base, jac, 0.0, t1, dt)
+
+
+def fd_starts(prob, eps):
+    """The plain and nudged initial states of the FD oracle's base flows."""
+    base_sys = prob.compiled.base_part
+    names = prob.compiled.state_names[prob.compiled.dimension // 2:]
+    z0 = [prob.base_init[s.name] for s in base_sys.states]
+    return z0, [a + eps * prob.jacobi_init[n] for a, n in zip(z0, names)]
+
+
+def fd_by_integrate(prob, eps):
+    """The FD oracle from two `integrate` runs of the base part, divided in
+    Python: the rows the stacked loop must reproduce."""
+    plain, moved = (integrate(prob.compiled.base_part, z, prob.t0, prob.t1, prob.dt) for z in fd_starts(prob, eps))
+    rows = [[(b - a) / eps for a, b in zip(p, q)] for p, q in zip(plain._states, moved._states)]
+    return plain._times, rows
+
+
+@pytest.mark.parametrize("name", [*ODE_CORPUS, "pendulum-L4", "fpu-L4"])
+def test_finite_difference_bit_identical_to_two_integrations(name):
+    prob = chain_problem(name) if name in ("pendulum-L4", "fpu-L4") else jacobi_problem(name)
+    for eps in (1e-3, 0.25):
+        fd = finite_difference_jacobi(prob, eps)
+        times, rows = fd_by_integrate(prob, eps)
+        assert fd.times.tolist() == list(times)
+        assert fd.states.tolist() == rows
+
+
+FAILING_FLOWS = {
+    # y' = y^2 from y0 raises an overflow in y^2 near t = 1/y0
+    "math-error": ("fibre y\nequation y_t - y^2", {"y": 1.0}, "v_y"),
+    # y' = 100*u*y, u' = 0 overflows y to inf silently near t = 7.1/u
+    "non-finite": ("fibre y u\nequation y_t - 100*u*y\nequation u_t", {"y": 1.0, "u": 1.0}, "v_u"),
+}
+
+
+@pytest.mark.parametrize("kind", FAILING_FLOWS)
+@pytest.mark.parametrize("v,lane", [(1.0, 1), (-1.0, 0)], ids=["nudged-first", "plain-first"])
+def test_finite_difference_reports_the_earliest_failing_lane(kind, v, lane):
+    """At eps = 0.5 the nudged flow starts at 1.5 or 0.5 times the plain
+    one and fails first or last; the oracle reports the earlier failure,
+    as `integrate` reports it for that flow alone."""
+    text, base, partner = FAILING_FLOWS[kind]
+    system = deviation_equations(parse_model(f"base t\n{text}\n"))
+    prob = JacobiProblem(system, base, {partner: v}, 0.0, 20.0, 0.02)
+    errors = []
+    for z0 in fd_starts(prob, 0.5):
+        with pytest.raises(IntegrationError) as err:
+            integrate(prob.compiled.base_part, z0, prob.t0, prob.t1, prob.dt)
+        errors.append(err.value)
+    with pytest.raises(IntegrationError) as err:
+        finite_difference_jacobi(prob, 0.5)
+    assert err.value.last_time == errors[lane].last_time < errors[1 - lane].last_time
+    assert str(err.value) == str(errors[lane])
+    assert ("non-finite" in str(err.value)) == (kind == "non-finite")
+
+
+def test_finite_difference_returns_read_only_arrays():
+    fd = finite_difference_jacobi(jacobi_problem("pendulum"), 1e-3)
+    for array in (fd._times, fd._states):
+        assert isinstance(array, np.ndarray)
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+    assert fd.names == ("v_y", "v_y_t") and fd.states.shape == (len(fd), 2)
 
 
 def test_residual_quadratic_in_eps_pendulum():
@@ -588,7 +695,7 @@ def test_oracles_reject_non_finite_eps(eps):
 def test_integrate_refuses_window_past_step_cap(t0, t1, dt):
     calls = []
     fos = compile_system(deviation_system(derive_operator("oscillator")))
-    fos.__dict__["_step"] = lambda *args: calls.append(args)  # the cached RK4 step
+    fos.__dict__["_loop"] = lambda *args: calls.append(args)  # the cached RK4 loop
     with pytest.raises(SpecError, match=f"more than {MAX_STEPS} steps"):
         integrate(fos, (1.0, 0.0, 0.0, 1.0), t0, t1, dt)
     assert calls == []
@@ -599,7 +706,7 @@ def test_integrate_refuses_a_grid_that_does_not_increase(t0, t1):
     # the floats near 1e17 are 16 apart, so t0 + 4 rounds back to t0
     calls = []
     fos = compile_system(deviation_system(derive_operator("oscillator")))
-    fos.__dict__["_step"] = lambda *args: calls.append(args)  # the cached RK4 step
+    fos.__dict__["_loop"] = lambda *args: calls.append(args)  # the cached RK4 loop
     with pytest.raises(SpecError, match=re.escape(f"from t0={t0} in steps of dt=4.0 does not strictly increase")):
         integrate(fos, (1.0, 0.0, 0.0, 1.0), t0, t1, 4.0)
     assert calls == []
@@ -620,7 +727,7 @@ def test_first_order_system_needs_a_state():
 def test_integrate_refuses_non_finite_input(z0, t0, t1, dt, message):
     calls = []
     fos = compile_system(deviation_system(derive_operator("oscillator")))
-    fos.__dict__["_step"] = lambda *args: calls.append(args)  # the cached RK4 step
+    fos.__dict__["_loop"] = lambda *args: calls.append(args)  # the cached RK4 loop
     with pytest.raises(SpecError, match=message):
         integrate(fos, z0, t0, t1, dt)
     assert calls == []
@@ -702,3 +809,33 @@ def test_numpy_eval_keeps_numpy_semantics_on_scalars(mechanics_spec):
     with np.errstate(divide="ignore"):
         assert numpy_eval(y ** -1, {"y": 0.0}) == math.inf
         assert numpy_eval(y ** -2 + 1, {"y": 0.0}) == math.inf
+
+
+def _globals_named(table) -> set:
+    """The global names a symbol table and its nested scopes read."""
+    names = {s.get_name() for s in table.get_symbols() if s.is_global()}
+    for child in table.get_children():
+        names |= _globals_named(child)
+    return names
+
+
+def test_generated_code_names_only_its_environment(monkeypatch):
+    """Every source handed to `_define` while integrating, running the FD
+    oracle and sweeping the residual on the corpus reads no global outside
+    the environment it runs in, and that environment has no builtins."""
+    defined = []
+    real = numeric._define
+    monkeypatch.setattr(numeric, "_define", lambda source, env: defined.append((source, env)) or real(source, env))
+    for name in ODE_CORPUS:
+        prob = jacobi_problem(name, dt=0.05)
+        solve_jacobi(prob)
+        finite_difference_jacobi(prob, 1e-3)
+        perturbation_residual(prob)
+    assert len(defined) == 3 * len(ODE_CORPUS)
+    for source, env in defined:
+        assert env["__builtins__"] == {}
+        (function,) = symtable.symtable(source, "<generated>", "exec").get_children()
+        assert _globals_named(function) <= set(env), source
+    assert set(numeric._SWEEP_ENV) == {
+        "sin", "cos", "tan", "exp", "log", "sqrt", "pow", "abs", "enumerate", "zip", "nan", "MathError", "__builtins__"
+    }

@@ -190,14 +190,14 @@ HAND_TREES = {
     ),
     "negative-rational": (
         Mul((Rat(Fraction(-5, 3)), Pow(_YT, Fraction(2)), Pow(_Y, Fraction(-1, 2)))),
-        "-5*y_t^2/(3*y^(1/2))", r"-\frac{5 \, \dot{y}^{2}}{3 \, y^{1/2}}",
+        "-5*y_t^2/(3*sqrt(y))", r"-\frac{5 \, \dot{y}^{2}}{3 \, \sqrt{y}}",
     ),
     "sum": (
         Add((Mul((Rat(Fraction(-1, 2)), Pow(_VY, Fraction(3)))), Rat(Fraction(-2)),
              Fun("sin", Add((_Y, Mul((Rat(Fraction(-1)), _YT))))),
              Pow(Add((_Y, _YT)), Fraction(1, 2)))),
-        "-v_y^3/2 - 2 + sin(y - y_t) + (y + y_t)^(1/2)",
-        r"-\frac{\dot{y}^{3}}{2} - 2 + \sin\left(y - \dot{y}\right) + \left(y + \dot{y}\right)^{1/2}",
+        "-v_y^3/2 - 2 + sin(y - y_t) + sqrt(y + y_t)",
+        r"-\frac{\dot{y}^{3}}{2} - 2 + \sin\left(y - \dot{y}\right) + \sqrt{y + \dot{y}}",
     ),
 }
 

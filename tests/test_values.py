@@ -225,7 +225,7 @@ def test_jacobi_problem_ignores_its_compiled_system():
 
 def test_cached_attributes_outside_the_fields():
     fos = JacobiProblem(FLOW, {"y": 1}, {}, 0.0, 1.0).compiled
-    assert fos._step is fos._step  # a cached_property
+    assert fos._loop is fos._loop  # a cached_property
     assert fos.base_part == FirstOrderSystem(fos.base, fos.states[:1], fos.rhs[:1])
     assert hash(fos) == hash((fos.base, fos.states, fos.rhs))
 
