@@ -32,8 +32,9 @@ class VerticalExtensionError(DeviqError):
 
 class ExpansionLimitError(DeviqError):
     """An exact result would pass a fixed size limit: a constant longer than
-    `expr.MAX_CONSTANT_DIGITS` digits, or a power of a sum predicted to
-    expand to more than `expr.MAX_EXPANSION_TERMS` terms."""
+    `expr.MAX_CONSTANT_DIGITS` digits, a power of a sum predicted to
+    expand to more than `expr.MAX_EXPANSION_TERMS` terms, or a normal form
+    of more than `expr.MAX_NORMAL_FORM_TERMS` terms."""
 
 
 class EvalError(DeviqError):

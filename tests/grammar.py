@@ -2,15 +2,16 @@
 
 `random_model(rng)` writes the text of one model file on the base t:
 a Lagrangian of jet order 1 or 2, or a Hamiltonian, over one or two
-fields.  Its density is a sum of two expressions nested at most `DEPTH`
-levels, built from sums, products, quotients, the six functions and the
-powers in `POWERS`, with the fields, their jets or momenta, and small
-positive constants at the leaves.
+fields.  Its density is a sum of two expressions nested at most `depth`
+levels (`DEPTH` by default), built from sums, products, quotients, the
+six functions and the powers in `POWERS`, with the fields, their jets or
+momenta, and small positive constants at the leaves.
 
 `digest(n, seed)` hashes what deviq makes of `n` such models drawn from
 one `random.Random(seed)`, so two checkouts can be compared in one line:
 
-    python tests/grammar.py --digest            # 400 models, seed 5
+    python tests/grammar.py --digest            # 400 models, seed 5, depth 3
+    python tests/grammar.py --digest --depth 4  # the same draws, nested deeper
 """
 
 import argparse
@@ -42,22 +43,27 @@ def random_expr(rng: random.Random, atoms, depth: int = DEPTH) -> str:
     return f"({a}) {op} ({b})" if op == "+" else f"({a}){op}({b})"
 
 
-def random_model(rng: random.Random) -> str:
+def random_model(rng: random.Random, depth: int = DEPTH) -> str:
     """The text of one model: Lagrangian of order 1, of order 2, or
-    Hamiltonian, in equal shares."""
+    Hamiltonian, in equal shares, its two expressions `depth` deep."""
     fields = rng.choice(FIELDS)
     kind, order = rng.choice(FORMS)
     if kind == "hamiltonian":
         atoms = [*fields, *(f"pt_{f}" for f in fields)]
     else:
         atoms = [*fields, *(f"{f}_{'t' * k}" for k in range(1, order + 1) for f in fields)]
-    density = f"{random_expr(rng, atoms)} + {random_expr(rng, atoms)}"
+    density = f"{random_expr(rng, atoms, depth)} + {random_expr(rng, atoms, depth)}"
     return f"base t\nfibre {' '.join(fields)}\n{kind} {density}\n"
+
+
+class Refusal(str):
+    """A stage's `DeviqError` as `"<type>: <message>"`, in place of its
+    output; a `str`, so it hashes into a digest like any output."""
 
 
 def _outputs(text: str):
     """Every output deviq makes of one model text, each stage's error
-    message in place of its output."""
+    message, a `Refusal`, in place of its output."""
     from deviq import (
         DeviqError,
         check_model,
@@ -73,7 +79,7 @@ def _outputs(text: str):
         try:
             return stage()
         except DeviqError as ex:
-            return f"{type(ex).__name__}: {ex}"
+            return Refusal(f"{type(ex).__name__}: {ex}")
 
     model = run(lambda: parse_model(text))
     if isinstance(model, str):
@@ -95,15 +101,15 @@ def _outputs(text: str):
     yield run(compiled)
 
 
-def digest(n: int = 400, seed: int = 5) -> str:
-    """The sha256 of `n` models from `random.Random(seed)` and of all that
-    deviq makes of them: the derived and deviation systems as text, LaTeX
-    and JSON, the check report, the compiled deviation pair's states and
-    right-hand sides, and every error message."""
+def digest(n: int = 400, seed: int = 5, depth: int = DEPTH) -> str:
+    """The sha256 of `n` models of `depth` from `random.Random(seed)` and
+    of all that deviq makes of them: the derived and deviation systems as
+    text, LaTeX and JSON, the check report, the compiled deviation pair's
+    states and right-hand sides, and every error message."""
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(n):
-        text = random_model(rng)
+        text = random_model(rng, depth)
         for part in (text, *_outputs(text)):
             h.update(part.encode() + b"\0")
     return h.hexdigest()
@@ -115,8 +121,9 @@ if __name__ == "__main__":
     parser.add_argument("--digest", action="store_true", help="print the digest of the models")
     parser.add_argument("--models", type=int, default=400)
     parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--depth", type=int, default=DEPTH, help="nesting of each expression")
     args = parser.parse_args()
     if args.digest:
-        print(digest(args.models, args.seed))
+        print(digest(args.models, args.seed, args.depth))
     else:
-        print(random_model(random.Random(args.seed)), end="")
+        print(random_model(random.Random(args.seed), args.depth), end="")

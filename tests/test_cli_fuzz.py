@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from deviq import cli
+from deviq.expr import MAX_NORMAL_FORM_TERMS
 
 NUMBERS = ("0", "1", "2", "0.5", "3/7", "1e-3", "1e400", "1e999", "1e1001", "9" * 1200, "1e10000000")
 EXPONENTS = ("2", "3", "(-1)", "(1/2)", "(2/3)", "40", "3000", "100000000", "(10^999)", "(1e1001)", "2^2^2^2^2")
@@ -51,6 +52,13 @@ def models(draw):
         lines.insert(i, draw(st.sampled_from(("^", "base t", "fibre", "param b = x", "lagrangian", "y_t ="))))
     return "\n".join(lines) + "\n"
 
+
+#: nested functions whose normal forms swell: `derive` builds 1343 terms,
+#: `deviate` about 16k; `expr.MAX_NORMAL_FORM_TERMS` refuses it
+SWELL = (
+    "base t\nfibre y\nlagrangian (((y_tt)^(1/2)) + ((4) + (y)))/(sqrt(ln(((y_t)/(exp(((y) + "
+    "(cos(((y)^(-1))*((y)*(tan(y_tt)))+3)))*((4)^3)+2)+3))^3+2)+2)+4)\n"
+)
 
 WINDOW_VALUES = ("0", "0.1", "1", "-1", "1e12", "1e-300", "nan", "inf", "-inf", "x")
 
@@ -108,8 +116,12 @@ def run_main(text, argv):
 @example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
 @example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "sin(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
 @example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - y" + "^1" * 1000 + "\n", argv=["derive"])
+@example(text=SWELL, argv=["deviate"])
+@example(text=SWELL, argv=["check"])
 def test_exit_code_contract(text, argv):
     code, err = run_main(text, argv)
+    if text == SWELL:
+        assert code == 2 and f"more than {MAX_NORMAL_FORM_TERMS}" in err, err
     assert code in (0, 1, 2, 3), (code, err)
     assert "Traceback" not in err
     if code == 1:

@@ -1,6 +1,8 @@
 """Expression core: normalization, calculus, evaluation, equivalence."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -31,8 +33,12 @@ from deviq import (
 from deviq.expr import (
     MAX_CONSTANT_DIGITS,
     MAX_EXPANSION_TERMS,
+    MAX_NORMAL_FORM_TERMS,
     ZERO,
     _collect_symbols,
+    _integral,
+    _key,
+    _mono_mul,
     _qadd,
     _qmul,
     _qpow,
@@ -105,6 +111,11 @@ def test_expansion_limits():
             normalize(e)
     # nothing is expanded in an opaque power, whatever its size
     assert isinstance(normalize((Y + 1) ** -3000), Pow)
+    # a normal form has at most MAX_NORMAL_FORM_TERMS terms
+    powers = lambda s, n: sum((s**i for i in range(n)), as_expr(0))  # noqa: E731
+    assert len(normalize(powers(Y, 25) * powers(U, 40))._expansion) == MAX_NORMAL_FORM_TERMS
+    with pytest.raises(ExpansionLimitError, match="would have 1025 terms, more than 1000$"):
+        normalize(powers(Y, 25) * powers(U, 41))
 
 
 def test_exact_roots_of_big_integers():
@@ -194,6 +205,86 @@ def test_cancelling_terms_leave_no_key():
     ]:
         p = normalize(e)._expansion
         assert set(p) == survivors and reduced_pairs(p)
+
+
+def _reference_mono_mul(a, b):
+    """The product of two monomials by a dict keyed by `_key` and a sort."""
+    if not a or not b:
+        return a or b
+    exps = {}
+    order = []
+    for atom, e in a + b:
+        k = _key(atom)
+        if k in exps:
+            exps[k] = (exps[k][0], _integral(exps[k][1] + e))
+        else:
+            exps[k] = (atom, e)
+            order.append(k)
+    items = [(atom, e) for atom, e in (exps[k] for k in order) if e != 0]
+    items.sort(key=lambda p: _key(p[0]))
+    return tuple(items)
+
+
+def test_merged_monomial_product_is_the_dict_product():
+    """`_mono_mul` merges its sorted inputs; on seeded random monomials it
+    gives the same pairs, exponent types and atom objects as the old
+    product through a dict and a sort."""
+    sums = normalize(Y + 1), normalize(Y + U)
+    # each inner list holds distinct objects of one key
+    classes = [
+        [Sym(SPEC.symbol(name)) for _ in range(2)] for name in ("t", "u", "y", "y_t")
+    ] + [
+        [Fun("sin", Y), Fun("sin", Sym(SPEC.symbol("y")))],
+        [Fun("cos", sums[0]), Fun("cos", normalize(1 + Y))],
+        [Fun("exp", U)],
+        [Pow(sums[0], Fraction(1, 2)), Pow(normalize(1 + Y), Fraction(1, 2))],
+        [Pow(sums[1], Fraction(-1))],
+        [Pow(Fun("tan", Y), Fraction(1, 3))],
+    ]
+    exponents = (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3))
+
+    def monomial(rng):
+        chosen = rng.sample(classes, rng.randint(0, 5))
+        pairs = [(rng.choice(objs), rng.choice(exponents)) for objs in chosen]
+        return tuple(sorted(pairs, key=lambda p: _key(p[0])))
+
+    rng = random.Random(24)
+    seen = {"cancel": 0, "whole": 0, "kept": 0, "empty": 0}
+    for _ in range(3000):
+        a, b = monomial(rng), monomial(rng)
+        got, want = _mono_mul(a, b), _reference_mono_mul(a, b)
+        assert got == want, (a, b)
+        assert [type(x) for _, x in got] == [type(x) for _, x in want]
+        assert all(g is w for (g, _), (w, _) in zip(got, want))
+        ga, gb = ({_key(atom): (atom, x) for atom, x in m} for m in (a, b))
+        out = {_key(atom): x for atom, x in got}
+        assert list(out) == sorted(out) and len(out) == len(got) and all(out.values())
+        shared = ga.keys() & gb.keys()
+        seen["cancel"] += any(k not in out for k in shared)
+        seen["whole"] += any(
+            type(ga[k][1]) is Fraction and type(out[k]) is int for k in shared & out.keys()
+        )
+        seen["kept"] += any(ga[k][0] is not gb[k][0] for k in shared)
+        seen["empty"] += not a or not b
+    assert min(seen.values()) >= 50, seen
+    # equal keys keep the first monomial's object, whichever monomial is longer
+    y1, y2 = Sym(SPEC.symbol("y")), Sym(SPEC.symbol("y"))
+    assert _mono_mul(((y1, 1),), ((U, 1), (y2, 2)))[1][0] is y1
+    assert _mono_mul(((y2, 2),), ((y1, -2),)) == ()
+    assert _mono_mul((), ((y1, 1),)) == ((y1, 1),) == _mono_mul(((y1, 1),), ())
+
+
+def test_kept_symbol_key_is_not_a_field():
+    y = SPEC.symbol("y")
+    a, b = Sym(y), Sym(y)
+    assert a._k == _key(a) == (1, "y") and Sym._fields == ("symbol",)
+    # a wrong kept key changes nothing but the sort: not equality, hash or repr
+    object.__setattr__(b, "_k", (1, "z"))
+    assert a == b and hash(a) == hash(b) and repr(b) == "Sym(y)"
+    # copies and pickles are made anew, with their key computed again
+    for clone in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert clone == a and hash(clone) == hash(a) and repr(clone) == "Sym(y)"
+        assert clone._k == (1, "y")
 
 
 def _pair(q: Fraction) -> tuple:
