@@ -3,7 +3,7 @@
 Expressions are trees of `Rat`, `Sym`, `Add`, `Mul`, `Pow` and `Fun` nodes.
 `normalize` rewrites any well-formed tree into a fully expanded sum of
 monomials (function applications and non-expandable powers are opaque
-atoms), which makes zero-testing of polynomial expressions decidable.
+atoms), so `equivalent` can decide exactly whether two polynomials are equal.
 Constants are `fractions.Fraction`, so repeated differentiation never
 accumulates floating-point drift.
 
@@ -493,10 +493,17 @@ def _mono_mul(a, b):
 
 
 def _poly_mul(p: _Poly, q: _Poly, out=None) -> _Poly:
-    """p*q, added into `out` when it is given."""
-    if out is None:
+    """p*q, added into `out` when it is given.  A fresh product is refused
+    before its next row once it has more than MAX_NORMAL_FORM_TERMS terms;
+    terms added into `out` may still cancel, so `out` is not bounded."""
+    fresh = out is None
+    if fresh:
         out = {}
     for m1, c1 in p.items():
+        if fresh and len(out) > MAX_NORMAL_FORM_TERMS:
+            raise ExpansionLimitError(
+                f"a normal form would have more than {MAX_NORMAL_FORM_TERMS} terms"
+            )
         for m2, c2 in q.items():
             mono = _mono_mul(m1, m2)
             c = _qmul(c1, c2)
@@ -1027,98 +1034,33 @@ def _collect_symbols(e, out):
 # --------------------------------------------------------------------------
 # equivalence testing
 
-#: exceptions the fallback sampler treats as "skip this point"
-EvalErrorTypes = (DomainError, UnboundSymbolError)
-
-#: number of sample points used by the randomized fallback
-FALLBACK_POINTS = 32
-#: sample magnitudes live in [0.1, 2] with either sign
-_SAMPLE_LOW, _SAMPLE_HIGH = 0.1, 2.0
-#: relative tolerance of the fallback acceptance rule
-FALLBACK_TOL = 1e-9
-#: fewer valid sample points than this make the fallback inconclusive
-_MIN_VALID_POINTS = 8
-
-
 class EquivalenceResult(Value):
-    """Outcome of `equivalent`: 'equal', 'different' or 'undetermined'.
+    """Outcome of `equivalent`: 'equal' or 'different', with its reason.
+    Truthy exactly when the verdict is 'equal'."""
 
-    Truthy exactly when the verdict is 'equal', so the result can be used
-    directly in assertions while 'undetermined' stays distinguishable and
-    is never silently treated as success.
-    """
+    _fields = ("verdict", "reason")
 
-    _fields = ("verdict", "reason", "witness")
-
-    def __init__(self, verdict: str, reason: str, witness: tuple = None):
+    def __init__(self, verdict: str, reason: str):
         _set(self, "verdict", verdict)
         _set(self, "reason", reason)
-        _set(self, "witness", witness)
 
     def __bool__(self):
         return self.verdict == "equal"
 
     def __str__(self):
-        if self.witness:
-            pt = ", ".join(f"{s.name}={v:.6g}" for s, v in self.witness)
-            return f"{self.verdict} ({self.reason}; witness {pt})"
         return f"{self.verdict} ({self.reason})"
 
 
-def _sample(rng) -> float:
-    # uniform over [-2, -0.1] U [0.1, 2]
-    width = _SAMPLE_HIGH - _SAMPLE_LOW
-    u = rng.uniform(0.0, 2.0 * width)
-    if u < width:
-        return -_SAMPLE_HIGH + u
-    return _SAMPLE_LOW + (u - width)
-
-
-def equivalent(a: Expr, b: Expr, seed: int = 0) -> EquivalenceResult:
-    """Decide whether `a` and `b` denote the same function.
-
-    First tries the decidable route: `normalize(a - b)` collapsing to the
-    zero constant.  Transcendental identities escape the normal form, so a
-    randomized fallback evaluates both sides at FALLBACK_POINTS points per
-    symbol drawn from [-2,-0.1] U [0.1,2] with the given seed and accepts
-    when every difference is below FALLBACK_TOL relative to the operand
-    magnitudes.  A point that separates the two sides is returned as a
-    witness; too many evaluation failures yield 'undetermined'.
-    """
-    a = as_expr(a)
-    b = as_expr(b)
-    d = normalize(a - b)
-    if d == ZERO:
+def equivalent(a: Expr, b: Expr) -> EquivalenceResult:
+    """Decide exactly whether `a` and `b` have the same normal form; if not,
+    name the term count of their difference.  An identity the normal form
+    does not see, such as sin(y)^2 + cos(y)^2 = 1, is 'different'."""
+    a, b = normalize(a), normalize(b)
+    if a == b:
         return EquivalenceResult("equal", "normal forms coincide")
-    import random  # only the sampling route needs it, and it costs the cold start
-
-    syms = sorted(free_symbols(d) | free_symbols(a) | free_symbols(b), key=lambda s: s.name)
-    rng = random.Random(seed)
-    valid = 0
-    for _ in range(FALLBACK_POINTS):
-        point = {s: _sample(rng) for s in syms}
-        try:
-            va = evaluate(a, point)
-            vb = evaluate(b, point)
-            vd = evaluate(d, point)
-        except EvalErrorTypes:
-            continue
-        valid += 1
-        tol = FALLBACK_TOL * (1.0 + max(abs(va), abs(vb)))
-        if abs(vd) >= tol:
-            witness = tuple(sorted(point.items(), key=lambda kv: kv[0].name))
-            return EquivalenceResult(
-                "different", f"values differ by {abs(vd):.3g}", witness
-            )
-        if not syms:
-            break
-    if valid >= _MIN_VALID_POINTS or (valid and not syms):
-        return EquivalenceResult(
-            "equal", f"agrees at {valid} sample points within {FALLBACK_TOL:g}"
-        )
-    return EquivalenceResult(
-        "undetermined", f"only {valid} of {FALLBACK_POINTS} sample points evaluable"
-    )
+    # the difference is counted, not made a normal form, so no cap applies
+    terms = len(_poly(a - b))
+    return EquivalenceResult("different", f"normal forms differ by {terms} terms")
 
 
 # --------------------------------------------------------------------------

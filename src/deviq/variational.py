@@ -9,7 +9,7 @@ solution and a Jacobi field along it.
 Euler-Lagrange operator of the vertically extended density equals the
 vertical extension of the Euler-Lagrange operator.  Both sides are built
 by derivations (partials, total derivatives, d_V) over the same atoms,
-which commute formally, so equal normal forms decide each pair exactly.
+which commute formally, so `equivalent` on normal forms decides each pair exactly.
 Failures are data (a report), not exceptions.
 """
 
@@ -34,6 +34,7 @@ from .expr import (
     Sym,
     SymbolKind,
     as_expr,
+    equivalent,
     free_symbols,
     gradient,
     normalize,
@@ -200,20 +201,15 @@ class PairCheck(Value):
 
     @classmethod
     def decide(cls, label: str, left: Expr, right: Expr) -> "PairCheck":
-        """The pair of two normal forms, equal exactly when they coincide;
-        a failing pair names the term count of their difference."""
-        if left == right:
-            return cls(label, left, right, EquivalenceResult("equal", "normal forms coincide"))
-        terms = len(_poly(normalize(left - right)))
-        return cls(label, left, right,
-                   EquivalenceResult("different", f"normal forms differ by {terms} terms"))
+        """The pair of two normal forms, decided by `equivalent`."""
+        return cls(label, left, right, equivalent(left, right))
 
 
 class CommutationReport(Value):
     """Outcome of a commutation theorem check, one entry per matched pair.
-    Each pair is decided exactly by the normal forms of its two sides: a
-    pair passes when they coincide and fails, with the term count of
-    their difference, when they do not."""
+    Each pair is decided by `equivalent` on the normal forms of its two
+    sides: a pair passes when they coincide and fails, with the term
+    count of their difference, when they do not."""
 
     _fields = ("title", "entries")
 

@@ -60,6 +60,13 @@ SWELL = (
     "(cos(((y)^(-1))*((y)*(tan(y_tt)))+3)))*((4)^3)+2)+3))^3+2)+2)+4)\n"
 )
 
+#: products of factors inside `expr.MAX_EXPANSION_TERMS` that would
+#: build 250000 and 125M terms; each is refused while it is built
+PRODUCTS = tuple(
+    f"base t\nfibre y\nlagrangian 0.5*y_t^2 + {product}\n"
+    for product in ("(y+1)^499*(y_t+1)^499", "(y+1)^499*(y_t+1)^499*(y_tt+1)^499")
+)
+
 WINDOW_VALUES = ("0", "0.1", "1", "-1", "1e12", "1e-300", "nan", "inf", "-inf", "x")
 
 
@@ -118,10 +125,13 @@ def run_main(text, argv):
 @example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - y" + "^1" * 1000 + "\n", argv=["derive"])
 @example(text=SWELL, argv=["deviate"])
 @example(text=SWELL, argv=["check"])
+@example(text=PRODUCTS[0], argv=["derive"])
+@example(text=PRODUCTS[1], argv=["derive"])
 def test_exit_code_contract(text, argv):
     code, err = run_main(text, argv)
-    if text == SWELL:
+    if text == SWELL or text in PRODUCTS:
         assert code == 2 and f"more than {MAX_NORMAL_FORM_TERMS}" in err, err
+        assert err.count("\n") == 1, err
     assert code in (0, 1, 2, 3), (code, err)
     assert "Traceback" not in err
     if code == 1:

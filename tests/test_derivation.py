@@ -215,7 +215,8 @@ def test_stored_expansion_matches_a_fresh_expansion():
 def test_stored_expansion_survives_every_operation():
     symbols = [a.symbol for a in ATOMS]
     absent = SPEC.symbol("u_tt")
-    compared = 0
+    compared = differing = 0
+    previous = ZERO
     for seed, e in cases():
         n = normalize(e)
         stored = n._expansion
@@ -227,13 +228,19 @@ def test_stored_expansion_survives_every_operation():
             diff(n, s)
         gradient(n, symbols)
         derivation(n, lambda s: True, lambda s: Sym(s))
-        equivalent(n, e)
+        for other in (e, previous):  # equal, then mostly different
+            same, gap = equivalent(n, other), normalize(n - other)
+            assert bool(same) == (gap == ZERO), seed
+            reason = f"differ by {len(_poly(gap))} terms" if gap != ZERO else "coincide"
+            assert same.reason == f"normal forms {reason}", seed
+            differing += not same
+        previous = e
         substitute(n, {symbols[1]: Sym(symbols[0]) + 1})
         assert substitute(n, {}) is n, seed
         assert substitute(n, {absent: Rat(Fraction(2))}) is n, seed
         assert n._expansion is stored and stored == snapshot, seed
         assert reduced_pairs(stored), seed
-    assert compared >= 50
+    assert compared >= 50 and differing >= 40, differing
 
 
 def test_untouched_subtrees_are_kept():

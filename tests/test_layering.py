@@ -9,9 +9,9 @@ Generated code is defined in one place, `numeric._define`, from text that
 `numeric._emit` writes.  No module builds its classes with `dataclasses`,
 and only the package and the CLI load `numeric`, where a numeric name is
 used, so the symbolic commands start without it.  `check` decides each
-pair by its normal form, so only `expr` and the package's re-export name
-`equivalent` and its sampler; a cold symbolic command loads neither
-`random`, nor `json`, nor `numpy`.
+pair by `equivalent`, which compares normal forms, so no module imports
+`random`; a cold symbolic command loads neither `random`, nor `json`, nor
+`numpy`.
 """
 
 import ast
@@ -121,13 +121,12 @@ def test_numeric_imported_only_by_the_package_and_the_cli():
     assert importers == {"__init__.py", "cli.py"}
 
 
-def test_equivalent_named_only_by_expr_and_the_package():
-    namers = {
+def test_no_module_imports_random():
+    importers = [
         p.name for p in SOURCES
-        if "equivalent" in set(_names(ast.parse(p.read_text())))
-    }
-    # `expr` defines it, and the package re-exports it
-    assert namers - {"expr.py"} == {"__init__.py"}
+        if any(name.split(".")[0] == "random" for name in _imports(ast.parse(p.read_text())))
+    ]
+    assert importers == []
 
 
 @pytest.mark.parametrize("command", ["derive", "deviate", "check"])

@@ -55,7 +55,7 @@ SPEC_REPR = (
     "param_values=(), momenta=False, vertical=False)"
 )
 EQUAL = EquivalenceResult("equal", "normal forms coincide")
-EQUAL_REPR = "EquivalenceResult(verdict='equal', reason='normal forms coincide', witness=None)"
+EQUAL_REPR = "EquivalenceResult(verdict='equal', reason='normal forms coincide')"
 PAIR = PairCheck("y vs y", Sym(Y), Sym(Y), EQUAL)
 PAIR_REPR = f"PairCheck(label='y vs y', left=Sym(y), right=Sym(y), result={EQUAL_REPR})"
 FLOW = deviation_system(EquationSystem((Y_T + Sym(Y),), SPEC))
@@ -71,10 +71,9 @@ ROWS = [
     (Fun, dict(name="sin", arg=Sym(Y)), ("name", "arg"), "Fun(sin, Sym(y))"),
     (
         EquivalenceResult,
-        dict(verdict="different", reason="values differ", witness=((Y, 0.5),)),
-        ("verdict", "reason", "witness"),
-        "EquivalenceResult(verdict='different', reason='values differ', "
-        "witness=((Symbol('y', FIBRE), 0.5),))",
+        dict(verdict="different", reason="normal forms differ by 2 terms"),
+        ("verdict", "reason"),
+        "EquivalenceResult(verdict='different', reason='normal forms differ by 2 terms')",
     ),
     (MultiIndex, dict(entries=(1, 0)), ("entries",), "MultiIndex(0, 1)"),
     (
@@ -179,7 +178,8 @@ def test_value_semantics(cls, kwargs, fields, text):
 
 
 @pytest.mark.parametrize("make,field,default", [
-    (lambda: EquivalenceResult("equal", "r"), "witness", None),
+    # a Jacobi value not given starts at 0
+    (lambda: JacobiProblem(FLOW, {"y": 1}, {}, 0.0, 1.0), "jacobi_init", {"v_y": 0.0}),
     (lambda: MultiIndex(), "entries", ()),
     (lambda: _Coord(0, MultiIndex(), False), "mom_base", None),
     (lambda: BundleSpec(("t",), ("y",)), "params", ()),
