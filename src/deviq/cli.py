@@ -109,10 +109,12 @@ def _jacobi_problem(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="model file")
-    common.add_argument("--format", choices=FORMATS, default="text")
     common.add_argument("--seed", type=int, default=0, help="ignored: every command is exact")
     common.add_argument("--order", type=int, default=None, help="override the inferred jet order")
     common.add_argument("--out", default=None, help="write output here instead of stdout")
+
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=FORMATS, default="text")
 
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--init", default="", help="base initial data, e.g. y=1,y_t=0")
@@ -127,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         "for variational models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("derive", parents=[common], help="equations of motion")
-    sub.add_parser("deviate", parents=[common], help="deviation system")
+    sub.add_parser("derive", parents=[common, formatted], help="equations of motion")
+    sub.add_parser("deviate", parents=[common, formatted], help="deviation system")
     sub.add_parser("check", parents=[common], help="commutation theorem report")
     sub.add_parser("simulate", parents=[common, window], help="integrate base + Jacobi field")
     res = sub.add_parser("residual", parents=[common, window], help="perturbation residual sweep")

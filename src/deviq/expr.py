@@ -203,7 +203,7 @@ class Add(Expr):
     """A sum.  One made by `_from_poly` sorts and builds its `terms` when
     they are first read; two that both carry an expansion compare by it.
     The text and LaTeX writers read the expansion; JSON, the compiled code
-    (`numeric._emit`), `_key`, `_diff` and `_substitute` read `terms`."""
+    (`numeric._emit`), `_key` and `_substitute` read `terms`."""
 
     __slots__ = ("_terms",)
     _fields = ("terms",)
@@ -762,8 +762,9 @@ def normalize(e: Expr) -> Expr:
 # Every derivative is taken on the expanded polynomial, so an expression
 # is expanded once however many partials are wanted.  A symbol atom's
 # exponent drops by one; an opaque atom (function application or
-# unexpandable power) goes through the chain rule, with its own partials
-# taken by the tree rule `_diff`.
+# unexpandable power) goes through the chain rule: its outer derivative
+# times the partials of its argument, taken by the same rule on the
+# argument's expansion.
 
 def _poly_symbols(p: _Poly) -> set:
     # an opaque atom is walked at each occurrence: remembering the ones seen
@@ -776,6 +777,34 @@ def _poly_symbols(p: _Poly) -> set:
             else:
                 _collect_symbols(atom, out)
     return out
+
+
+#: the derivative of each function atom f(u) with respect to u, as a tree in
+#: u; sqrt is never an atom, as `_poly` reads sqrt(u) as u^(1/2)
+_OUTER = {
+    "sin": lambda u: Fun("cos", u),
+    "cos": lambda u: -Fun("sin", u),
+    "tan": lambda u: 1 + Fun("tan", u) ** 2,
+    "exp": lambda u: Fun("exp", u),
+    "ln": lambda u: u**-1,
+}
+
+
+def _atom_partials(atom: Expr, symbols) -> tuple:
+    """((s, d atom/ds), ...) for each s in `symbols` on which the opaque
+    atom depends: its outer derivative times the partials of its argument,
+    all taken in one pass over the argument's expansion."""
+    if isinstance(atom, Pow):
+        u, q = atom.base, atom.exponent
+        outer = Mul((Rat(q), Pow(u, q - 1)))
+    else:
+        u = atom.arg
+        outer = _OUTER[atom.name](u)
+    inner = _partials(_poly(u), symbols)
+    if not inner:
+        return ()
+    outer = _poly(outer)
+    return tuple((s, _poly_mul(outer, du)) for s, du in inner.items())
 
 
 def _partials(p: _Poly, symbols) -> dict:
@@ -792,12 +821,7 @@ def _partials(p: _Poly, symbols) -> dict:
             else:
                 inner = atom_partials.get(atom)
                 if inner is None:
-                    inner = tuple(
-                        (s, dp)
-                        for s in free_symbols(atom) & symbols
-                        if (dp := _poly(_diff(atom, s)))
-                    )
-                    atom_partials[atom] = inner
+                    inner = atom_partials[atom] = _atom_partials(atom, symbols)
             if not inner:
                 continue
             rest = mono[i + 1 :] if ex == 1 else ((atom, ex - 1), *mono[i + 1 :])
@@ -834,17 +858,11 @@ def derivation(e: Expr, wanted, weight) -> Expr:
     return _from_poly(out)
 
 
-def diff(e: Expr, s: Symbol, spec=None) -> Expr:
-    """Partial derivative of `e` with respect to `s`.
-
-    Every other symbol is treated as independent.  When `spec` is given,
-    `s` must belong to it.
-    """
-    if spec is not None:
-        spec.symbol(s.name if isinstance(s, Symbol) else s)
-    if isinstance(s, Sym):
-        s = s.symbol
-    return _from_poly(_partials(_poly(as_expr(e)), {s}).get(s, {}))
+def diff(e: Expr, s: Symbol) -> Expr:
+    """Partial derivative of `e` with respect to `s`; every other symbol is
+    treated as independent."""
+    (d,) = gradient(e, (s,)).values()
+    return d
 
 
 def gradient(e: Expr, symbols) -> dict:
@@ -852,43 +870,6 @@ def gradient(e: Expr, symbols) -> dict:
     symbols = [s.symbol if isinstance(s, Sym) else s for s in symbols]
     parts = _partials(_poly(as_expr(e)), set(symbols))
     return {s: _from_poly(parts.get(s, {})) for s in symbols}
-
-
-def _diff(e: Expr, s: Symbol) -> Expr:
-    if isinstance(e, Rat):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.symbol == s else ZERO
-    if isinstance(e, Add):
-        return Add(tuple(_diff(t, s) for t in e.terms))
-    if isinstance(e, Mul):
-        parts = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            parts.append(Mul((*fs[:i], _diff(f, s), *fs[i + 1 :])))
-        return Add(tuple(parts))
-    if isinstance(e, Pow):
-        # d(b^q) = q * b^(q-1) * db  (q is a literal rational)
-        return Mul((Rat(e.exponent), Pow(e.base, e.exponent - 1), _diff(e.base, s)))
-    if isinstance(e, Fun):
-        inner = _diff(e.arg, s)
-        u = e.arg
-        if e.name == "sin":
-            outer = Fun("cos", u)
-        elif e.name == "cos":
-            outer = Mul((Rat(Fraction(-1)), Fun("sin", u)))
-        elif e.name == "tan":
-            outer = Add((ONE, Pow(Fun("tan", u), Fraction(2))))
-        elif e.name == "exp":
-            outer = Fun("exp", u)
-        elif e.name == "ln":
-            outer = Pow(u, Fraction(-1))
-        elif e.name == "sqrt":
-            outer = Mul((Rat(Fraction(1, 2)), Pow(Fun("sqrt", u), Fraction(-1))))
-        else:  # pragma: no cover - Fun constructor rejects unknown names
-            raise ValueError(e.name)
-        return Mul((outer, inner))
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # --------------------------------------------------------------------------

@@ -314,6 +314,15 @@ def test_unknown_subcommand_is_usage_error():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["check", "simulate", "residual"])
+def test_format_is_refused_where_it_is_not_used(command):
+    # only derive and deviate render equations; the others print text or CSV
+    res = run_cli(command, model_path("oscillator"), "--format", "json")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "unrecognized arguments: --format json" in res.stderr
+
+
 def test_non_utf8_model_is_usage_error(tmp_path):
     bad = tmp_path / "latin1.eqn"
     bad.write_bytes("base t\nfibre y\n# \xe9\nlagrangian y_t^2\n".encode("latin-1"))

@@ -2,10 +2,12 @@
 and the expansion a normal form carries.
 
 `diff`, `gradient`, `total_derivative` and `vertical_derivative` take
-their partials from one expansion of the polynomial.  Here each is
-compared, on random expressions, with the definition by the tree rule
-`_diff` followed by `normalize`, and the bundle operators with their
-sum-of-partials formula built term by term.  The stored expansion of a
+their partials from one expansion of the polynomial, an opaque atom's by
+the chain rule on its argument's expansion.  Here each is compared, on
+random expressions, with the definition by the tree rule `_diff` (kept
+here as the reference; the library has no tree rule) followed by
+`normalize`, and the bundle operators with their sum-of-partials formula
+built term by term.  The stored expansion of a
 normal form is compared with a fresh expansion of an equal tree, and
 checked to stay unchanged by every operation that reads it.  A sum made
 as a normal form builds its terms on first read; before and after that
@@ -49,7 +51,7 @@ from deviq import (
     vertical_derivative,
 )
 from deviq import expr
-from deviq.expr import DEPENDENT_KINDS, ZERO, _diff, _poly, _substitute, derivation, ln, sqrt
+from deviq.expr import DEPENDENT_KINDS, ONE, ZERO, _poly, _substitute, derivation, ln, sqrt
 from conftest import rand_expr, reduced_pairs
 
 GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
@@ -62,15 +64,57 @@ SEEDS = range(60)
 
 def rand_mixed(rng: random.Random):
     """A `rand_expr` expression times an atom with a rational power, a
-    square root or a logarithm, plus another `rand_expr` expression."""
+    square root, a logarithm, a tangent or atoms inside an atom, plus
+    another `rand_expr` expression.  With sin, cos and exp from
+    `rand_expr`, every outer derivative of the chain rule is taken."""
     inner = rand_expr(rng, ATOMS, 1)
     atom = rng.choice((
         Pow(inner, Fraction(rng.choice((-3, -1, 1, 3, 5)), rng.choice((2, 3)))),
         sqrt(inner),
         ln(inner),
         inner ** -1,
+        Fun("tan", inner),
+        sqrt(ln(inner) + Fun("tan", inner) ** 2),
     ))
     return rand_expr(rng, ATOMS, 2) * atom + rand_expr(rng, ATOMS, 2)
+
+
+def _diff(e, s):
+    """The tree rule: the partial of the tree `e` by `s`, node by node."""
+    if isinstance(e, Rat):
+        return ZERO
+    if isinstance(e, Sym):
+        return ONE if e.symbol == s else ZERO
+    if isinstance(e, Add):
+        return Add(tuple(_diff(t, s) for t in e.terms))
+    if isinstance(e, Mul):
+        parts = []
+        fs = e.factors
+        for i, f in enumerate(fs):
+            parts.append(Mul((*fs[:i], _diff(f, s), *fs[i + 1 :])))
+        return Add(tuple(parts))
+    if isinstance(e, Pow):
+        # d(b^q) = q * b^(q-1) * db  (q is a literal rational)
+        return Mul((Rat(e.exponent), Pow(e.base, e.exponent - 1), _diff(e.base, s)))
+    if isinstance(e, Fun):
+        inner = _diff(e.arg, s)
+        u = e.arg
+        if e.name == "sin":
+            outer = Fun("cos", u)
+        elif e.name == "cos":
+            outer = Mul((Rat(Fraction(-1)), Fun("sin", u)))
+        elif e.name == "tan":
+            outer = Add((ONE, Pow(Fun("tan", u), Fraction(2))))
+        elif e.name == "exp":
+            outer = Fun("exp", u)
+        elif e.name == "ln":
+            outer = Pow(u, Fraction(-1))
+        elif e.name == "sqrt":
+            outer = Mul((Rat(Fraction(1, 2)), Pow(Fun("sqrt", u), Fraction(-1))))
+        else:  # pragma: no cover - Fun constructor rejects unknown names
+            raise ValueError(e.name)
+        return Mul((outer, inner))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def tree_diff(e, s):
@@ -124,6 +168,7 @@ def test_cases_are_varied():
     assert sum("^(" in s or "sqrt(" in s for s in texts) >= 15
     assert sum("ln(" in s for s in texts) >= 5
     assert sum("sqrt(" in s for s in texts) >= 5
+    assert sum("tan(" in s for s in texts) >= 5
 
 
 @pytest.mark.parametrize("s", [a.symbol for a in ATOMS], ids=str)
