@@ -43,7 +43,6 @@ from .expr import (
     Pow,
     Rat,
     Sym,
-    Symbol,
     SymbolKind,
     as_expr,
     diff,
@@ -147,7 +146,6 @@ __all__ = [
     "SingularEquationError",
     "SpecError",
     "Sym",
-    "Symbol",
     "SymbolKind",
     "Trajectory",
     "UnboundSymbolError",

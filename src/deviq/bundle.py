@@ -43,7 +43,6 @@ from .expr import (
     ONE,
     Expr,
     Sym,
-    Symbol,
     SymbolKind,
     as_expr,
     derivation,
@@ -153,12 +152,10 @@ class BundleSpec(Value):
     def __init__(self, base: tuple, fibre: tuple, params: tuple = (), order: int = 1,
                  param_values: tuple = (), momenta: bool = False, vertical: bool = False):
         """`param_values` holds (name, value) pairs, stored sorted with
-        Fraction values; names may be given for Symbols."""
-        base = tuple(s if isinstance(s, Symbol) else Symbol(s, SymbolKind.BASE) for s in base)
-        fibre = tuple(s if isinstance(s, Symbol) else Symbol(s, SymbolKind.FIBRE) for s in fibre)
-        params = tuple(
-            s if isinstance(s, Symbol) else Symbol(s, SymbolKind.PARAMETER) for s in params
-        )
+        Fraction values; base, fibre and params may be given by name."""
+        base = tuple(s if isinstance(s, Sym) else Sym(s, SymbolKind.BASE) for s in base)
+        fibre = tuple(s if isinstance(s, Sym) else Sym(s, SymbolKind.FIBRE) for s in fibre)
+        params = tuple(s if isinstance(s, Sym) else Sym(s, SymbolKind.PARAMETER) for s in params)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "fibre", fibre)
         object.__setattr__(self, "params", params)
@@ -348,8 +345,8 @@ class BundleSpec(Value):
             return SymbolKind.JET
         return SymbolKind.FIBRE if c.mom_base is None else SymbolKind.MOMENTUM
 
-    def _coord_symbol(self, c: _Coord) -> Symbol:
-        return Symbol(self._coord_name(c), self._coord_kind(c))
+    def _coord_symbol(self, c: _Coord) -> Sym:
+        return Sym(self._coord_name(c), self._coord_kind(c))
 
     def _decode_suffix(self, text: str) -> Optional[MultiIndex]:
         # base names are prefix-free, so the greedy decode is unique
@@ -412,15 +409,15 @@ class BundleSpec(Value):
             raise UnknownSymbolError(_sym_name(sym))
         return c
 
-    def symbol(self, name) -> Symbol:
-        """Resolve any valid coordinate or parameter name to its Symbol."""
+    def symbol(self, name) -> Sym:
+        """Resolve any valid coordinate or parameter name to its `Sym` atom."""
         name = _sym_name(name)
         for s in (*self.base, *self.params):
             if s.name == name:
                 return s
         return self._coord_symbol(self._coord(name))
 
-    def jet(self, sym, index: MultiIndex) -> Symbol:
+    def jet(self, sym, index: MultiIndex) -> Sym:
         """The coordinate holding d_index of the coordinate `sym`: a fibre,
         vertical or momentum coordinate, or a jet of one of them."""
         c = self._coord(sym)
@@ -431,7 +428,7 @@ class BundleSpec(Value):
             raise OrderOverflowError(_sym_name(sym), idx.order)
         return self._coord_symbol(_Coord(c.field, idx, c.vertical, c.mom_base))
 
-    def momentum(self, lam, fld, vertical: bool = False) -> Symbol:
+    def momentum(self, lam, fld, vertical: bool = False) -> Sym:
         if not self.momenta:
             raise SpecError("spec carries no momentum coordinates")
         mb = lam if isinstance(lam, int) else self.base_position(lam)
@@ -439,7 +436,7 @@ class BundleSpec(Value):
             fld = self.fibre_position(fld)
         return self._coord_symbol(_Coord(fld, MultiIndex(), vertical, mb))
 
-    def conjugate_momentum(self, fld, lam) -> Symbol:
+    def conjugate_momentum(self, fld, lam) -> Sym:
         """Momentum conjugate to a variational field along base direction lam.
 
         On the vertical spec the pairing swaps: the partner of y is the
@@ -452,7 +449,7 @@ class BundleSpec(Value):
             return self.momentum(lam, c.field, vertical=False)
         return self.momentum(lam, c.field, vertical=self.vertical)
 
-    def vertical_partner(self, sym) -> Symbol:
+    def vertical_partner(self, sym) -> Sym:
         c = self._coord(sym)
         if c.vertical:
             raise VerticalExtensionError(
@@ -461,17 +458,15 @@ class BundleSpec(Value):
         return self._coord_symbol(_Coord(c.field, c.index, True, c.mom_base))
 
     def jet_order(self, sym) -> int:
-        """Jet order of a coordinate; a Symbol's kind must match its name."""
+        """Jet order of a coordinate; a symbol's kind must match its name."""
         c = self._coord(sym)
-        if isinstance(sym, Symbol) and sym.kind is not self._coord_kind(c):
+        if isinstance(sym, Sym) and sym.kind is not self._coord_kind(c):
             raise SpecError(f"'{sym.name}' is a {self._coord_kind(c).value}, not a {sym.kind.value}")
         return c.index.order
 
 
 def _sym_name(s) -> str:
     if isinstance(s, Sym):
-        return s.symbol.name
-    if isinstance(s, Symbol):
         return s.name
     if isinstance(s, str):
         return s
@@ -499,7 +494,7 @@ def total_derivative(e: Expr, lam, spec: BundleSpec) -> Expr:
     return derivation(
         e,
         lambda s: s == base or s.kind in DEPENDENT_KINDS,
-        lambda s: ONE if s == base else Sym(spec.jet(s, step)),
+        lambda s: ONE if s == base else spec.jet(s, step),
     )
 
 
@@ -531,7 +526,7 @@ def vertical_derivative(e: Expr, spec: BundleSpec) -> Expr:
             )
         return s.kind in DEPENDENT_KINDS
 
-    return derivation(e, wanted, lambda s: Sym(spec.vertical_partner(s)))
+    return derivation(e, wanted, spec.vertical_partner)
 
 
 def max_jet_order(e: Expr, spec: BundleSpec) -> int:

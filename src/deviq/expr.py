@@ -1,6 +1,8 @@
 """Immutable symbolic expressions with exact rational arithmetic.
 
 Expressions are trees of `Rat`, `Sym`, `Add`, `Mul`, `Pow` and `Fun` nodes.
+A coordinate or parameter is itself an atom, `Sym(name, kind)`: a bundle
+spec hands out these atoms, and expressions hold them as they are.
 `normalize` rewrites any well-formed tree into a fully expanded sum of
 monomials (function applications and non-expandable powers are opaque
 atoms), so `equivalent` can decide exactly whether two polynomials are equal.
@@ -27,7 +29,6 @@ from .errors import DomainError, ExpansionLimitError, UnboundSymbolError
 from .value import Value
 
 __all__ = [
-    "Symbol",
     "SymbolKind",
     "Expr",
     "Rat",
@@ -82,36 +83,8 @@ DEPENDENT_KINDS = frozenset(
 VERTICAL_KINDS = frozenset({SymbolKind.VERTICAL, SymbolKind.VERTICAL_MOMENTUM})
 
 
-#: sets a field of a new node or symbol past the frozen `__setattr__`
+#: sets a field of a new node past the frozen `__setattr__`
 _set = object.__setattr__
-
-
-class Symbol(Value):
-    """A named coordinate or parameter.  Name and kind never change."""
-
-    __slots__ = ("name", "kind", "_hash")
-    _fields = ("name", "kind")
-
-    def __init__(self, name: str, kind: SymbolKind):
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        # a symbol is hashed about 80 times for each one made when the
-        # chains derive, and an enum hashes in Python, so the hash is kept
-        _set(self, "_hash", hash((name, kind)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # copies and unpickled symbols are made anew: a kept hash holds
-        # only in the process that computed it
-        return Symbol, (self.name, self.kind)
-
-    def __repr__(self):
-        return f"Symbol({self.name!r}, {self.kind.name})"
-
-    def __str__(self):
-        return self.name
 
 
 class Expr(Value):
@@ -179,24 +152,26 @@ class Rat(Expr):
 
 
 class Sym(Expr):
-    """Reference to a Symbol.  It keeps its hash and its sort key `_key`,
-    `(1, name)`, in slots: a symbol is the commonest atom of a monomial,
-    and both are read at every product.  Neither is a field."""
+    """A named coordinate or parameter.  Name and kind never change.  It
+    keeps its hash and its sort key `_key`, `(1, name)`, in slots: a
+    symbol is the commonest atom of a monomial, both are read at every
+    product, and an enum hashes in Python.  Neither is a field."""
 
-    __slots__ = ("symbol", "_hash", "_k")
-    _fields = ("symbol",)
+    __slots__ = ("name", "kind", "_hash", "_k")
+    _fields = ("name", "kind")
 
-    def __init__(self, symbol: Symbol):
-        _set(self, "symbol", symbol)
+    def __init__(self, name: str, kind: SymbolKind):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
         _set(self, "_expansion", None)
-        _set(self, "_hash", hash((symbol,)))  # kept, like its symbol's
-        _set(self, "_k", (1, symbol.name))
+        _set(self, "_hash", hash((name, kind)))
+        _set(self, "_k", (1, name))
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Sym({self.symbol.name})"
+        return f"Sym({self.name})"
 
 
 class Add(Expr):
@@ -305,11 +280,10 @@ def _as_fraction(x) -> Fraction:
 
 
 def as_expr(x) -> Expr:
-    """Coerce numbers and Symbols to Expr.  Floats convert exactly."""
+    """Coerce a number to Expr; an Expr, a symbol included, is returned
+    as it is.  Floats convert exactly."""
     if isinstance(x, Expr):
         return x
-    if isinstance(x, Symbol):
-        return Sym(x)
     if isinstance(x, (int, Fraction, float)):
         return Rat(Fraction(x))
     raise TypeError(f"cannot convert {x!r} to an expression")
@@ -773,7 +747,7 @@ def _poly_symbols(p: _Poly) -> set:
     for mono in p:
         for atom, _ in mono:
             if isinstance(atom, Sym):
-                out.add(atom.symbol)
+                out.add(atom)
             else:
                 _collect_symbols(atom, out)
     return out
@@ -815,9 +789,9 @@ def _partials(p: _Poly, symbols) -> dict:
     for mono, c in p.items():
         for i, (atom, ex) in enumerate(mono):
             if isinstance(atom, Sym):
-                if atom.symbol not in symbols:
+                if atom not in symbols:
                     continue
-                inner = ((atom.symbol, None),)
+                inner = ((atom, None),)
             else:
                 inner = atom_partials.get(atom)
                 if inner is None:
@@ -858,16 +832,25 @@ def derivation(e: Expr, wanted, weight) -> Expr:
     return _from_poly(out)
 
 
-def diff(e: Expr, s: Symbol) -> Expr:
+def diff(e: Expr, s: Sym) -> Expr:
     """Partial derivative of `e` with respect to `s`; every other symbol is
     treated as independent."""
     (d,) = gradient(e, (s,)).values()
     return d
 
 
+def _require_syms(keys) -> None:
+    """Refuse any of `keys` that is not a `Sym`: a name or another
+    expression would match no atom, and be ignored without a word."""
+    for k in keys:
+        if not isinstance(k, Sym):
+            raise TypeError(f"expected a symbol, got {k!r}")
+
+
 def gradient(e: Expr, symbols) -> dict:
     """{s: diff(e, s)} for every symbol in `symbols`, expanding `e` once."""
-    symbols = [s.symbol if isinstance(s, Sym) else s for s in symbols]
+    symbols = list(symbols)
+    _require_syms(symbols)
     parts = _partials(_poly(as_expr(e)), set(symbols))
     return {s: _from_poly(parts.get(s, {})) for s in symbols}
 
@@ -875,7 +858,7 @@ def gradient(e: Expr, symbols) -> dict:
 # --------------------------------------------------------------------------
 # substitution and evaluation
 
-def substitute(e: Expr, bindings: Mapping[Symbol, object]) -> Expr:
+def substitute(e: Expr, bindings: Mapping[Sym, object]) -> Expr:
     """Simultaneous substitution of symbols by expressions; result normalized.
 
     All replacements refer to the original expression: swapping two
@@ -883,11 +866,8 @@ def substitute(e: Expr, bindings: Mapping[Symbol, object]) -> Expr:
     no bound symbol occurs in `e`, this is `normalize(e)`, found without
     rebuilding the tree.
     """
-    table = {}
-    for k, v in bindings.items():
-        if isinstance(k, Sym):
-            k = k.symbol
-        table[k] = as_expr(v)
+    _require_syms(bindings)
+    table = {k: as_expr(v) for k, v in bindings.items()}
     e = as_expr(e)
     if not table or table.keys().isdisjoint(free_symbols(e)):
         return normalize(e)
@@ -900,7 +880,7 @@ def _substitute(e: Expr, table) -> Expr:
     if isinstance(e, Rat):
         return e
     if isinstance(e, Sym):
-        return table.get(e.symbol, e)
+        return table.get(e, e)
     if isinstance(e, (Add, Mul)):
         old = e.terms if isinstance(e, Add) else e.factors
         new = tuple(_substitute(t, table) for t in old)
@@ -914,18 +894,15 @@ def _substitute(e: Expr, table) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate(e: Expr, point: Mapping[Symbol, float]) -> float:
-    """IEEE double evaluation of `e` with every symbol bound by `point`.
+def evaluate(e: Expr, point: Mapping[Sym, float]) -> float:
+    """IEEE double evaluation of `e` with every symbol bound by `point`,
+    whose keys are symbols or their names.
 
     Raises UnboundSymbolError for missing symbols and DomainError (carrying
     the offending subexpression) for log of non-positive values, division
     by zero, fractional powers of negatives, and overflow.
     """
-    table = {}
-    for k, v in point.items():
-        if isinstance(k, Sym):
-            k = k.symbol
-        table[k.name if isinstance(k, Symbol) else k] = float(v)
+    table = {k.name if isinstance(k, Sym) else k: float(v) for k, v in point.items()}
     return _eval(as_expr(e), table)
 
 
@@ -934,9 +911,9 @@ def _eval(e: Expr, point) -> float:
         return float(e.value)
     if isinstance(e, Sym):
         try:
-            return point[e.symbol.name]
+            return point[e.name]
         except KeyError:
-            raise UnboundSymbolError(e.symbol.name) from None
+            raise UnboundSymbolError(e.name) from None
     if isinstance(e, Add):
         return math.fsum(_eval(t, point) for t in e.terms)
     if isinstance(e, Mul):
@@ -999,7 +976,7 @@ def free_symbols(e: Expr) -> frozenset:
 
 def _collect_symbols(e, out):
     if isinstance(e, Sym):
-        out.add(e.symbol)
+        out.add(e)
     elif isinstance(e, Add):
         for t in e.terms:
             _collect_symbols(t, out)
@@ -1137,7 +1114,7 @@ def _atom_text(e: Expr) -> str:
             return f"({e.value.numerator})"
         return f"({e.value.numerator}/{e.value.denominator})"
     if isinstance(e, Sym):
-        return e.symbol.name
+        return e.name
     if isinstance(e, Fun):
         return f"{e.name}({to_text(e.arg)})"
     if isinstance(e, Pow) and e.exponent == _HALF:

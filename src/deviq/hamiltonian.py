@@ -22,7 +22,6 @@ from .errors import SpecError, VerticalExtensionError
 from .expr import (
     Add,
     Expr,
-    Sym,
     as_expr,
     gradient,
     normalize,
@@ -32,7 +31,6 @@ from .variational import (
     CommutationReport,
     EquationSystem,
     PairCheck,
-    _has_vertical,
     check_symbols,
     deviation_system,
 )
@@ -58,8 +56,6 @@ class HamiltonianSystem(Value):
         object.__setattr__(self, "spec", spec)
         if check_symbols(d, spec) > 0:
             raise SpecError("Hamiltonian density must not contain jet symbols")
-        if not spec.vertical and _has_vertical(d):
-            raise SpecError("Hamiltonian density contains vertical symbols")
 
 
 def hamilton_equations(H: HamiltonianSystem) -> EquationSystem:
@@ -80,10 +76,10 @@ def hamilton_equations(H: HamiltonianSystem) -> EquationSystem:
     eqs = []
     for f in fields:
         for lam in range(spec.n):
-            vel = Sym(spec.jet(f, MultiIndex((lam,))))
+            vel = spec.jet(f, MultiIndex((lam,)))
             eqs.append(normalize(vel - grad[momenta[f, lam]]))
     for f in fields:
-        parts = [Sym(spec.jet(momenta[f, lam], MultiIndex((lam,)))) for lam in range(spec.n)]
+        parts = [spec.jet(momenta[f, lam], MultiIndex((lam,))) for lam in range(spec.n)]
         parts.append(grad[f])
         eqs.append(normalize(Add(tuple(parts))))
     return EquationSystem(tuple(eqs), spec, "plain")

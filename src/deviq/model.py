@@ -43,7 +43,6 @@ from .expr import (
     Fun,
     Pow,
     Rat,
-    Sym,
     SymbolKind,
     free_symbols,
     normalize,
@@ -213,7 +212,7 @@ class _ExprParser:
             sym = self.symbols.get(text)
             if sym is None:
                 try:
-                    sym = self.symbols[text] = Sym(self.spec.symbol(text))
+                    sym = self.symbols[text] = self.spec.symbol(text)
                 except UnknownSymbolError:
                     raise ParseError(f"unknown identifier '{text}'", line, column) from None
                 except SpecError as ex:
@@ -377,7 +376,7 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
                 # by symbol, not text: y_xt and y_tx name one symbol
                 column = next(
                     tok[3] for tok in tokens
-                    if (x := parser.symbols.get(tok[1])) is not None and x.symbol == s
+                    if parser.symbols.get(tok[1]) == s
                 )
                 raise ParseError(
                     f"'{s.name}' ({s.kind.value}) is not allowed in a {kind}", line_no, column

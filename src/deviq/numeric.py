@@ -52,7 +52,6 @@ from .expr import (
     Pow,
     Rat,
     Sym,
-    Symbol,
     _from_poly,
     _poly,
     diff,
@@ -128,10 +127,10 @@ def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
         return f"({v.numerator}/{v.denominator})"
     if isinstance(e, Sym):
         try:
-            return names[e.symbol.name]
+            return names[e.name]
         except KeyError:
             raise CompileError(
-                f"'{e.symbol.name}' is not a state variable, the base coordinate, or a bound parameter"
+                f"'{e.name}' is not a state variable, the base coordinate, or a bound parameter"
             ) from None
     if isinstance(e, Add):
         return "(" + "+".join(map(sub, e.terms)) + ")"
@@ -159,7 +158,7 @@ def _define(source: str, env):
     return scope["f"]
 
 
-def _lambdify(exprs: Sequence[Expr], base: Optional[Symbol], symbols: Sequence[Symbol], env):
+def _lambdify(exprs: Sequence[Expr], base: Optional[Sym], symbols: Sequence[Sym], env):
     """`f(t, z)` returning one value per expression, with `base` read from
     t, symbols[i] from z[i] and the functions from `env`."""
     names = {} if base is None else {base.name: "t"}
@@ -320,7 +319,7 @@ class FirstOrderSystem(Value):
 
     _fields = ("base", "states", "rhs")
 
-    def __init__(self, base: Symbol, states: tuple, rhs: tuple):
+    def __init__(self, base: Sym, states: tuple, rhs: tuple):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "rhs", rhs)
@@ -530,7 +529,7 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
             )
         # e is affine in w, so its monomials with a plain w factor vanish
         # at w = 0; w may still sit inside the atoms of the others
-        plain = (Sym(w), 1)
+        plain = (w, 1)
         r = _from_poly({m: k for m, k in _poly(e).items() if plain not in m})
         rest = substitute(r, {w: _ZERO})
         solved[w] = normalize(Mul((Rat(Fraction(-1)), rest, Pow(c, Fraction(-1)))))
@@ -538,7 +537,7 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
     states, rhs = [], []
     for chain in chains.values():
         states += chain[:-1]
-        rhs += [Sym(s) for s in chain[1:-1]] + [solved[chain[-1]]]
+        rhs += [*chain[1:-1], solved[chain[-1]]]
     return FirstOrderSystem(spec.base[0], tuple(states), tuple(rhs))
 
 
@@ -686,11 +685,7 @@ class JacobiProblem(Value):
 
 
 def _init_name(k) -> str:
-    if isinstance(k, Sym):
-        return k.symbol.name
-    if isinstance(k, Symbol):
-        return k.name
-    return str(k)
+    return k.name if isinstance(k, Sym) else str(k)
 
 
 def solve_jacobi(prob: JacobiProblem):

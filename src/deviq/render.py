@@ -26,7 +26,6 @@ from .expr import (
     Pow,
     Rat,
     Sym,
-    Symbol,
     SymbolKind,
     _HALF,
     _join_terms,
@@ -58,7 +57,7 @@ def _name_tex(name: str) -> str:
     return r"\mathrm{" + name + "}"
 
 
-def _symbol_tex(sym: Symbol, spec: Optional[BundleSpec]) -> str:
+def _symbol_tex(sym: Sym, spec: Optional[BundleSpec]) -> str:
     name = sym.name
     if spec is None or sym.kind in (SymbolKind.BASE, SymbolKind.PARAMETER):
         if "_" not in name:
@@ -93,7 +92,7 @@ def _atom_tex(e: Expr, spec) -> str:
             return str(q.numerator) if q >= 0 else f"({q.numerator})"
         return r"\frac{%d}{%d}" % (q.numerator, q.denominator)
     if isinstance(e, Sym):
-        return _symbol_tex(e.symbol, spec)
+        return _symbol_tex(e, spec)
     if isinstance(e, Fun):
         arg = to_latex(e.arg, spec)
         if e.name == "sqrt":
@@ -138,7 +137,7 @@ def json_tree(e):
     if isinstance(e, Rat):
         return _json_rat(e.value)
     if isinstance(e, Sym):
-        return e.symbol.name
+        return e.name
     if isinstance(e, Add):
         return ["+", *(json_tree(t) for t in e.terms)]
     if isinstance(e, Mul):

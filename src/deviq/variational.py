@@ -57,8 +57,9 @@ _ZERO = Rat(Fraction(0))
 
 
 def check_symbols(e: Expr, spec: BundleSpec) -> int:
-    """Every symbol in e must be resolvable within spec (order included);
-    returns the highest jet order among them."""
+    """Every symbol in e must be resolvable within spec (order included),
+    a vertical one only on a vertical spec; returns the highest jet order
+    among them."""
     top = 0
     for s in free_symbols(e):
         if s.kind is SymbolKind.BASE:
@@ -67,15 +68,13 @@ def check_symbols(e: Expr, spec: BundleSpec) -> int:
             if s not in spec.params:
                 raise UnknownSymbolError(s.name)
         else:
+            if s.kind in VERTICAL_KINDS and not spec.vertical:
+                raise SpecError(f"'{s.name}' is vertical, and the spec has no vertical extension")
             k = spec.jet_order(s)
             if k > spec.order:
                 raise SpecError(f"'{s.name}' has jet order {k}, above the spec order {spec.order}")
             top = max(top, k)
     return top
-
-
-def _has_vertical(e: Expr) -> bool:
-    return any(s.kind in VERTICAL_KINDS for s in free_symbols(e))
 
 
 def is_vertical_linear(e: Expr) -> bool:
@@ -86,9 +85,9 @@ def is_vertical_linear(e: Expr) -> bool:
         deg = 0
         for atom, q in mono:
             if not isinstance(atom, Sym):
-                if _has_vertical(atom):
+                if any(s.kind in VERTICAL_KINDS for s in free_symbols(atom)):
                     return False
-            elif atom.symbol.kind in VERTICAL_KINDS:
+            elif atom.kind in VERTICAL_KINDS:
                 if q.denominator != 1 or q < 0:
                     return False
                 deg += q
@@ -143,7 +142,7 @@ class Lagrangian(Value):
 def vertical_extension_density(L: Lagrangian) -> Lagrangian:
     """The Lagrangian with density d_V of the original, on the doubled spec.
     Jet order is preserved; extending twice is rejected."""
-    if L.spec.vertical or _has_vertical(L.density):
+    if L.spec.vertical:
         raise VerticalExtensionError("Lagrangian is already a vertical extension")
     vspec = L.spec.vertical_extension()
     return Lagrangian(vertical_derivative(L.density, vspec), vspec)
@@ -183,7 +182,7 @@ def deviation_system(system: EquationSystem) -> EquationSystem:
     """The deviation of E: the system {E = 0, d_V E = 0} on the vertical
     extension.  The first block is the input verbatim; the second is its
     linearization along the fibre."""
-    if system.spec.vertical or any(map(_has_vertical, system.equations)):
+    if system.spec.vertical:
         raise VerticalExtensionError("operator is already a vertical extension")
     vspec = system.spec.vertical_extension()
     vblock = tuple(vertical_derivative(e, vspec) for e in system.equations)

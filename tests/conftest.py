@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from deviq import BundleSpec, Fun, Rat, Sym, load_model
+from deviq import BundleSpec, Fun, Rat, load_model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -83,10 +83,10 @@ def rand_expr(rng: random.Random, atoms, depth: int):
 
 def first_order_atoms(spec: BundleSpec):
     """t, y, y_t style atoms for random order-1 expressions."""
-    out = [Sym(s) for s in spec.base]
+    out = list(spec.base)
     for f in spec.fibre_names:
-        out.append(Sym(spec.symbol(f)))
-        out.append(Sym(spec.symbol(f + "_" + spec.base_names[0])))
+        out.append(spec.symbol(f))
+        out.append(spec.symbol(f + "_" + spec.base_names[0]))
     return out
 
 

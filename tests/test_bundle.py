@@ -14,7 +14,6 @@ from deviq import (
     MultiIndex,
     OrderOverflowError,
     SpecError,
-    Sym,
     SymbolKind,
     UnknownSymbolError,
     VerticalExtensionError,
@@ -32,7 +31,7 @@ FIELD = BundleSpec.make(["x", "t"], ["u"], order=2)
 
 
 def S(spec, name):
-    return Sym(spec.symbol(name))
+    return spec.symbol(name)
 
 
 def test_multiindex_is_unordered():

@@ -23,7 +23,7 @@ import deviq.cli
 import deviq.hamiltonian
 import deviq.numeric
 import deviq.variational
-from deviq import HamiltonianSystem, Lagrangian, Sym
+from deviq import HamiltonianSystem, Lagrangian
 from conftest import MODELS_DIR, model_path
 
 
@@ -229,7 +229,7 @@ def _tampered(extend, make, extra):
     """`extend` with `extra(y, v_y)` added to the density it gives."""
     def tampered(system):
         ext = extend(system)
-        y, v = (Sym(ext.spec.symbol(name)) for name in ("y", "v_y"))
+        y, v = (ext.spec.symbol(name) for name in ("y", "v_y"))
         return make(ext.density + extra(y, v), ext.spec)
     return tampered
 

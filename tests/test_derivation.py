@@ -58,7 +58,7 @@ GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 
 SPEC = BundleSpec.make(["t"], ["y", "u"], params=["omega"], order=2)
 VSPEC = SPEC.vertical_extension()
-ATOMS = [Sym(SPEC.symbol(n)) for n in ("t", "y", "u", "y_t", "u_t", "omega")]
+ATOMS = [SPEC.symbol(n) for n in ("t", "y", "u", "y_t", "u_t", "omega")]
 SEEDS = range(60)
 
 
@@ -84,7 +84,7 @@ def _diff(e, s):
     if isinstance(e, Rat):
         return ZERO
     if isinstance(e, Sym):
-        return ONE if e.symbol == s else ZERO
+        return ONE if e == s else ZERO
     if isinstance(e, Add):
         return Add(tuple(_diff(t, s) for t in e.terms))
     if isinstance(e, Mul):
@@ -171,7 +171,7 @@ def test_cases_are_varied():
     assert sum("tan(" in s for s in texts) >= 5
 
 
-@pytest.mark.parametrize("s", [a.symbol for a in ATOMS], ids=str)
+@pytest.mark.parametrize("s", ATOMS, ids=str)
 def test_diff_matches_tree_rule(s):
     compared = 0
     for seed, e in cases():
@@ -184,11 +184,10 @@ def test_diff_matches_tree_rule(s):
 
 
 def test_gradient_matches_diff():
-    symbols = [a.symbol for a in ATOMS]
     for seed, e in cases():
-        grad = gradient(e, symbols)
-        assert list(grad) == symbols
-        for s in symbols:
+        grad = gradient(e, ATOMS)
+        assert list(grad) == ATOMS
+        for s in ATOMS:
             assert grad[s] == diff(e, s), (seed, s)
 
 
@@ -200,7 +199,7 @@ def test_total_derivative_matches_sum_of_partials():
             tree_derivation,
             e,
             lambda s: s == t or s.kind in DEPENDENT_KINDS,
-            lambda s: Rat(Fraction(1)) if s == t else Sym(SPEC.jet(s, MultiIndex((0,)))),
+            lambda s: Rat(Fraction(1)) if s == t else SPEC.jet(s, MultiIndex((0,))),
         )
         if expected is not None:
             compared += 1
@@ -215,7 +214,7 @@ def test_vertical_derivative_matches_sum_of_partials():
             tree_derivation,
             e,
             lambda s: s.kind in DEPENDENT_KINDS,
-            lambda s: Sym(VSPEC.vertical_partner(s)),
+            VSPEC.vertical_partner,
         )
         if expected is not None:
             compared += 1
@@ -232,7 +231,7 @@ def rebuilt(e):
     if isinstance(e, Rat):
         return Rat(e.value)
     if isinstance(e, Sym):
-        return Sym(e.symbol)
+        return Sym(e.name, e.kind)
     if isinstance(e, Add):
         return Add(tuple(rebuilt(t) for t in e.terms))
     if isinstance(e, Mul):
@@ -258,7 +257,6 @@ def test_stored_expansion_matches_a_fresh_expansion():
 
 
 def test_stored_expansion_survives_every_operation():
-    symbols = [a.symbol for a in ATOMS]
     absent = SPEC.symbol("u_tt")
     compared = differing = 0
     previous = ZERO
@@ -269,10 +267,10 @@ def test_stored_expansion_survives_every_operation():
             continue  # zero, or an atom handed back as it is
         compared += 1
         snapshot = dict(stored)
-        for s in symbols:
+        for s in ATOMS:
             diff(n, s)
-        gradient(n, symbols)
-        derivation(n, lambda s: True, lambda s: Sym(s))
+        gradient(n, ATOMS)
+        derivation(n, lambda s: True, lambda s: s)
         for other in (e, previous):  # equal, then mostly different
             same, gap = equivalent(n, other), normalize(n - other)
             assert bool(same) == (gap == ZERO), seed
@@ -280,7 +278,7 @@ def test_stored_expansion_survives_every_operation():
             assert same.reason == f"normal forms {reason}", seed
             differing += not same
         previous = e
-        substitute(n, {symbols[1]: Sym(symbols[0]) + 1})
+        substitute(n, {ATOMS[1]: ATOMS[0] + 1})
         assert substitute(n, {}) is n, seed
         assert substitute(n, {absent: Rat(Fraction(2))}) is n, seed
         assert n._expansion is stored and stored == snapshot, seed
@@ -289,11 +287,11 @@ def test_stored_expansion_survives_every_operation():
 
 
 def test_untouched_subtrees_are_kept():
-    y, t = (Sym(SPEC.symbol(n)) for n in ("y", "t"))
+    y, t = (SPEC.symbol(n) for n in ("y", "t"))
     inner = normalize(Fun("sin", y + 1))
     e = Add((Mul((inner, y)), t))
     assert substitute(e, {}) == normalize(e)
-    swapped = _substitute(e, {t.symbol: y})
+    swapped = _substitute(e, {t: y})
     assert swapped.terms[0] is e.terms[0]
     assert _substitute(e, {}) is e
 
@@ -357,7 +355,7 @@ def test_check_leaves_pair_sides_unread():
 
 @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
 def test_over_long_constant_is_refused_by_normalize(read):
-    y, t = (Sym(SPEC.symbol(n)) for n in ("y", "t"))
+    y, t = (SPEC.symbol(n) for n in ("y", "t"))
     n = normalize(y + t)
     if read:
         n.terms
@@ -367,7 +365,7 @@ def test_over_long_constant_is_refused_by_normalize(read):
 
 
 def test_mixed_exponents_fold():
-    y = Sym(SPEC.symbol("y"))
+    y = SPEC.symbol("y")
     half = Pow(y, Fraction(1, 2))
     assert normalize(half * half) == y
     assert normalize(Pow(Pow(y, Fraction(1, 3)), Fraction(3))) == y
@@ -405,10 +403,10 @@ def test_kernel_does_no_fraction_arithmetic(monkeypatch):
     density = parse_model(text).lagrangian().density
     symbols = sorted(free_symbols(density), key=lambda s: s.name)
     partials = gradient(density, symbols)
-    flow = derivation(density, lambda s: True, lambda s: Sym(s))
+    flow = derivation(density, lambda s: True, lambda s: s)
     monkeypatch.undo()
     # rendering multiplies Fractions, so it is compared with the patch undone
     assert density == expected
     assert partials == gradient(expected, symbols)
-    assert flow == derivation(expected, lambda s: True, lambda s: Sym(s))
+    assert flow == derivation(expected, lambda s: True, lambda s: s)
     assert len(symbols) == 8 and "q4^3" in to_text(flow)

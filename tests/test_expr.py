@@ -19,6 +19,7 @@ from deviq import (
     Pow,
     Rat,
     Sym,
+    SymbolKind,
     UnboundSymbolError,
     as_expr,
     diff,
@@ -48,10 +49,10 @@ from deviq.expr import (
 from conftest import first_order_atoms, rand_expr, reduced_pairs
 
 SPEC = BundleSpec.make(["t"], ["y", "u"], order=2)
-T = Sym(SPEC.symbol("t"))
-Y = Sym(SPEC.symbol("y"))
-U = Sym(SPEC.symbol("u"))
-YT = Sym(SPEC.symbol("y_t"))
+T = SPEC.symbol("t")
+Y = SPEC.symbol("y")
+U = SPEC.symbol("u")
+YT = SPEC.symbol("y_t")
 
 
 def powers(s, n):
@@ -239,9 +240,9 @@ def test_merged_monomial_product_is_the_dict_product():
     sums = normalize(Y + 1), normalize(Y + U)
     # each inner list holds distinct objects of one key
     classes = [
-        [Sym(SPEC.symbol(name)) for _ in range(2)] for name in ("t", "u", "y", "y_t")
+        [SPEC.symbol(name) for _ in range(2)] for name in ("t", "u", "y", "y_t")
     ] + [
-        [Fun("sin", Y), Fun("sin", Sym(SPEC.symbol("y")))],
+        [Fun("sin", Y), Fun("sin", SPEC.symbol("y"))],
         [Fun("cos", sums[0]), Fun("cos", normalize(1 + Y))],
         [Fun("exp", U)],
         [Pow(sums[0], Fraction(1, 2)), Pow(normalize(1 + Y), Fraction(1, 2))],
@@ -275,16 +276,29 @@ def test_merged_monomial_product_is_the_dict_product():
         seen["empty"] += not a or not b
     assert min(seen.values()) >= 50, seen
     # equal keys keep the first monomial's object, whichever monomial is longer
-    y1, y2 = Sym(SPEC.symbol("y")), Sym(SPEC.symbol("y"))
+    y1, y2 = SPEC.symbol("y"), SPEC.symbol("y")
     assert _mono_mul(((y1, 1),), ((U, 1), (y2, 2)))[1][0] is y1
     assert _mono_mul(((y2, 2),), ((y1, -2),)) == ()
     assert _mono_mul((), ((y1, 1),)) == ((y1, 1),) == _mono_mul(((y1, 1),), ())
 
 
+def test_a_symbol_given_by_name_is_refused():
+    e = Y**2 + 1
+    with pytest.raises(TypeError, match="expected a symbol, got 'y'"):
+        substitute(e, {"y": 2})
+    with pytest.raises(TypeError, match="expected a symbol, got 'y'"):
+        diff(e, "y")
+    with pytest.raises(TypeError, match="expected a symbol, got 'y'"):
+        gradient(e, [Y, "y"])
+    with pytest.raises(TypeError, match=r"expected a symbol, got Add\(Sym\(y\), Rat\(1\)\)"):
+        substitute(e, {Y + 1: 2})
+    # a point to evaluate at may still name its symbols
+    assert evaluate(e, {"y": 2.0}) == evaluate(e, {Y: 2.0}) == 5.0
+
+
 def test_kept_symbol_key_is_not_a_field():
-    y = SPEC.symbol("y")
-    a, b = Sym(y), Sym(y)
-    assert a._k == _key(a) == (1, "y") and Sym._fields == ("symbol",)
+    a, b = Sym("y", SymbolKind.FIBRE), Sym("y", SymbolKind.FIBRE)
+    assert a._k == _key(a) == (1, "y") and Sym._fields == ("name", "kind")
     # a wrong kept key changes nothing but the sort: not equality, hash or repr
     object.__setattr__(b, "_k", (1, "z"))
     assert a == b and hash(a) == hash(b) and repr(b) == "Sym(y)"
@@ -368,7 +382,6 @@ def test_normalize_random_properties():
     """Idempotence and evaluation agreement on random expressions."""
     spec1 = BundleSpec.make(["t"], ["y"], order=1)
     atoms = first_order_atoms(spec1)
-    names = [a.symbol for a in atoms]
     checked = 0
     for trial in range(40):
         rng = random.Random(500 + trial)
@@ -376,7 +389,7 @@ def test_normalize_random_properties():
         n = normalize(e)
         assert normalize(n) == n
         assert normalize(e - e) == Rat(Fraction(0))
-        point = {s: rng.uniform(0.3, 1.7) for s in names}
+        point = {s: rng.uniform(0.3, 1.7) for s in atoms}
         try:
             a = evaluate(e, point)
             b = evaluate(n, point)

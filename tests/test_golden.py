@@ -93,20 +93,20 @@ def test_golden_output(name, argv):
         pytest.fail(f"{name} differs from the golden file at {first_difference(expected, actual)}")
 
 
-#: `grammar.digest(40, 5)`, see test_grammar_digest
-GRAMMAR_DIGEST = "483039dd3dd7eaacf43213db880b88c9bf8e07f6f812ebd67a63f9bb473b0fb0"
+#: `grammar.digest(400, 5)`, see test_grammar_digest
+GRAMMAR_DIGEST = "490627c52c9cb9314026a995462e589292618e36520ba565d4833cd0b7f351de"
 
 
 def test_grammar_digest():
-    """All that deviq makes of 40 generated models (`tests/grammar.py`,
+    """All that deviq makes of 400 generated models (`tests/grammar.py`,
     seed 5) hashes to one recorded value, so an output change on models
     past the corpus fails here as a golden file does; unlike the corpus,
     they use tan, ln and sqrt.  A change that means to alter these outputs
-    records the value that `python tests/grammar.py --digest --models 40`
-    prints, and says why."""
+    records the value that `python tests/grammar.py --digest` prints, and
+    says why."""
     import grammar
 
-    assert grammar.digest(40, 5) == GRAMMAR_DIGEST
+    assert grammar.digest(400, 5) == GRAMMAR_DIGEST
 
 
 def regenerate():

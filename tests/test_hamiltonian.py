@@ -5,7 +5,6 @@ import pytest
 from deviq import (
     HamiltonianSystem,
     SpecError,
-    Sym,
     check_hamilton_deviation_commute,
     deviation_system,
     hamilton_equations,
@@ -16,7 +15,7 @@ from conftest import HAMILTONIAN_MODELS, corpus_model
 
 
 def S(spec, name):
-    return Sym(spec.symbol(name))
+    return spec.symbol(name)
 
 
 def test_hamilton_equations_oscillator():
@@ -39,6 +38,13 @@ def test_hamilton_equations_covariant():
     vt = normalize(S(spec, "u_t") - S(spec, "pt_u"))
     div = normalize(S(spec, "px_u_x") + S(spec, "pt_u_t") + S(spec, "u"))
     assert sys.equations == (vx, vt, div)
+
+
+def test_plain_spec_refuses_a_vertical_hamiltonian():
+    spec = corpus_model("hosc").spec
+    density = S(spec, "pt_y") ** 2 + S(spec, "v_y") * S(spec, "y")
+    with pytest.raises(SpecError, match="'v_y' is vertical, and the spec has no vertical extension"):
+        HamiltonianSystem(density, spec)
 
 
 def test_vertical_hamiltonian_density():

@@ -1,10 +1,11 @@
 """Module boundaries of the package, read from its source with `ast`.
 
 The naming rule of generated coordinates lives in `deviq.bundle`: other
-modules hand coordinates around as Symbols and ask the spec for jets and
-partners, so they name neither the private coordinate record, nor the
-prefix table that writes and reads names, nor the decoder.  `render` is
-the one reader of decoded names, for LaTeX output.
+modules hand coordinates around as the expression atoms `Sym(name, kind)`,
+the one symbol type, and ask the spec for jets and partners, so they name
+neither the private coordinate record, nor the prefix table that writes
+and reads names, nor the decoder.  `render` is the one reader of decoded
+names, for LaTeX output.
 Generated code is defined in one place, `numeric._define`, from text that
 `numeric._emit` writes.  No module builds its classes with `dataclasses`,
 and only the package and the CLI load `numeric`, where a numeric name is
@@ -92,6 +93,22 @@ def test_compile_system_resolves_no_names():
         if isinstance(node, ast.FunctionDef) and node.name == "compile_system"
     ]
     assert [node.lineno for node in _calls(compile_fn, "symbol")] == []
+
+
+def test_one_symbol_type():
+    """No module defines or names a second symbol type, and none reads a
+    `symbol` attribute; `spec.symbol(name)`, a call, resolves a name."""
+    offenders = []
+    for p in SOURCES:
+        tree = ast.parse(p.read_text())
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            names = {getattr(node, f, None) for f in ("name", "id", "asname", "attr")}
+            if "Symbol" in names or (
+                isinstance(node, ast.Attribute) and node.attr == "symbol" and id(node) not in callees
+            ):
+                offenders.append((p.name, node.lineno))
+    assert offenders == []
 
 
 def test_eval_and_exec_only_in_the_code_generator():

@@ -305,7 +305,7 @@ NUMBER_FORMS = [
 def test_number_forms(literal, value):
     m = parse_model(f"{H}param a = -{literal}\nequation y_t - {literal}*y\n")
     assert m.spec.param_value("a") == -value
-    y, y_t = (Sym(m.spec.symbol(name)) for name in ("y", "y_t"))
+    y, y_t = (m.spec.symbol(name) for name in ("y", "y_t"))
     assert m.payload == (normalize(y_t - Rat(Fraction(value)) * y),)
 
 
@@ -365,4 +365,4 @@ def test_layout_invariance_and_shared_symbols(seed):
     assert syms
     by_name = {}
     for sym in syms:
-        assert by_name.setdefault(sym.symbol.name, sym) is sym
+        assert by_name.setdefault(sym.name, sym) is sym

@@ -40,7 +40,7 @@ from deviq import (
     solve_jacobi,
 )
 from deviq.bundle import MultiIndex
-from deviq.expr import Pow, Symbol, SymbolKind, exp, free_symbols, ln, sin, substitute
+from deviq.expr import Pow, SymbolKind, exp, free_symbols, ln, sin, substitute
 from deviq import numeric
 from deviq.numeric import MAX_STEPS, _emit
 from conftest import ODE_CORPUS, corpus_model, first_order_atoms, model_path, rand_expr
@@ -304,9 +304,9 @@ def test_simulate_bit_identical_on_a_time_dependent_model(tmp_path, capsys):
 
 def _first_order(rhs):
     """y, u with y' = 1 and u' = rhs(t, y, u), as built, not normalized."""
-    t, y, u = (Symbol("t", SymbolKind.BASE), Symbol("y", SymbolKind.FIBRE),
-               Symbol("u", SymbolKind.FIBRE))
-    return FirstOrderSystem(t, (y, u), (Rat(Fraction(1)), rhs(Sym(t), Sym(y), Sym(u))))
+    t, y, u = (Sym("t", SymbolKind.BASE), Sym("y", SymbolKind.FIBRE),
+               Sym("u", SymbolKind.FIBRE))
+    return FirstOrderSystem(t, (y, u), (Rat(Fraction(1)), rhs(t, y, u)))
 
 
 def test_rk4_step_computes_a_repeated_subtree_once_per_stage():
@@ -351,7 +351,7 @@ def test_emit_writes_integer_constants_as_float_literals():
     """A float literal is the double that float arithmetic converts the int
     to; an int beyond the float range keeps its text and still fails when
     the generated code runs."""
-    y = Sym(Symbol("y", SymbolKind.FIBRE))
+    y = Sym("y", SymbolKind.FIBRE)
 
     def text(e):
         return _emit(e, {"y": "y"}, text)
@@ -714,7 +714,7 @@ def test_integrate_refuses_a_grid_that_does_not_increase(t0, t1):
 
 def test_first_order_system_needs_a_state():
     with pytest.raises(CompileError, match="at least one state"):
-        FirstOrderSystem(Symbol("t", SymbolKind.BASE), (), ())
+        FirstOrderSystem(Sym("t", SymbolKind.BASE), (), ())
 
 
 @pytest.mark.parametrize("z0,t0,t1,dt,message", [
@@ -781,7 +781,7 @@ def test_numpy_eval_matches_evaluate_on_random_expressions(mechanics_spec):
     rng = random.Random(8)
     np_rng = np.random.default_rng(8)
     atoms = first_order_atoms(mechanics_spec)
-    names = sorted({a.symbol.name for a in atoms})
+    names = sorted({a.name for a in atoms})
     compared = 0
     for _ in range(60):
         e = rand_expr(rng, atoms, 4)
@@ -799,13 +799,13 @@ def test_numpy_eval_matches_evaluate_on_corpus_rhs(name):
 
 
 def test_numpy_eval_names_a_missing_symbol(mechanics_spec):
-    y, t = (Sym(mechanics_spec.symbol(n)) for n in ("y", "t"))
+    y, t = (mechanics_spec.symbol(n) for n in ("y", "t"))
     with pytest.raises(UnboundSymbolError, match="y"):
         numpy_eval(y * t, {"t": np.ones(3)})
 
 
 def test_numpy_eval_keeps_numpy_semantics_on_scalars(mechanics_spec):
-    y = Sym(mechanics_spec.symbol("y"))
+    y = mechanics_spec.symbol("y")
     with np.errstate(divide="ignore"):
         assert numpy_eval(y ** -1, {"y": 0.0}) == math.inf
         assert numpy_eval(y ** -2 + 1, {"y": 0.0}) == math.inf

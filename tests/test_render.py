@@ -17,7 +17,6 @@ from deviq import (
     Mul,
     Pow,
     Rat,
-    Sym,
     deviation_equations,
     derive_equations,
     euler_lagrange,
@@ -47,7 +46,7 @@ GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 def test_latex_vertical_dot_convention():
     m = parse_model("base t\nfibre y\nlagrangian y_t^2\n")
     spec = m.spec.vertical_extension()
-    e = normalize(Sym(spec.symbol("v_y_tt")) + Sym(spec.symbol("v_y")))
+    e = normalize(spec.symbol("v_y_tt") + spec.symbol("v_y"))
     assert to_latex(e, spec) == r"\dot{y} + \ddot{\dot{y}}"
 
 
@@ -168,7 +167,7 @@ def test_expansion_and_tree_write_the_same_bytes():
 
 
 _SPEC = parse_model("base t\nfibre y\nlagrangian y_t^2\n").spec.vertical_extension()
-_Y, _YT, _VY = (Sym(_SPEC.symbol(n)) for n in ("y", "y_t", "v_y"))
+_Y, _YT, _VY = (_SPEC.symbol(n) for n in ("y", "y_t", "v_y"))
 _ONE = Rat(Fraction(1))
 
 #: hand-built trees that carry no expansion, with their text and LaTeX

@@ -37,38 +37,37 @@ from deviq import (
     Rat,
     ResidualTable,
     Sym,
-    Symbol,
     SymbolKind,
     deviation_system,
+    free_symbols,
     normalize,
 )
 from deviq.bundle import _Coord
 
-T = Symbol("t", SymbolKind.BASE)
-Y = Symbol("y", SymbolKind.FIBRE)
+T = Sym("t", SymbolKind.BASE)
+Y = Sym("y", SymbolKind.FIBRE)
 SPEC = BundleSpec.make(["t"], ["y"])
-Y_T = Sym(SPEC.symbol("y_t"))
+Y_T = SPEC.symbol("y_t")
 HSPEC = BundleSpec.make(["t"], ["y"], momenta=True)
-PT_Y = Sym(HSPEC.symbol("pt_y"))
+PT_Y = HSPEC.symbol("pt_y")
 SPEC_REPR = (
-    "BundleSpec(base=(Symbol('t', BASE),), fibre=(Symbol('y', FIBRE),), params=(), order=1, "
+    "BundleSpec(base=(Sym(t),), fibre=(Sym(y),), params=(), order=1, "
     "param_values=(), momenta=False, vertical=False)"
 )
 EQUAL = EquivalenceResult("equal", "normal forms coincide")
 EQUAL_REPR = "EquivalenceResult(verdict='equal', reason='normal forms coincide')"
-PAIR = PairCheck("y vs y", Sym(Y), Sym(Y), EQUAL)
+PAIR = PairCheck("y vs y", Y, Y, EQUAL)
 PAIR_REPR = f"PairCheck(label='y vs y', left=Sym(y), right=Sym(y), result={EQUAL_REPR})"
-FLOW = deviation_system(EquationSystem((Y_T + Sym(Y),), SPEC))
+FLOW = deviation_system(EquationSystem((Y_T + Y,), SPEC))
 
 #: (class, constructor arguments by keyword, stored field names, repr)
 ROWS = [
-    (Symbol, dict(name="y", kind=SymbolKind.FIBRE), ("name", "kind"), "Symbol('y', FIBRE)"),
     (Rat, dict(value=Fraction(1, 2)), ("value",), "Rat(1/2)"),
-    (Sym, dict(symbol=Y), ("symbol",), "Sym(y)"),
-    (Add, dict(terms=(Sym(Y), Rat(Fraction(1)))), ("terms",), "Add(Sym(y), Rat(1))"),
-    (Mul, dict(factors=(Rat(Fraction(2)), Sym(Y))), ("factors",), "Mul(Rat(2), Sym(y))"),
-    (Pow, dict(base=Sym(Y), exponent=Fraction(3)), ("base", "exponent"), "Pow(Sym(y), 3)"),
-    (Fun, dict(name="sin", arg=Sym(Y)), ("name", "arg"), "Fun(sin, Sym(y))"),
+    (Sym, dict(name="y", kind=SymbolKind.FIBRE), ("name", "kind"), "Sym(y)"),
+    (Add, dict(terms=(Y, Rat(Fraction(1)))), ("terms",), "Add(Sym(y), Rat(1))"),
+    (Mul, dict(factors=(Rat(Fraction(2)), Y)), ("factors",), "Mul(Rat(2), Sym(y))"),
+    (Pow, dict(base=Y, exponent=Fraction(3)), ("base", "exponent"), "Pow(Sym(y), 3)"),
+    (Fun, dict(name="sin", arg=Y), ("name", "arg"), "Fun(sin, Sym(y))"),
     (
         EquivalenceResult,
         dict(verdict="different", reason="normal forms differ by 2 terms"),
@@ -87,13 +86,13 @@ ROWS = [
         dict(base=("t",), fibre=("y",), params=("a",), order=2, param_values=(("a", 1),),
              momenta=False, vertical=False),
         ("base", "fibre", "params", "order", "param_values", "momenta", "vertical"),
-        "BundleSpec(base=(Symbol('t', BASE),), fibre=(Symbol('y', FIBRE),), "
-        "params=(Symbol('a', PARAMETER),), order=2, param_values=(('a', Fraction(1, 1)),), "
+        "BundleSpec(base=(Sym(t),), fibre=(Sym(y),), "
+        "params=(Sym(a),), order=2, param_values=(('a', Fraction(1, 1)),), "
         "momenta=False, vertical=False)",
     ),
     (
         EquationSystem,
-        dict(equations=(Y_T + Sym(Y),), spec=SPEC, structure="plain"),
+        dict(equations=(Y_T + Y,), spec=SPEC, structure="plain"),
         ("equations", "spec", "structure"),
         f"EquationSystem(equations=(Add(Sym(y), Sym(y_t)),), spec={SPEC_REPR}, structure='plain')",
     ),
@@ -105,7 +104,7 @@ ROWS = [
     ),
     (
         PairCheck,
-        dict(label="y vs y", left=Sym(Y), right=Sym(Y), result=EQUAL),
+        dict(label="y vs y", left=Y, right=Y, result=EQUAL),
         ("label", "left", "right", "result"),
         PAIR_REPR,
     ),
@@ -119,21 +118,21 @@ ROWS = [
         HamiltonianSystem,
         dict(density=PT_Y * PT_Y, spec=HSPEC),
         ("density", "spec"),
-        "HamiltonianSystem(density=Pow(Sym(pt_y), 2), spec=BundleSpec(base=(Symbol('t', BASE),), "
-        "fibre=(Symbol('y', FIBRE),), params=(), order=1, param_values=(), momenta=True, "
+        "HamiltonianSystem(density=Pow(Sym(pt_y), 2), spec=BundleSpec(base=(Sym(t),), "
+        "fibre=(Sym(y),), params=(), order=1, param_values=(), momenta=True, "
         "vertical=False))",
     ),
     (
         ModelFile,
-        dict(kind="lagrangian", spec=SPEC, payload=(Sym(Y),)),
+        dict(kind="lagrangian", spec=SPEC, payload=(Y,)),
         ("kind", "spec", "payload"),
         f"ModelFile(kind='lagrangian', spec={SPEC_REPR}, payload=(Sym(y),))",
     ),
     (
         FirstOrderSystem,
-        dict(base=T, states=(Y,), rhs=(Sym(Y),)),
+        dict(base=T, states=(Y,), rhs=(Y,)),
         ("base", "states", "rhs"),
-        "FirstOrderSystem(base=Symbol('t', BASE), states=(Symbol('y', FIBRE),), rhs=(Sym(y),))",
+        "FirstOrderSystem(base=Sym(t), states=(Sym(y),), rhs=(Sym(y),))",
     ),
     (
         JacobiProblem,
@@ -187,7 +186,7 @@ def test_value_semantics(cls, kwargs, fields, text):
     (lambda: BundleSpec(("t",), ("y",)), "param_values", ()),
     (lambda: BundleSpec(("t",), ("y",)), "momenta", False),
     (lambda: BundleSpec(("t",), ("y",)), "vertical", False),
-    (lambda: EquationSystem((Sym(Y),), SPEC), "structure", "plain"),
+    (lambda: EquationSystem((Y,), SPEC), "structure", "plain"),
     (lambda: JacobiProblem(FLOW, {"y": 1}, {}, 0.0, 1.0), "dt", DEFAULT_DT),
 ])
 def test_defaults(make, field, default):
@@ -197,9 +196,17 @@ def test_defaults(make, field, default):
 def test_normalising_constructors():
     assert MultiIndex((2, 0, 1)).entries == (0, 1, 2)
     assert BundleSpec(("t",), ("y",)) == SPEC
-    system = EquationSystem((Sym(Y) + Y_T,), SPEC)
-    assert system.equations == (Add((Sym(Y), Y_T)),)
+    system = EquationSystem((Y + Y_T,), SPEC)
+    assert system.equations == (Add((Y, Y_T)),)
     assert system.equations[0]._expansion is not None  # the normal form keeps its expansion
+
+
+def test_a_coordinate_is_an_expression():
+    y_t = SPEC.symbol("y_t")
+    assert isinstance(y_t, Sym) and isinstance(y_t + 1, Add)
+    assert (y_t + 1).terms == (y_t, Rat(Fraction(1)))
+    assert free_symbols(normalize(y_t**2)) == {y_t}
+    assert SPEC.fibre == (Y,) and SPEC.base == (T,)
 
 
 def test_derived_specs():
@@ -231,22 +238,22 @@ def test_cached_attributes_outside_the_fields():
 
 
 def test_copies_and_pickles_keep_value_and_hash():
-    e = normalize(Fun("sin", Sym(Y)) * Sym(Y) + Rat(Fraction(1, 3)))
-    for x in (Y, Sym(Y), e, SPEC, FLOW):
+    e = normalize(Fun("sin", Y) * Y + Rat(Fraction(1, 3)))
+    for x in (Y, e, SPEC, FLOW):
         for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert clone == x and hash(clone) == hash(x)
     # a symbol pickled under another string hash seed hashes anew here
     script = (
-        "import pickle, sys; from deviq import Fun, Sym, Symbol, SymbolKind; "
-        "y = Sym(Symbol('y', SymbolKind.FIBRE)); "
-        "sys.stdout.buffer.write(pickle.dumps((y.symbol, y, Fun('cos', y))))"
+        "import pickle, sys; from deviq import Fun, Sym, SymbolKind; "
+        "y = Sym('y', SymbolKind.FIBRE); "
+        "sys.stdout.buffer.write(pickle.dumps((y, Fun('cos', y))))"
     )
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed}
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env).stdout
-        symbol, sym, fun = pickle.loads(out)
-        assert hash(symbol) == hash(("y", SymbolKind.FIBRE)) == hash(Y)
-        assert hash(sym) == hash(Sym(Y)) and hash(fun) == hash(Fun("cos", Sym(Y)))
+        sym, fun = pickle.loads(out)
+        assert sym == Y and hash(sym) == hash(("y", SymbolKind.FIBRE)) == hash(Y)
+        assert fun == Fun("cos", Y) and hash(fun) == hash(Fun("cos", Y))
 
 
 def test_numeric_names_resolve_through_the_package(monkeypatch):

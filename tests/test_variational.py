@@ -23,12 +23,12 @@ from deviq import (
     total_derivative,
     vertical_extension_density,
 )
-from deviq.expr import Symbol, SymbolKind, sin, sqrt
+from deviq.expr import SymbolKind, sin, sqrt
 from conftest import LAGRANGIAN_MODELS, corpus_model, first_order_atoms, rand_expr
 
 
 def S(spec, name):
-    return Sym(spec.symbol(name))
+    return spec.symbol(name)
 
 
 def test_euler_lagrange_oscillator():
@@ -137,7 +137,7 @@ def test_is_vertical_linear(build, linear):
 def test_symbol_kind_must_match_its_name(name, kind, decoded):
     spec = BundleSpec.make(["t"], ["y"], order=2).vertical_extension()
     with pytest.raises(SpecError, match=f"'{name}' is a {decoded}, not a {kind.value}"):
-        EquationSystem((Sym(Symbol(name, kind)) - S(spec, "y"),), spec)
+        EquationSystem((Sym(name, kind) - S(spec, "y"),), spec)
 
 
 def test_deviation_system_rejects_vertical_input():
@@ -145,11 +145,20 @@ def test_deviation_system_rejects_vertical_input():
     ds = deviation_system(derive_equations(m))
     with pytest.raises(VerticalExtensionError, match="already a vertical extension"):
         deviation_system(ds)
-    # a vertical symbol on a plain spec is refused as well
-    stray = EquationSystem((Sym(Symbol("v_y", SymbolKind.VERTICAL)) - S(m.spec, "y_t"),), m.spec)
-    assert not stray.spec.vertical
-    with pytest.raises(VerticalExtensionError, match="already a vertical extension"):
-        deviation_system(stray)
+    # a vertical symbol on a plain spec is refused when the system is built
+    with pytest.raises(SpecError, match="'v_y' is vertical, and the spec has no vertical extension"):
+        EquationSystem((Sym("v_y", SymbolKind.VERTICAL) - S(m.spec, "y_t"),), m.spec)
+
+
+def test_plain_spec_refuses_a_vertical_density():
+    spec = corpus_model("riccati").spec
+    assert not spec.vertical
+    y, y_t, v_y = (S(spec, name) for name in ("y", "y_t", "v_y"))
+    with pytest.raises(SpecError, match="'v_y' is vertical, and the spec has no vertical extension"):
+        Lagrangian(y_t**2 / 2 + v_y * y, spec)
+    # on the vertical extension the same density is a Lagrangian
+    vspec = spec.vertical_extension()
+    assert Lagrangian(y_t**2 / 2 + v_y * y, vspec).order == 1
 
 
 def test_equation_system_validation():
