@@ -6,6 +6,9 @@ with a file under ``tests/golden/``:
 - ``derive`` and ``deviate`` in text, latex and json for every model;
 - the ``check`` report for every model with a commutation theorem;
 - the ``simulate`` CSV for the ODE corpus on the window [0, 0.1], dt 1e-2;
+- the ``residual`` CSV for the ODE corpus on that window, whose gaps differ
+  in floats, and on [0, 1] at dt 0.125, whose gaps are all equal, so both
+  ways of differencing the Jacobi tails are pinned;
 - the same derive/deviate/check outputs for FPU and pendulum chains with
   N = 2 and 4 in both forms.  The chain models under ``golden/models/``
   were written once by ``perfbench/chains.py`` (``make_chain`` with
@@ -34,6 +37,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CHAIN_MODELS = sorted((GOLDEN / "models").glob("*.eqn"))
 FORMATS = (("text", "txt"), ("latex", "tex"), ("json", "json"))
 SIMULATE_WINDOW = ("--t1", "0.1", "--dt", "1e-2")
+#: (file name, window) of the residual cases: uneven gaps, then equal gaps
+RESIDUAL_WINDOWS = (("residual.csv", SIMULATE_WINDOW), ("residual-uniform.csv", ("--t1", "1", "--dt", "0.125")))
 
 
 def _assignments(values: dict) -> str:
@@ -53,11 +58,10 @@ def _cases():
             out.append((f"{name}/check.txt", ["check", str(path)]))
         if name in ODE_CORPUS:
             init, jac, _ = ODE_CORPUS[name]
-            out.append((
-                f"{name}/simulate.csv",
-                ["simulate", str(path), "--init", _assignments(init),
-                 "--jacobi-init", _assignments(jac), *SIMULATE_WINDOW],
-            ))
+            data = ["--init", _assignments(init), "--jacobi-init", _assignments(jac)]
+            out.append((f"{name}/simulate.csv", ["simulate", str(path), *data, *SIMULATE_WINDOW]))
+            for file, window in RESIDUAL_WINDOWS:
+                out.append((f"{name}/{file}", ["residual", str(path), *data, *window]))
     return out
 
 
@@ -82,7 +86,7 @@ def first_difference(expected: str, actual: str) -> str:
 
 def test_case_list_covers_the_corpus():
     assert len(CHAIN_MODELS) == 8
-    assert len(CASES) == 19 * 6 + 17 + len(ODE_CORPUS) + 8 * 7
+    assert len(CASES) == 19 * 6 + 17 + 3 * len(ODE_CORPUS) + 8 * 7
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])

@@ -594,18 +594,37 @@ def numpy_residual(prob, eps_list):
             values = [numpy_eval(e, env) + np.zeros_like(times) for e in originals]
             entries.append((eps, max(float(np.max(np.abs(v[1:-1]))) for v in values)))
     pts = [(e, r) for e, r in entries if e > 0 and r > 0]
-    if len(pts) < 2:
+    if len({e for e, _ in pts}) < 2:
         return entries, None
     return entries, float(np.polyfit(np.log([e for e, _ in pts]), np.log([r for _, r in pts]), 1)[0])
 
 
-@pytest.mark.parametrize("name,t1,dt", [(n, None, 1e-3) for n in ODE_CORPUS] + [("pendulum", 0.5, 0.125)])
-def test_residual_matches_numpy_reference(name, t1, dt):
+#: (name, t1, dt, ladder): the corpus on its own window with the default
+#: ladder, and ladders of 1, 2 and 4 eps, with eps = 0 and a repeated eps,
+#: on uneven gaps (t1 None) and on equal ones
+RESIDUAL_REFERENCE_CASES = [(n, None, 1e-3, (1e-2, 5e-3, 2.5e-3)) for n in ODE_CORPUS] + [
+    ("pendulum", 0.5, 0.125, (1e-2, 5e-3, 2.5e-3)),
+    ("pendulum", None, 1e-3, (1e-2,)),
+    ("hkepler", 1.0, 0.125, (0.0,)),
+    ("sphere", None, 1e-3, (0.0, 1e-2)),
+    ("hpend", 1.0, 0.125, (5e-3, 5e-3)),
+    ("elastica", None, 1e-3, (1e-2, 0.0, 5e-3, 5e-3)),
+    ("twofield", 1.0, 0.125, (1e-2, 5e-3, 5e-3, 0.0)),
+]
+
+
+def _reference_case_id(case):
+    name, t1, dt, eps_list = case
+    return f"{name}-{t1}-{dt}" + ("" if len(eps_list) == 3 else "-" + "-".join(map(str, eps_list)))
+
+
+@pytest.mark.parametrize("name,t1,dt,eps_list", RESIDUAL_REFERENCE_CASES,
+                         ids=list(map(_reference_case_id, RESIDUAL_REFERENCE_CASES)))
+def test_residual_matches_numpy_reference(name, t1, dt, eps_list):
     init, jac, corpus_t1 = ODE_CORPUS[name]
     prob = JacobiProblem(deviation_equations(corpus_model(name)), init, jac, 0.0, t1 or corpus_t1, dt)
     if t1 is not None:  # every gap equal: np.gradient's uniform formula
         assert len(set(np.diff(solve_jacobi(prob)[0].times))) == 1
-    eps_list = (1e-2, 5e-3, 2.5e-3)
     table = perturbation_residual(prob, eps_list)
     entries, exponent = numpy_residual(prob, eps_list)
     assert [e for e, _ in table.entries] == list(eps_list)
@@ -633,6 +652,27 @@ def test_residual_grid_too_fine_for_the_gradient_weights():
     prob = JacobiProblem(deviation_equations(corpus_model("oscillator")), init, jac, 0.0, 1e-199, 1e-200)
     with pytest.raises(IntegrationError, match=r"non-finite values at eps=0\.01 "):
         perturbation_residual(prob)
+
+
+@pytest.mark.parametrize("equations,base,t1,dt", [
+    ("y_t - y^2", {"y": 1.0}, 2.0, 1e-3),
+    ("y_t - 1\nequation u_t - (y - 1)^(-1)", {"y": 0.0, "u": 0.0}, 3.0, 0.25),
+    ("y_t - 1\nequation u_t - ln(15 - 16*y)", {"y": 0.0, "u": 0.0}, 3.0, 0.25),
+    ("y_t - 1\nequation u_t - exp(800*y)", {"y": 0.0, "u": 0.0}, 3.0, 0.25),
+    ("y_t - 1\nequation u_t - 10^300*u", {"y": 0.0, "u": 1.0}, 1.0, 0.25),
+], ids=["blowup", "zero-division", "log-of-negative", "overflow", "non-finite-state"])
+def test_residual_fails_as_the_joint_flow_does(equations, base, t1, dt):
+    """The blow-ups of the integrate tests as Jacobi problems: the residual
+    stops where the joint flow does, with the same message and last time."""
+    fibres = " ".join(base)
+    system = deviation_equations(parse_model(f"base t\nfibre {fibres}\nequation {equations}\n"))
+    prob = JacobiProblem(system, base, {}, 0.0, t1, dt)
+    with pytest.raises(IntegrationError) as flow:
+        solve_jacobi(prob)
+    with pytest.raises(IntegrationError) as residual:
+        perturbation_residual(prob)
+    assert str(residual.value) == str(flow.value)
+    assert residual.value.last_time == flow.value.last_time
 
 
 def test_residual_exponent_needs_two_distinct_eps():
