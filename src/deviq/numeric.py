@@ -17,9 +17,11 @@ Two independent numeric oracles back the symbolic construction:
 
 Integration is classical RK4 with a fixed step: bit-exact deterministic
 for fixed inputs, no adaptivity anywhere.  Each system's RK4 loop over a
-whole window is generated as one function with straight-line steps, and
-so is each problem's residual sweep; the finite-difference oracle runs
-its two flows as two lanes of one such loop.
+whole window is generated as one function with straight-line steps; the
+finite-difference oracle runs its two flows as two lanes of one such
+loop, and the residual is one pass that steps the joint flow and
+evaluates each interior point, for every eps, once the step past it is
+done.
 
 `integrate`, `perturbation_residual` and `Trajectory.to_csv` work on
 Python floats and never load numpy.  It loads where an array is made: on
@@ -33,6 +35,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .bundle import BundleSpec, MultiIndex
@@ -92,17 +95,16 @@ MAX_STEPS = 10**5
 # --------------------------------------------------------------------------
 # code generation: `_emit` writes one expression node.  `_lambdify` inlines
 # every subtree, for `FirstOrderSystem.__call__` and `numpy_eval`;
-# `_rk4_loop` and `_residual_sweep` write loops of straight-line code over
-# scalars that computes each repeated subtree once.
+# `_rk4_loop` and `_residual_loop` write loops of straight-line code over
+# scalars that computes each repeated subtree once, their RK4 steps all by
+# `_rk4_lane`.
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
 #: what float arithmetic and `math` raise where numpy gives inf or nan
 _MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
-#: for the generated loops, the RK4 loops and the residual sweep
-_SWEEP_ENV = {
-    **_SCALAR_ENV, "abs": abs, "enumerate": enumerate, "zip": zip, "nan": math.nan, "MathError": _MATH_ERRORS
-}
+#: for the generated loops: the RK4 loops and the residual's loop
+_SWEEP_ENV = {**_SCALAR_ENV, "abs": abs, "len": len, "zip": zip, "nan": math.nan, "MathError": _MATH_ERRORS}
 
 _FUN_NAMES = {"ln": "log"}
 
@@ -222,14 +224,14 @@ class _Subtrees:
         return text
 
 
-def _rk4_lane(f: "FirstOrderSystem", shared: _Subtrees, lane: str, lines: list) -> list:
+def _rk4_lane(f: "FirstOrderSystem", shared: _Subtrees, lane: str, lines: list) -> tuple:
     """Append to `lines` one classical RK4 step of `f` from the states
     `<lane>0, <lane>1, ...`, with stage times t, th, th and tn, and return
-    the names of the new states.  Every local carries the lane's prefix, so
-    several lanes share one loop body.  Each stage inlines the right-hand
-    side over its own locals and computes every repeated subtree once; a
-    right-hand side that is a state, the base coordinate or a constant is
-    an alias."""
+    the names of the new states and the texts of stage 1's slopes, F(t, z).
+    Every local carries the lane's prefix, so several lanes share one loop
+    body.  Each stage inlines the right-hand side over its own locals and
+    computes every repeated subtree once; a right-hand side that is a
+    state, the base coordinate or a constant is an alias."""
     n = f.dimension
     zs = [f"{lane}{i}" for i in range(n)]
     ks = []
@@ -250,7 +252,36 @@ def _rk4_lane(f: "FirstOrderSystem", shared: _Subtrees, lane: str, lines: list) 
     new = [f"{lane}n{i}" for i in range(n)]
     for i, (a, b, c, d) in enumerate(zip(*ks)):
         lines.append(f"{lane}n{i} = {lane}{i} + h * ({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0")
-    return new
+    return new, ks[0]
+
+
+def _step_start(f: "FirstOrderSystem") -> tuple:
+    """The distinct subtrees of `f`'s right-hand side, the first lines of a
+    step and whether any right-hand side reads the base coordinate."""
+    timed = f.base in set().union(*map(free_symbols, f.rhs))
+    shared = _Subtrees(f.rhs, {**{s: f"z{i}" for i, s in enumerate(f.state_names)}, f.base.name: "t"})
+    return shared, ["hh = 0.5 * h", *(["th = t + hh"] if timed else [])], timed
+
+
+def _indent(lines: list, depth: int = 1) -> list:
+    return [" " * (4 * depth) + line for line in lines]
+
+
+def _define_loop(params: str, setup: list, head: str, body: list, steps: str, result: str = ""):
+    """The generated loop `f(params)`: `setup`, then `body` under the loop
+    header `head`.  It returns `steps`, the number of steps done, then the
+    math error that stopped it or None, then `result`."""
+    source = [
+        f"def f({params}):",
+        *_indent(setup),
+        "    try:",
+        "        " + head,
+        *_indent(body, 3),
+        "    except MathError as ex:",
+        f"        return {steps}, ex",
+        f"    return {steps}, None{result}",
+    ]
+    return _define("\n".join(source) + "\n", _SWEEP_ENV)
 
 
 def _rk4_loop(f: "FirstOrderSystem", lanes: int):
@@ -260,38 +291,32 @@ def _rk4_loop(f: "FirstOrderSystem", lanes: int):
     state to `rows`; with two it is `loop(times, sizes, rows, eps, a, b)`,
     which steps the flows from `a` and from `b` side by side and appends
     (b_i - a_i) / eps.  `sizes[i]` is the step from `times[i]` to
-    `times[i + 1]`.  The loop returns early, one row short, when a new
-    state is not finite (n - n is nan just then), and a math error
-    propagates; either way `rows` ends with the last valid step.  When no
-    right-hand side reads the base coordinate, the loop reads only `sizes`.
+    `times[i + 1]`.  The loop returns `(steps, error)` for `_run`: it stops
+    early, one row short, when a new state is not finite (n - n is nan
+    just then) or a math error is raised, and `rows` ends with the last
+    valid step.  When no right-hand side reads the base coordinate, the
+    loop reads only `sizes`.
     Every float operation runs in the order of the textbook loop
     (k = F(t, z), z + 0.5*h*k, ..., z + h*(k1 + 2*k2 + 2*k3 + k4)/6), so
     its rows are bit-identical to it."""
     n = f.dimension
     names = ("a", "b")[:lanes]
-    timed = f.base in set().union(*map(free_symbols, f.rhs))
-    shared = _Subtrees(f.rhs, {**{s: f"z{i}" for i, s in enumerate(f.state_names)}, f.base.name: "t"})
-    body = ["hh = 0.5 * h"]
-    if timed:
-        body.append("th = t + hh")
+    shared, body, timed = _step_start(f)
     new = []
     for lane in names:
-        new += _rk4_lane(f, shared, lane, body)
-    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return"]
+        new += _rk4_lane(f, shared, lane, body)[0]
+    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return len(rows) - 1, None"]
     body += [f"{lane}{i} = {lane}n{i}" for lane in names for i in range(n)]
     if lanes == 1:
         body.append("append((" + ", ".join(f"a{i}" for i in range(n)) + ",))")
     else:
         body.append("append((" + ", ".join(f"(b{i} - a{i}) / eps" for i in range(n)) + ",))")
     head = "for t, tn, h in zip(times, times[1:], sizes):" if timed else "for h in sizes:"
-    source = [
-        f"def f(times, sizes, rows, {', '.join(names if lanes == 1 else ('eps', *names))}):",
-        *(f"    {', '.join(f'{lane}{i}' for i in range(n))}, = {lane}" for lane in names),
-        "    append = rows.append",
-        "    " + head,
-        *("        " + line for line in body),
-    ]
-    return _define("\n".join(source) + "\n", _SWEEP_ENV)
+    return _define_loop(
+        f"times, sizes, rows, {', '.join(names if lanes == 1 else ('eps', *names))}",
+        [*(f"{', '.join(f'{lane}{i}' for i in range(n))}, = {lane}" for lane in names), "append = rows.append"],
+        head, body, "len(rows) - 1",
+    )
 
 
 def numpy_eval(e: Expr, env: Mapping[str, object]):
@@ -436,9 +461,14 @@ class Trajectory:
 
 
 def _frozen(values) -> np.ndarray:
+    """`values` as a read-only float array; rows of Python floats (a list or
+    tuple of tuples) are read in one pass over the flattened rows."""
     import numpy as np
 
-    a = np.asarray(values, dtype=float)
+    if isinstance(values, (list, tuple)) and values and isinstance(values[0], tuple):
+        a = np.fromiter(chain.from_iterable(values), float, len(values) * len(values[0])).reshape(len(values), -1)
+    else:
+        a = np.asarray(values, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -593,21 +623,18 @@ def _initial_state(f: FirstOrderSystem, z0) -> tuple:
     return z
 
 
-def _run(loop, times: list, sizes: list, rows: list, *args) -> None:
-    """Run a generated RK4 loop over the grid, `rows` holding the initial
-    row.  A math error or a non-finite state stops it after len(rows) - 1
-    steps, and the step after them is reported with its start as the last
-    valid time."""
-    try:
-        loop(times, sizes, rows, *args)
-    except _MATH_ERRORS as ex:
-        t, t_next = times[len(rows) - 1: len(rows) + 1]
-        raise IntegrationError(
-            f"right-hand side failed between t={t:.6g} and t={t_next:.6g}: {ex}", t
-        ) from None
-    if len(rows) < len(times):
-        t, t_next = times[len(rows) - 1: len(rows) + 1]
-        raise IntegrationError(f"state became non-finite at t={t_next:.6g}", t)
+def _run(loop, times: list, *args) -> list:
+    """Run a generated loop over the grid and return what it returns after
+    its step count and error.  Fewer steps than the grid has mean that a
+    math error or a non-finite state stopped it, and the step after them is
+    reported with its start as the last valid time."""
+    steps, error, *result = loop(times, *args)
+    if steps < len(times) - 1:
+        t, t_next = times[steps: steps + 2]
+        if error is None:
+            raise IntegrationError(f"state became non-finite at t={t_next:.6g}", t)
+        raise IntegrationError(f"right-hand side failed between t={t:.6g} and t={t_next:.6g}: {error}", t)
+    return result
 
 
 def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Trajectory:
@@ -640,8 +667,8 @@ class JacobiProblem(Value):
     """A deviation pair plus initial data for the base solution and the
     Jacobi field, and the integration window.  The base data must name
     every base state; Jacobi states left out of `jacobi_init` start at 0.
-    `compiled`, the system's first-order form, is no field: it takes no
-    part in equality or repr."""
+    `compiled`, the system's first-order form, and `_residual_loops` are no
+    fields: they take no part in equality or repr."""
 
     _fields = ("system", "base_init", "jacobi_init", "t0", "t1", "dt")
 
@@ -674,14 +701,11 @@ class JacobiProblem(Value):
         object.__setattr__(self, "base_init", base)
         object.__setattr__(self, "jacobi_init", jac)
         object.__setattr__(self, "compiled", fos)
+        object.__setattr__(self, "_residual_loops", {})  # per ladder length
 
     def initial_state(self) -> tuple:
         data = {**self.base_init, **self.jacobi_init}
         return tuple(data[s.name] for s in self.compiled.states)
-
-    @cached_property
-    def _sweep(self):
-        return _residual_sweep(self)
 
 
 def _init_name(k) -> str:
@@ -755,18 +779,20 @@ class ResidualTable(Value):
         return "residual of the original equations on s + eps*psi (max over grid):\n" + body + "\n" + tail
 
 
-def _residual_sweep(prob: "JacobiProblem"):
-    """`sweep(times, rows, ladder, uniform, h2)`: for each eps of `ladder`,
-    the largest |value| of the original equations on s + eps*psi over the
-    interior points of the grid, or nan where a value is not finite or a
-    math function failed.
+def _residual_loop(prob: "JacobiProblem", rungs: int):
+    """`loop(times, sizes, uniform, h2, a, e0, ..., e<rungs - 1>)`: the joint
+    flow of `prob` stepped from `a` as `integrate` steps it, returning
+    `(steps, error, w0, ..., w<rungs - 1>)` for `_run`.  w<k> is the largest
+    |value| of the original equations on s + e<k>*psi over the interior
+    points of the grid, or nan where a value is not finite or a math
+    function failed.
 
-    `rows` are the joint states that `integrate` gives for `times`.  At each
-    interior point the top derivatives of s come from the compiled
-    equations, and those of psi are central differences of its chain tails
-    with numpy.gradient's arithmetic: (f[k+1] - f[k-1]) / h2 when `uniform`
-    (every gap of the grid equal, h2 = 2*gap), else its weights for
-    uneven gaps."""
+    Point i is evaluated once the step from it is done.  The top
+    derivatives of s are stage 1's slopes of their chain tails, F(t, z) at
+    point i; those of psi are central differences of its tails at i - 1
+    and i + 1 with numpy.gradient's arithmetic: (f[i+1] - f[i-1]) / h2 when
+    `uniform` (every gap of the grid equal, h2 = 2*gap), else its weights
+    for uneven gaps."""
     fos = prob.compiled
     spec = prob.system.spec
     half = fos.dimension // 2
@@ -780,68 +806,59 @@ def _residual_sweep(prob: "JacobiProblem"):
     tails = [i for i, s in enumerate(base_states) if spec.jet(s, step) not in fos.states]
     tops = [spec.jet(base_states[i], step) for i in tails]
 
-    # per point: s{i} and v{i} (psi) from the row, the tops S{j} of s and
-    # P{j} of psi; per eps: p{i} and q{j} on s + eps*psi, the equations r{k}
-    state_names = {**{s.name: f"s{i}" for i, s in enumerate(base_states)}, fos.base.name: "t"}
-    top_rhs = [fos.rhs[i] for i in tails]
-    fixed = []
-    text = _Subtrees(top_rhs, state_names).writer(state_names, "cs", fixed)
-    fixed += [f"S{j} = {text(e)}" for j, e in enumerate(top_rhs)]
-    fixed.append("if uniform:")
-    fixed += [f"    P{j} = (zn[{half + i}] - zp[{half + i}]) / h2" for j, i in enumerate(tails)]
-    fixed += [
+    # per step: the lane's states a{i}, new states an{i} and slopes k1; the
+    # tails of psi at the point before, u{j}, and the tops P{j} of psi; per
+    # eps: p{i} and q{j} on s + e*psi, the equations r{k} and their peak w
+    shared, body, _ = _step_start(fos)
+    new, k1 = _rk4_lane(fos, shared, "a", body)
+    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return i, None"]
+    point = [
+        "if uniform:",
+        *(f"    P{j} = ({new[half + i]} - u{j}) / h2" for j, i in enumerate(tails)),
         "else:",
         "    dx1 = t - tp",
         "    dx2 = tn - t",
         "    ga = -dx2 / (dx1 * (dx1 + dx2))",
         "    gb = (dx2 - dx1) / (dx1 * dx2)",
         "    gc = dx1 / (dx2 * (dx1 + dx2))",
+        *(f"    P{j} = ga * u{j} + gb * a{half + i} + gc * {new[half + i]}" for j, i in enumerate(tails)),
     ]
-    fixed += [f"    P{j} = ga * zp[{half + i}] + gb * v{i} + gc * zn[{half + i}]" for j, i in enumerate(tails)]
-
     perturbed_names = {
         **{s.name: f"p{i}" for i, s in enumerate(base_states)},
         **{s.name: f"q{j}" for j, s in enumerate(tops)},
         fos.base.name: "t",
     }
     used = set().union(*map(free_symbols, originals))
-    per_eps = [f"p{i} = s{i} + e * v{i}" for i, s in enumerate(base_states) if s in used]
-    per_eps += [f"q{j} = S{j} + e * P{j}" for j, s in enumerate(tops) if s in used]
-    text = _Subtrees(originals, perturbed_names).writer(perturbed_names, "cr", per_eps)
-    per_eps += [f"r{k} = {text(e)}" for k, e in enumerate(originals)]
-    peak = ["w = abs(r0)"]
-    for k in range(1, m):
-        peak += [f"a = abs(r{k})", "if a > w:", "    w = a"]
-
-    def block(lines, depth):
-        return [" " * (4 * depth) + line for line in lines]
-
-    # r - r is nan exactly when r is not finite; a nan in `worst` stays, as
-    # no w compares greater than it
-    source = [
-        "def f(times, rows, ladder, uniform, h2):",
-        "    worst = [0.0 for e in ladder]",
-        "    for tp, t, tn, zp, z, zn in zip(times, times[1:], times[2:], rows, rows[1:], rows[2:]):",
-        "        " + ", ".join([f"s{i}" for i in range(half)] + [f"v{i}" for i in range(half)]) + ", = z",
-        "        try:",
-        *block(fixed, 3),
-        "        except MathError:",
-        "            return [nan for e in ladder]",
-        "        for j, e in enumerate(ladder):",
-        "            try:",
-        *block(per_eps, 4),
-        "            except MathError:",
-        "                worst[j] = nan",
-        "                continue",
-        "            if " + " + ".join(f"(r{k} - r{k})" for k in range(m)) + " != 0.0:",
-        "                worst[j] = nan",
-        "                continue",
-        *block(peak, 3),
-        "            if w > worst[j]:",
-        "                worst[j] = w",
-        "    return worst",
-    ]
-    return _define("\n".join(source) + "\n", _SWEEP_ENV)
+    equations = _Subtrees(originals, perturbed_names)
+    per_eps = []
+    for k in range(rungs):
+        values = [f"p{i} = a{i} + e{k} * a{half + i}" for i, s in enumerate(base_states) if s in used]
+        values += [f"q{j} = {k1[i]} + e{k} * P{j}" for j, (i, s) in enumerate(zip(tails, tops)) if s in used]
+        text = equations.writer(perturbed_names, "cr", values)
+        values += [f"r{n} = {text(e)}" for n, e in enumerate(originals)]
+        peak = ["w = abs(r0)", *(line for n in range(1, m) for line in (f"x = abs(r{n})", "if x > w:", "    w = x"))]
+        # r - r is nan exactly when r is not finite; a nan w<k> stays, as no w
+        # compares greater than it
+        per_eps += [
+            "try:", *_indent(values), "except MathError:", "    " + " = ".join(f"r{n}" for n in range(m)) + " = nan",
+            "if " + " + ".join(f"(r{n} - r{n})" for n in range(m)) + " != 0.0:", f"    w{k} = nan",
+            "else:", *_indent(peak), f"    if w > w{k}:", f"        w{k} = w",
+        ]
+    if rungs:
+        body += [
+            "if i:",
+            "    try:", *_indent(point, 2),
+            "    except MathError:", "        " + " = ".join(f"w{k}" for k in range(rungs)) + " = nan",
+            "    else:", *_indent(per_eps, 2),
+        ]
+    body += [f"u{j} = a{half + i}" for j, i in enumerate(tails)]
+    body += [*(f"a{i} = {v}" for i, v in enumerate(new)), "tp = t", "i += 1"]
+    return _define_loop(
+        ", ".join(["times, sizes, uniform, h2, a", *(f"e{k}" for k in range(rungs))]),
+        [f"{', '.join(f'a{i}' for i in range(fos.dimension))}, = a", "i = 0",
+         *(f"w{k} = 0.0" for k in range(rungs))],
+        "for t, tn, h in zip(times, times[1:], sizes):", body, "i", "".join(f", w{k}" for k in range(rungs)),
+    )
 
 
 def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAULT_EPS_LADDER) -> ResidualTable:
@@ -852,26 +869,28 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
     itself (exact on the discrete solution), and the top derivative of
     psi is a central finite difference, so the finite-difference noise
     enters only at O(eps * dt^2).  Endpoints are excluded from the max.
-    One generated function, built once per problem, sweeps the grid for
-    the whole ladder.  The fitted exponent is the log-log least-squares
-    slope over the positive-residual entries, None without two distinct
-    eps among them.
+    One generated loop, built once per problem and ladder length, steps
+    the joint flow as `integrate` does, fails as it does, and evaluates
+    the whole ladder on the way.  The fitted exponent is the log-log
+    least-squares slope over the positive-residual entries, None without
+    two distinct eps among them.
     """
     eps_list = tuple(float(e) for e in eps_list)
     for e in eps_list:
         if not 0 <= e < math.inf:
             raise SpecError(f"perturbation size must be non-negative and finite, got {e}")
-    traj = integrate(prob.compiled, prob.initial_state(), prob.t0, prob.t1, prob.dt)
-    times, rows = traj._times, traj._states
+    times, sizes = _grid(prob.t0, prob.t1, prob.dt)
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    z0 = _initial_state(prob.compiled, prob.initial_state())
+    loop = prob._residual_loops.get(len(eps_list))
+    if loop is None:
+        loop = prob._residual_loops[len(eps_list)] = _residual_loop(prob, len(eps_list))
+    worst = _run(loop, times, sizes, gaps.count(gaps[0]) == len(gaps), 2.0 * gaps[0], z0, *eps_list)
     if len(times) < 3:
         raise SpecError("grid too short for an interior residual")
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    worst = prob._sweep(times, rows, eps_list, gaps.count(gaps[0]) == len(gaps), 2.0 * gaps[0])
     for eps, r in zip(eps_list, worst):
         if not math.isfinite(r):
-            raise IntegrationError(
-                f"residual evaluation produced non-finite values at eps={eps}", times[-1]
-            )
+            raise IntegrationError(f"residual evaluation produced non-finite values at eps={eps}", times[-1])
     entries = tuple(zip(eps_list, worst))
 
     pts = [(math.log(e), math.log(r)) for e, r in entries if e > 0 and r > 0]

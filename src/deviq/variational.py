@@ -59,9 +59,10 @@ _ZERO = Rat(Fraction(0))
 def check_symbols(e: Expr, spec: BundleSpec) -> int:
     """Every symbol in e must be resolvable within spec (order included),
     a vertical one only on a vertical spec; returns the highest jet order
-    among them."""
+    among them.  The symbols are checked in name order, so an expression
+    with several faults reports the same one in every run."""
     top = 0
-    for s in free_symbols(e):
+    for s in sorted(free_symbols(e), key=lambda s: s.name):
         if s.kind is SymbolKind.BASE:
             spec.base_position(s)
         elif s.kind is SymbolKind.PARAMETER:

@@ -12,7 +12,8 @@ and only the package and the CLI load `numeric`, where a numeric name is
 used, so the symbolic commands start without it.  `check` decides each
 pair by `equivalent`, which compares normal forms, so no module imports
 `random`; a cold symbolic command loads neither `random`, nor `json`, nor
-`numpy`.
+`numpy`, and neither do `simulate` and `residual`, which step and sweep
+the flow on Python floats.
 """
 
 import ast
@@ -146,8 +147,14 @@ def test_no_module_imports_random():
     assert importers == []
 
 
-@pytest.mark.parametrize("command", ["derive", "deviate", "check"])
-def test_symbolic_commands_load_no_random_json_or_numpy(tmp_path, command):
+#: the numeric commands integrate a short pendulum window
+NUMERIC_ARGS = ["--init", "y=2,y_t=0", "--jacobi-init", "v_y=1", "--t1", "2"]
+
+
+@pytest.mark.parametrize("command,args", [
+    ("derive", []), ("deviate", []), ("check", []), ("simulate", NUMERIC_ARGS), ("residual", NUMERIC_ARGS),
+], ids=["derive", "deviate", "check", "simulate", "residual"])
+def test_symbolic_commands_load_no_random_json_or_numpy(tmp_path, command, args):
     model = Path(deviq.__file__).parents[2] / "models" / "pendulum.eqn"
     # site hooks may load some of these before any user code runs: forget
     # them, so the command must import them anew to have them again
@@ -157,7 +164,7 @@ def test_symbolic_commands_load_no_random_json_or_numpy(tmp_path, command):
         for name in AVOIDED:
             sys.modules.pop(name, None)
         from deviq import cli
-        code = cli.main([{command!r}, {str(model)!r}, "--out", {str(tmp_path / "out")!r}])
+        code = cli.main([{command!r}, {str(model)!r}, *{args!r}, "--out", {str(tmp_path / "out")!r}])
         print(code, [name for name in AVOIDED if name in sys.modules])
     """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -1,4 +1,4 @@
-"""Compilation to first-order form, RK4, Jacobi fields, residual sweeps."""
+"""Compilation to first-order form, RK4, Jacobi fields, the residual."""
 
 import math
 import random
@@ -337,10 +337,11 @@ def test_rk4_step_failure_is_integration_error_with_last_valid_time(rhs, error):
 
 def test_rk4_step_returns_none_for_a_non_finite_state():
     """1e300 * u * u overflows to inf without an exception: the loop stops
-    before appending that step, and integrate reports its end."""
+    before appending that step, with 0 steps done and no error (None), and
+    integrate reports its end."""
     fos = _first_order(lambda t, y, u: Rat(Fraction(10**300)) * u * u)
     rows = [(0.0, 1.0)]
-    assert fos._loop([0.0, 0.25, 0.5], [0.25, 0.25], rows, rows[0]) is None
+    assert fos._loop([0.0, 0.25, 0.5], [0.25, 0.25], rows, rows[0]) == (0, None)
     assert rows == [(0.0, 1.0)]
     with pytest.raises(IntegrationError, match=r"state became non-finite at t=0\.25 ") as err:
         integrate(fos, (0.0, 1.0), 0.0, 1.0, 0.25)
@@ -570,9 +571,9 @@ def test_residual_csv():
 
 
 def numpy_residual(prob, eps_list):
-    """The residual sweep as whole-array numpy arithmetic, with np.gradient
-    for the tops of psi and np.polyfit for the exponent: the reference the
-    generated sweep must reproduce."""
+    """The residual as whole-array numpy arithmetic on `solve_jacobi`'s
+    flow, with np.gradient for the tops of psi and np.polyfit for the
+    exponent: the reference the generated loop must reproduce."""
     base, jac = solve_jacobi(prob)
     times, fos, spec = base.times, prob.compiled, prob.system.spec
     half = fos.dimension // 2
@@ -673,6 +674,20 @@ def test_residual_fails_as_the_joint_flow_does(equations, base, t1, dt):
         perturbation_residual(prob)
     assert str(residual.value) == str(flow.value)
     assert residual.value.last_time == flow.value.last_time
+
+
+def test_residual_generates_one_loop_per_ladder_length(monkeypatch):
+    """The residual steps the flow itself, so a fresh problem gets one
+    generated function for each ladder length it is asked for."""
+    defined = []
+    real = numeric._define
+    monkeypatch.setattr(numeric, "_define", lambda source, env: defined.append(source) or real(source, env))
+    prob = jacobi_problem("pendulum", dt=0.05)
+    counts = []
+    for ladder in ((1e-2,), (2e-2,), (1e-2, 5e-3)):
+        perturbation_residual(prob, ladder)
+        counts.append(len(defined))
+    assert counts == [1, 1, 2]
 
 
 def test_residual_exponent_needs_two_distinct_eps():
@@ -861,7 +876,7 @@ def _globals_named(table) -> set:
 
 def test_generated_code_names_only_its_environment(monkeypatch):
     """Every source handed to `_define` while integrating, running the FD
-    oracle and sweeping the residual on the corpus reads no global outside
+    oracle and taking the residual on the corpus reads no global outside
     the environment it runs in, and that environment has no builtins."""
     defined = []
     real = numeric._define
@@ -877,5 +892,5 @@ def test_generated_code_names_only_its_environment(monkeypatch):
         (function,) = symtable.symtable(source, "<generated>", "exec").get_children()
         assert _globals_named(function) <= set(env), source
     assert set(numeric._SWEEP_ENV) == {
-        "sin", "cos", "tan", "exp", "log", "sqrt", "pow", "abs", "enumerate", "zip", "nan", "MathError", "__builtins__"
+        "sin", "cos", "tan", "exp", "log", "sqrt", "pow", "abs", "len", "zip", "nan", "MathError", "__builtins__"
     }

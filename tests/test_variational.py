@@ -1,6 +1,9 @@
 """Euler-Lagrange derivation, deviation systems, and the commutation check."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,25 @@ def test_plain_spec_refuses_a_vertical_density():
     # on the vertical extension the same density is a Lagrangian
     vspec = spec.vertical_extension()
     assert Lagrangian(y_t**2 / 2 + v_y * y, vspec).order == 1
+
+
+def test_a_system_with_two_faults_reports_the_same_one_in_every_run():
+    """`v_y` is vertical on a plain spec and `y_ttt` is above its order 1:
+    the symbols are checked in name order, whatever the hash order of their
+    set, so every run names `v_y`."""
+    script = (
+        "from deviq import BundleSpec, EquationSystem, SpecError\n"
+        "spec = BundleSpec.make(['t'], ['y'])\n"
+        "try:\n"
+        "    EquationSystem((spec.symbol('v_y') + spec.symbol('y_ttt'),), spec)\n"
+        "except SpecError as ex:\n"
+        "    print(ex)\n"
+    )
+    messages = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        messages.add(subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env).stdout)
+    assert messages == {"'v_y' is vertical, and the spec has no vertical extension\n"}
 
 
 def test_equation_system_validation():
