@@ -39,7 +39,6 @@ from .errors import (
 )
 from .expr import (
     DEPENDENT_KINDS,
-    VERTICAL_KINDS,
     ONE,
     Expr,
     Sym,
@@ -315,9 +314,7 @@ class BundleSpec(Value):
 
     def vertical_extension(self) -> "BundleSpec":
         if self.vertical:
-            raise VerticalExtensionError(
-                "vertical extension applied twice: spec already carries vertical coordinates"
-            )
+            raise VerticalExtensionError("the spec is already a vertical extension")
         return self._sharing_decodes(BundleSpec(
             self.base, self.fibre, self.params, self.order, self.param_values,
             self.momenta, True))
@@ -515,18 +512,11 @@ def vertical_derivative(e: Expr, spec: BundleSpec) -> Expr:
     every dependent coordinate (momenta included when present).
 
     The result is the linearization of `e` along the fibre, of degree
-    exactly 1 in the vertical symbols.  Inputs that already contain
-    vertical symbols are rejected: the extension is applied once.
+    exactly 1 in the vertical symbols.  An input that already depends on
+    a vertical symbol is refused by `spec.vertical_partner`, which names
+    that symbol: the extension is applied once.
     """
-
-    def wanted(s):
-        if s.kind in VERTICAL_KINDS:
-            raise VerticalExtensionError(
-                f"vertical derivative applied twice: '{s.name}' is already vertical"
-            )
-        return s.kind in DEPENDENT_KINDS
-
-    return derivation(e, wanted, spec.vertical_partner)
+    return derivation(e, lambda s: s.kind in DEPENDENT_KINDS, spec.vertical_partner)
 
 
 def max_jet_order(e: Expr, spec: BundleSpec) -> int:

@@ -8,8 +8,9 @@
     deviq simulate <file>   integrate a base solution and Jacobi field, CSV out
     deviq residual <file>   perturbation-residual sweep over epsilon, CSV out
 
-Exit codes: 0 success or theorem pass, 1 theorem failure, 2 usage or
-model errors, 3 numeric failures (compilation, domain, integration).
+Exit codes: 0 success or theorem pass, 1 theorem failure, 3 numeric
+failures (a `CompileError`, `EvalError` or `IntegrationError`: compilation,
+domain, integration), 2 any other deviq error (usage, file or model).
 All commands are deterministic; `--seed` is accepted and ignored.
 `deviq.numeric` is imported only by `simulate` and `residual`.
 """
@@ -23,28 +24,14 @@ import sys
 
 from .errors import (
     CompileError,
+    DeviqError,
     EvalError,
-    ExpansionLimitError,
     IntegrationError,
-    OrderOverflowError,
-    ParseError,
     SpecError,
-    UnboundSymbolError,
-    UnknownSymbolError,
-    VerticalExtensionError,
 )
 from .model import check_model, derive_equations, deviation_equations, load_model
 from .render import FORMATS, render
 
-USAGE_ERRORS = (
-    ParseError,
-    SpecError,
-    UnknownSymbolError,
-    UnboundSymbolError,
-    OrderOverflowError,
-    VerticalExtensionError,
-    ExpansionLimitError,
-)
 NUMERIC_ERRORS = (CompileError, IntegrationError, EvalError)
 
 #: argparse's own pattern (`-1`, `-1.5`, `-.5`) with an optional exponent, so
@@ -172,7 +159,6 @@ def run(args) -> int:
         fitted = "n/a" if table.exponent is None else f"{table.exponent:.4f}"
         sys.stderr.write(f"fitted exponent: {fitted} (norm: {table.metadata['norm']})\n")
         return 0
-    raise SpecError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -180,13 +166,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except USAGE_ERRORS as ex:
-        sys.stderr.write(f"deviq: error: {ex}\n")
-        return 2
     except NUMERIC_ERRORS as ex:
         sys.stderr.write(f"deviq: numeric failure: {ex}\n")
         return 3
-    except OSError as ex:
+    except (DeviqError, OSError) as ex:
         sys.stderr.write(f"deviq: error: {ex}\n")
         return 2
 

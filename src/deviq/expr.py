@@ -98,11 +98,6 @@ class Expr(Value):
 
     __slots__ = ("_expansion",)
 
-    def __reduce__(self):
-        # copies and unpickled nodes are made anew by their constructor: the
-        # slots refuse assignment, and a kept hash holds only in one process
-        return type(self), tuple(getattr(self, f) for f in self._fields)
-
     def __add__(self, other):
         return Add((self, as_expr(other)))
 
@@ -272,9 +267,7 @@ _HALF = Fraction(1, 2)
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Rat):
         return x.value
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float, Fraction)):
         return Fraction(x)
     raise TypeError(f"exponent must be an integer or rational, got {x!r}")
 
@@ -817,14 +810,15 @@ def _partials(p: _Poly, symbols) -> dict:
 def derivation(e: Expr, wanted, weight) -> Expr:
     """The derivation sum_s weight(s) * de/ds, expanding `e` once.
 
-    `wanted(s)` is asked for every symbol of the normal form of `e`, in
-    name order, and may raise to refuse `e`.  The sum runs over the
+    `wanted(s)`, a predicate, picks among the symbols of the normal form
+    of `e`; no caller makes it raise.  The sum runs over the
     wanted symbols whose partial is not zero; `weight(s)` gives their
     weights as expressions, in name order, and is asked for no other
-    symbol, so it may raise for symbols that do not contribute.
+    symbol, so it may raise for symbols that do not contribute: that is
+    where `vertical_derivative` refuses a vertical input.
     """
     p = _poly(as_expr(e))
-    chosen = {s for s in sorted(_poly_symbols(p), key=lambda s: s.name) if wanted(s)}
+    chosen = {s for s in _poly_symbols(p) if wanted(s)}
     parts = _partials(p, chosen)
     out: _Poly = {}
     for s in sorted(parts, key=lambda s: s.name):

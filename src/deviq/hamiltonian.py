@@ -18,7 +18,7 @@ pair by pair.
 from __future__ import annotations
 
 from .bundle import BundleSpec, MultiIndex, vertical_derivative
-from .errors import SpecError, VerticalExtensionError
+from .errors import SpecError
 from .expr import (
     Add,
     Expr,
@@ -87,8 +87,6 @@ def hamilton_equations(H: HamiltonianSystem) -> EquationSystem:
 
 def vertical_hamiltonian(H: HamiltonianSystem) -> HamiltonianSystem:
     """The Hamiltonian with density d_V H on the doubled phase space."""
-    if H.spec.vertical:
-        raise VerticalExtensionError("Hamiltonian is already a vertical extension")
     vspec = H.spec.vertical_extension()
     return HamiltonianSystem(vertical_derivative(H.density, vspec), vspec)
 

@@ -287,27 +287,20 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
         rest = tokens[1:]
         if head_kind != "ident" or head not in _KEYWORDS:
             raise ParseError(f"expected a declaration keyword, got {head!r}", *at)
-        if head == "base":
-            if stage != "base":
-                raise ParseError("base must be declared once, first", *at)
+        if head == "base" or head == "fibre":
+            if stage != head:
+                raise ParseError(
+                    "base must be declared once, first" if head == "base"
+                    else "missing base declaration" if stage == "base"
+                    else "fibre must follow base, once", *at)
             if not rest:
-                raise ParseError("base needs at least one coordinate", *at)
+                raise ParseError(f"{head} needs at least one coordinate", *at)
+            names = base if head == "base" else fibre
             for tok in rest:
                 if tok[0] != "ident":
                     raise ParseError(f"expected an identifier, got {tok[1]!r}", *tok[2:])
-                base.append(_declaration_name(tok, taken))
-            stage = "fibre"
-        elif head == "fibre":
-            if stage != "fibre":
-                msg = "missing base declaration" if stage == "base" else "fibre must follow base, once"
-                raise ParseError(msg, *at)
-            if not rest:
-                raise ParseError("fibre needs at least one coordinate", *at)
-            for tok in rest:
-                if tok[0] != "ident":
-                    raise ParseError(f"expected an identifier, got {tok[1]!r}", *tok[2:])
-                fibre.append(_declaration_name(tok, taken))
-            stage = "params"
+                names.append(_declaration_name(tok, taken))
+            stage = "fibre" if head == "base" else "params"
         elif head == "param":
             if stage == "base" or stage == "fibre":
                 raise ParseError("param must follow the fibre declaration", *at)

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .expr import (
     VERTICAL_KINDS,
+    ZERO,
     Add,
     Expr,
     Fun,
@@ -84,7 +85,6 @@ __all__ = [
 DEFAULT_DT = 1e-3
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 
-_ZERO = Rat(Fraction(0))
 MAX_COMPILE_ORDER = 4
 #: `integrate` refuses longer windows.  The longest window in the tests, the
 #: golden files and the benchmark is 10^4 steps (t1 = 10 at dt = 1e-3); 10^5
@@ -553,7 +553,7 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
             raise CompileError(
                 f"equation '{e}' is not affine in '{w.name}'; not in solvable normal form"
             )
-        if c == _ZERO:
+        if c == ZERO:
             raise SingularEquationError(
                 f"zero leading coefficient for '{w.name}' in equation '{e}'"
             )
@@ -561,7 +561,7 @@ def compile_system(system: EquationSystem) -> FirstOrderSystem:
         # at w = 0; w may still sit inside the atoms of the others
         plain = (w, 1)
         r = _from_poly({m: k for m, k in _poly(e).items() if plain not in m})
-        rest = substitute(r, {w: _ZERO})
+        rest = substitute(r, {w: ZERO})
         solved[w] = normalize(Mul((Rat(Fraction(-1)), rest, Pow(c, Fraction(-1)))))
 
     states, rhs = [], []

@@ -10,11 +10,15 @@ class gets
   * the hash of the field tuple, so sets and dicts order values as they
     would order the tuples (a class that keeps its hash keeps that one);
   * the repr `Name(field=value, ...)`, unless it defines its own;
-  * immutability: assigning or deleting an attribute raises AttributeError.
+  * immutability: assigning or deleting an attribute raises AttributeError;
+  * copies and pickles made anew by the constructor from the fields, so a
+    class whose constructor does not take exactly its fields (`Lagrangian`,
+    whose order is derived) defines its own `__reduce__`.
 
 Attributes that are not fields (a cached expansion, a compiled system, a
-spec's memo of decoded coordinate names, a `functools.cached_property`)
-take no part in equality, hashing or repr.
+spec's memo of decoded coordinate names, a `functools.cached_property`,
+such as a generated loop) take no part in equality, hashing or repr, and
+are not copied or pickled: the copy builds its own.
 """
 
 from operator import attrgetter
@@ -38,6 +42,12 @@ class Value:
                 cls.__eq__ = eq
             if "__hash__" not in cls.__dict__:
                 cls.__hash__ = hash_
+
+    def __reduce__(self):
+        # the slots and the frozen `__setattr__` refuse a state set after
+        # construction, a kept hash holds only in one process, and a
+        # generated function does not pickle
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

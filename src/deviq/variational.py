@@ -23,9 +23,10 @@ from .bundle import (
     multiindices,
     vertical_derivative,
 )
-from .errors import SpecError, UnknownSymbolError, VerticalExtensionError
+from .errors import SpecError, UnknownSymbolError
 from .expr import (
     VERTICAL_KINDS,
+    ZERO,
     Add,
     EquivalenceResult,
     Expr,
@@ -52,8 +53,6 @@ __all__ = [
     "CommutationReport",
     "check_el_vertical_commute",
 ]
-
-_ZERO = Rat(Fraction(0))
 
 
 def check_symbols(e: Expr, spec: BundleSpec) -> int:
@@ -139,12 +138,13 @@ class Lagrangian(Value):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "order", check_symbols(d, spec))
 
+    def __reduce__(self):
+        return type(self), (self.density, self.spec)
+
 
 def vertical_extension_density(L: Lagrangian) -> Lagrangian:
     """The Lagrangian with density d_V of the original, on the doubled spec.
-    Jet order is preserved; extending twice is rejected."""
-    if L.spec.vertical:
-        raise VerticalExtensionError("Lagrangian is already a vertical extension")
+    Jet order is preserved; extending twice is refused by the spec."""
     vspec = L.spec.vertical_extension()
     return Lagrangian(vertical_derivative(L.density, vspec), vspec)
 
@@ -171,7 +171,7 @@ def euler_lagrange(L: Lagrangian) -> EquationSystem:
     for f, js in jets.items():
         parts = [grad[f]]
         for idx, j in js:
-            if grad[j] == _ZERO:
+            if grad[j] == ZERO:
                 continue
             sign = Rat(Fraction(-1) ** idx.order)
             parts.append(Mul((sign, iterated_total_derivative(grad[j], idx, spec))))
@@ -183,8 +183,6 @@ def deviation_system(system: EquationSystem) -> EquationSystem:
     """The deviation of E: the system {E = 0, d_V E = 0} on the vertical
     extension.  The first block is the input verbatim; the second is its
     linearization along the fibre."""
-    if system.spec.vertical:
-        raise VerticalExtensionError("operator is already a vertical extension")
     vspec = system.spec.vertical_extension()
     vblock = tuple(vertical_derivative(e, vspec) for e in system.equations)
     return EquationSystem(system.equations + vblock, vspec, "deviation-pair")

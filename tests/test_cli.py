@@ -6,10 +6,11 @@ a user would see them; the console-script test also runs the declared
 ``deviq`` entry point through an installer-style launcher.  The
 exceptions run ``deviq.cli.main`` in process with a stub or a tampered
 derivation: the exit-code-1 mapping (no well-formed model can make the
-commutation theorem fail), and tests that watch or forbid
-``compile_system`` calls.
+commutation theorem fail), the exit code of every error class, and tests
+that watch or forbid ``compile_system`` calls.
 """
 
+import inspect
 import json
 import os
 import shutil
@@ -20,6 +21,7 @@ import textwrap
 import pytest
 
 import deviq.cli
+import deviq.errors
 import deviq.hamiltonian
 import deviq.numeric
 import deviq.variational
@@ -223,6 +225,37 @@ def test_failing_report_maps_to_exit_one(monkeypatch, capsys):
     code = deviq.cli.main(["check", str(model_path("pendulum"))])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(deviq.errors).values()
+     if isinstance(c, type) and issubclass(c, deviq.errors.DeviqError)),
+    key=lambda c: c.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=[c.__name__ for c in ERROR_CLASSES])
+def test_every_error_class_exits_with_one_line(monkeypatch, capsys, cls):
+    """The numeric family exits 3 and every other deviq error 2, each with
+    one line on stderr, never a traceback."""
+    # a class with its own constructor gets a string per required argument,
+    # one that keeps Exception's a message
+    init = cls.__init__
+    required = [] if not inspect.isfunction(init) else [
+        p for p in list(inspect.signature(init).parameters.values())[1:]
+        if p.default is p.empty
+    ]
+    error = cls(*[f"arg{i}" for i in range(len(required))] or ["boom"])
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(deviq.cli, "run", fail)
+    code = deviq.cli.main(["derive", str(model_path("pendulum"))])
+    numeric = (deviq.errors.CompileError, deviq.errors.EvalError, deviq.errors.IntegrationError)
+    status, label = (3, "numeric failure") if issubclass(cls, numeric) else (2, "error")
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (status, "", f"deviq: {label}: {error}\n")
 
 
 def _tampered(extend, make, extra):

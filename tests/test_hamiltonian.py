@@ -5,10 +5,12 @@ import pytest
 from deviq import (
     HamiltonianSystem,
     SpecError,
+    VerticalExtensionError,
     check_hamilton_deviation_commute,
     deviation_system,
     hamilton_equations,
     normalize,
+    vertical_derivative,
     vertical_hamiltonian,
 )
 from conftest import HAMILTONIAN_MODELS, corpus_model
@@ -38,6 +40,16 @@ def test_hamilton_equations_covariant():
     vt = normalize(S(spec, "u_t") - S(spec, "pt_u"))
     div = normalize(S(spec, "px_u_x") + S(spec, "pt_u_t") + S(spec, "u"))
     assert sys.equations == (vx, vt, div)
+
+
+def test_vertical_derivative_of_a_vertical_density_names_a_vertical_coordinate():
+    """The spec's `vertical_partner` refuses the first vertical symbol, in
+    name order, that the density depends on, a vertical momentum too."""
+    vh = vertical_hamiltonian(corpus_model("hosc").hamiltonian())
+    with pytest.raises(VerticalExtensionError, match="^'v_y' is already a vertical coordinate$"):
+        vertical_derivative(vh.density, vh.spec)
+    with pytest.raises(VerticalExtensionError, match="^'vpt_y' is already a vertical coordinate$"):
+        vertical_derivative(S(vh.spec, "pt_y") * S(vh.spec, "vpt_y"), vh.spec)
 
 
 def test_plain_spec_refuses_a_vertical_hamiltonian():

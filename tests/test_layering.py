@@ -14,6 +14,9 @@ pair by `equivalent`, which compares normal forms, so no module imports
 `random`; a cold symbolic command loads neither `random`, nor `json`, nor
 `numpy`, and neither do `simulate` and `residual`, which step and sweep
 the flow on Python floats.
+Each misuse is refused in one place: only the spec raises
+`VerticalExtensionError`, and the CLI takes its exit codes from the error
+classes, naming no list of them.
 """
 
 import ast
@@ -169,3 +172,34 @@ def test_symbolic_commands_load_no_random_json_or_numpy(tmp_path, command, args)
     """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.stdout == "0 []\n", res.stderr
+
+
+def test_only_the_spec_raises_vertical_extension_error():
+    """Whether an object already lives on VY is a property of its chart, so
+    `BundleSpec.vertical_extension` and `BundleSpec.vertical_partner` are
+    the two places that refuse a second vertical extension."""
+    raisers = set()
+    for p in SOURCES:
+        tree = ast.parse(p.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and node.exc is not None and \
+                        "VerticalExtensionError" in set(_names(node.exc)):
+                    raisers.add((p.name, fn.name))
+    assert raisers == {("bundle.py", "vertical_extension"), ("bundle.py", "vertical_partner")}
+
+
+def test_cli_maps_exit_codes_from_the_error_classes():
+    """The CLI keeps no list of usage errors: it names the base class, the
+    three numeric bases (exit 3) and `SpecError`, which it raises itself."""
+    from deviq import errors
+
+    error_names = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.DeviqError)
+    }
+    tree = ast.parse((Path(deviq.__file__).parent / "cli.py").read_text())
+    named = set(_names(tree)) & error_names
+    assert named == {"DeviqError", "SpecError", "CompileError", "EvalError", "IntegrationError"}

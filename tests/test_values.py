@@ -38,11 +38,16 @@ from deviq import (
     ResidualTable,
     Sym,
     SymbolKind,
+    deviation_equations,
     deviation_system,
+    finite_difference_jacobi,
     free_symbols,
     normalize,
+    perturbation_residual,
+    solve_jacobi,
 )
 from deviq.bundle import _Coord
+from conftest import corpus_model
 
 T = Sym("t", SymbolKind.BASE)
 Y = Sym("y", SymbolKind.FIBRE)
@@ -174,6 +179,9 @@ def test_value_semantics(cls, kwargs, fields, text):
         delattr(x, fields[-1])
     assert tuple(getattr(x, f) for f in fields) == values
     assert repr(x) == text
+    # copies and pickles are built anew by the constructor from the fields
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(clone) is cls and clone == x and repr(clone) == text
 
 
 @pytest.mark.parametrize("make,field,default", [
@@ -254,6 +262,26 @@ def test_copies_and_pickles_keep_value_and_hash():
         sym, fun = pickle.loads(out)
         assert sym == Y and hash(sym) == hash(("y", SymbolKind.FIBRE)) == hash(Y)
         assert fun == Fun("cos", Y) and hash(fun) == hash(Fun("cos", Y))
+
+
+def _outputs(prob):
+    base, jac = solve_jacobi(prob)
+    fd = finite_difference_jacobi(prob, 1e-6)
+    return base.to_csv(), jac.to_csv(), fd.to_csv(), perturbation_residual(prob).to_csv()
+
+
+def test_an_integrated_problem_copies_and_pickles():
+    """The generated loops cached on a problem and its compiled system are
+    no fields, so they are left behind, and the copy builds its own."""
+    prob = JacobiProblem(
+        deviation_equations(corpus_model("pendulum")), {"y": 2, "y_t": 0}, {"v_y": 1}, 0.0, 0.5)
+    outputs = _outputs(prob)
+    fos = prob.compiled
+    assert "_loop" in vars(fos) and "_fd_loop" in vars(fos.base_part) and prob._residual_loops
+    for x in (prob, fos, fos.base_part):
+        assert pickle.loads(pickle.dumps(x)) == x
+    for clone in (copy.copy(prob), copy.deepcopy(prob), pickle.loads(pickle.dumps(prob))):
+        assert clone == prob and _outputs(clone) == outputs
 
 
 def test_numeric_names_resolve_through_the_package(monkeypatch):

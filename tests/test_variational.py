@@ -24,7 +24,9 @@ from deviq import (
     max_jet_order,
     normalize,
     total_derivative,
+    vertical_derivative,
     vertical_extension_density,
+    vertical_hamiltonian,
 )
 from deviq.expr import SymbolKind, sin, sqrt
 from conftest import LAGRANGIAN_MODELS, corpus_model, first_order_atoms, rand_expr
@@ -151,6 +153,31 @@ def test_deviation_system_rejects_vertical_input():
     # a vertical symbol on a plain spec is refused when the system is built
     with pytest.raises(SpecError, match="'v_y' is vertical, and the spec has no vertical extension"):
         EquationSystem((Sym("v_y", SymbolKind.VERTICAL) - S(m.spec, "y_t"),), m.spec)
+
+
+@pytest.mark.parametrize("model,make,extend", [
+    ("pendulum", lambda m: m.spec, BundleSpec.vertical_extension),
+    ("pendulum", lambda m: m.lagrangian(), vertical_extension_density),
+    ("pendulum", derive_equations, deviation_system),
+    ("hosc", lambda m: m.hamiltonian(), vertical_hamiltonian),
+], ids=["spec", "lagrangian", "system", "hamiltonian"])
+def test_a_second_vertical_extension_is_refused_by_the_spec(model, make, extend):
+    """Every entry point extends its spec, and `BundleSpec.vertical_extension`
+    alone refuses an extended one, so all four give one message."""
+    once = extend(make(corpus_model(model)))
+    with pytest.raises(VerticalExtensionError) as info:
+        extend(once)
+    assert str(info.value) == "the spec is already a vertical extension"
+    tb = info.tb
+    while tb.tb_next:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_name == "vertical_extension"
+
+
+def test_vertical_derivative_of_a_vertical_input_names_the_coordinate():
+    vspec = corpus_model("pendulum").spec.vertical_extension()
+    with pytest.raises(VerticalExtensionError, match="^'v_y' is already a vertical coordinate$"):
+        vertical_derivative(S(vspec, "y") * S(vspec, "v_y"), vspec)
 
 
 def test_plain_spec_refuses_a_vertical_density():
