@@ -13,14 +13,16 @@ the prefix; `_coord_name` writes names and `_decode` reads them with it:
 
 Momentum coordinates carry jets of their own (pt_y_t) so the divergence
 of p^lam_i along the base is expressible.  User identifiers never
-contain underscores, which keeps the generated namespace disjoint from
-user names; residual ambiguities between readings (a fibre named `xt`
-versus the two-entry jet suffix `xt`) are refused when the spec is
-built, or at lookup for a jet above the spec's order.
+contain underscores, so a name reads two ways only if a fibre is named
+like a prefix stem (`v_tx`: a jet of `v`, or the partner of `tx`); a spec
+is refused if two of its names up to its order collide, and a colliding
+name above its order at lookup.
 
-The vertical partner of a jet coordinate and the jet of a vertical
-coordinate produce the same symbol by construction, so the canonical
-identification of the two prolongation orders holds with no bookkeeping.
+A family of specs, derived by `with_order`, `vertical_extension` and
+`bind_params`, shares one memo, name -> `_Coord`, filled up to each
+member's order; its entries carry one `Sym` per coordinate, so the
+vertical partner of a jet coordinate and the jet of a vertical one are
+the same object: the two prolongation orders agree with no bookkeeping.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ _IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9]*\Z")
 
 #: A spec refuses a jet order whose multi-indices over the base, order 0
 #: included, number more than this: building a spec names every jet of every
-#: field, and on a 1-dimensional base that work grows with the square of the
-#: order.  The cap allows jet order 255 on a 1-dimensional base and 6 on a
-#: 4-dimensional one; the models, the golden files and the benchmark use
-#: jet order at most 4.
+#: field once per family, with a `_Coord` and a `Sym` each, and on a 1-dim
+#: base that work grows with the square of the order.  The cap allows jet
+#: order 255 on a 1-dimensional base and 6 on a 4-dimensional one; the
+#: models, the golden files and the benchmark use jet order at most 4.
 MAX_JET_INDICES = 256
 
 
@@ -117,7 +119,7 @@ def multiindices(n: int, max_order: int, min_order: int = 0) -> Iterable[MultiIn
 class _Coord(Value):
     """Internal classification of a generated-coordinate name: its field
     position, multi-index, whether it is vertical, and for a momentum its
-    base position (None for every other coordinate)."""
+    base position (None for every other coordinate); in a memo, `sym` too."""
 
     _fields = ("field", "index", "vertical", "mom_base")
 
@@ -127,6 +129,12 @@ class _Coord(Value):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "vertical", vertical)
         object.__setattr__(self, "mom_base", mom_base)
+
+
+class _Names(dict):
+    """A family's memo, name -> `_Coord` or None, full through jet order `top`."""
+
+    top = -1
 
 
 class BundleSpec(Value):
@@ -164,11 +172,9 @@ class BundleSpec(Value):
         )
         object.__setattr__(self, "momenta", momenta)
         object.__setattr__(self, "vertical", vertical)
-        # name -> its `classify` decode: a derivation asks for the same few
-        # dozen names thousands of times.  Not a field, so it takes no part
-        # in equality, hashing or repr; specs derived from this one share it
-        # (see `_sharing_decodes`).
-        object.__setattr__(self, "_decodes", {})
+        # the family's memo, name -> its `classify` decode; not a field, so
+        # it takes no part in equality, hashing or repr (see `_derived`)
+        vars(self).setdefault("_decodes", _Names())
         # (vertical, momentum base) -> name prefix: the naming rule, read by
         # `_coord_name` and `_decode` alike.  Not a field either.
         prefixes = {(False, None): "", (True, None): "v_"}
@@ -194,20 +200,17 @@ class BundleSpec(Value):
             if s.kind is not kind:
                 raise SpecError(f"'{s.name}' declared with kind {s.kind.value}, expected {kind.value}")
 
-        claimed = {}
-
-        def claim(name, what):
-            if name in claimed:
-                raise _ambiguous(name, (claimed[name], what))
-            claimed[name] = what
-
+        declared = {}
         for s in (*self.base, *self.fibre, *self.params):
             if not _IDENT.match(s.name):
                 raise SpecError(
                     f"'{s.name}' is not a valid coordinate name: names match "
                     "[a-zA-Z][a-zA-Z0-9]* (underscores are reserved for generated coordinates)"
                 )
-            claim(s.name, f"declared {s.kind.value} '{s.name}'")
+            if s.name in declared:
+                raise _ambiguous(s.name, (f"declared {d.kind.value} '{d.name}'"
+                                          for d in (declared[s.name], s)))
+            declared[s.name] = s
 
         # prefix-free base names make jet suffixes uniquely decodable
         names = self.base_names
@@ -226,8 +229,6 @@ class BundleSpec(Value):
                 raise SpecError(f"parameter '{k}' bound twice")
             bound.add(k)
 
-        # enumerate every generated name; duplicates across families are
-        # construction errors rather than latent parsing ambiguities
         n = len(self.base)
         top = max(self.order, 1)
         count = math.comb(n + top, n)
@@ -236,15 +237,24 @@ class BundleSpec(Value):
                 f"jet order {self.order} over {n} base coordinate(s) gives {count} "
                 f"multi-indices per field, more than {MAX_JET_INDICES}"
             )
-        # claimed by momentum base, then index, then vertical: the order
-        # fixes which claimant a collision message names first
+        # enter the names the family lacks.  Only a fibre named like a prefix
+        # stem lets names collide, also above the order: such a spec claims its
+        # names afresh (by momentum base, index, vertical, which fixes a
+        # collision's message), and leaves its memo to `_decode`
+        stems = {p[:-1] for p in self._prefixes.values()}
+        names = self._decodes if stems.isdisjoint(self.fibre_names) else _Names()
         mom_bases = dict.fromkeys(mb for _, mb in self._prefixes)
-        indices = tuple(multiindices(n, top))
-        for i, f in enumerate(self.fibre_names):
+        indices = tuple(multiindices(n, top, names.top + 1))
+        for i in range(len(self.fibre)):
             for mb, idx, vertical in itertools.product(mom_bases, indices, (False, True)):
-                if idx.order or mb is not None or vertical:  # not the fibre name itself
-                    c = _Coord(i, idx, vertical, mb)
-                    claim(self._coord_name(c), self._describe(c))
+                c = _Coord(i, idx, vertical, mb)
+                name = self._coord_name(c)
+                known = names.setdefault(name, c)
+                if known is c:
+                    self._intern(c, name)
+                elif known != c:
+                    raise _ambiguous(name, map(self._describe, (known, c)))
+        names.top = max(names.top, top)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -297,16 +307,16 @@ class BundleSpec(Value):
 
     # -- derived specs -----------------------------------------------------
 
-    def _sharing_decodes(self, spec: "BundleSpec") -> "BundleSpec":
-        # `_decode` reads only the fibre names and the prefix table, so a
-        # spec derived with those unchanged keeps the names decoded so far
+    def _derived(self, **changes) -> "BundleSpec":
+        # `_decode` reads only the fibre names and the prefix table, so a spec
+        # derived with those unchanged shares the memo, before it validates
+        spec = object.__new__(BundleSpec)
         object.__setattr__(spec, "_decodes", self._decodes)
+        spec.__init__(**{**{f: getattr(self, f) for f in self._fields}, **changes})
         return spec
 
     def with_order(self, order: int) -> "BundleSpec":
-        return self._sharing_decodes(BundleSpec(
-            self.base, self.fibre, self.params, order, self.param_values,
-            self.momenta, self.vertical))
+        return self._derived(order=order)
 
     def with_momenta(self) -> "BundleSpec":
         return BundleSpec(self.base, self.fibre, self.params, self.order, self.param_values,
@@ -315,17 +325,13 @@ class BundleSpec(Value):
     def vertical_extension(self) -> "BundleSpec":
         if self.vertical:
             raise VerticalExtensionError("the spec is already a vertical extension")
-        return self._sharing_decodes(BundleSpec(
-            self.base, self.fibre, self.params, self.order, self.param_values,
-            self.momenta, True))
+        return self._derived(vertical=True)
 
     def bind_params(self, values) -> "BundleSpec":
         table = dict(self.param_values)
         for k, v in values.items():
             table[_sym_name(k)] = Fraction(v)
-        return self._sharing_decodes(BundleSpec(
-            self.base, self.fibre, self.params, self.order,
-            tuple(sorted(table.items())), self.momenta, self.vertical))
+        return self._derived(param_values=tuple(table.items()))
 
     # -- name generation and classification --------------------------------
 
@@ -342,8 +348,20 @@ class BundleSpec(Value):
             return SymbolKind.JET
         return SymbolKind.FIBRE if c.mom_base is None else SymbolKind.MOMENTUM
 
-    def _coord_symbol(self, c: _Coord) -> Sym:
-        return Sym(self._coord_name(c), self._coord_kind(c))
+    def _intern(self, c: _Coord, name: str) -> _Coord:
+        """`c` with its `Sym`, named `name`: a fibre's own is the declared one."""
+        kind = self._coord_kind(c)
+        sym = self.fibre[c.field] if kind is SymbolKind.FIBRE else Sym(name, kind)
+        object.__setattr__(c, "sym", sym)
+        return c
+
+    def _entry(self, c: _Coord) -> _Coord:
+        """The family's `_Coord` equal to `c`, which carries its `Sym`."""
+        name = self._coord_name(c)
+        try:
+            return self.classify(name)
+        except SpecError:  # no lookup returns a name that reads two ways: key it by kind too
+            return self._decodes.setdefault((name, self._coord_kind(c)), self._intern(c, name))
 
     def _decode_suffix(self, text: str) -> Optional[MultiIndex]:
         # base names are prefix-free, so the greedy decode is unique
@@ -361,13 +379,12 @@ class BundleSpec(Value):
         return MultiIndex(tuple(out))
 
     def classify(self, name: str) -> Optional[_Coord]:
-        """Parse a generated-coordinate name; None if it is not one.  A
-        name is decoded once per spec; an ambiguous one raises every time."""
+        """A generated-coordinate name's `_Coord`, with the family's `Sym`, or
+        None; decoded once if the memo lacks it, and if ambiguous on each call."""
         name = _sym_name(name)
-        decodes = self._decodes
-        if name not in decodes:
-            decodes[name] = self._decode(name)
-        return decodes[name]
+        if name not in self._decodes:
+            self._decodes[name] = self._decode(name)
+        return self._decodes[name]
 
     def _decode(self, name: str) -> Optional[_Coord]:
         # one reading per prefix the name starts with: a declared fibre,
@@ -386,7 +403,10 @@ class BundleSpec(Value):
             readings.append(_Coord(fnames.index(fibre), idx, vertical, mb))
         if len(readings) > 1:
             raise _ambiguous(name, map(self._describe, readings))
-        return readings[0] if readings else None
+        if not readings:
+            return None
+        c = readings[0]  # a second spelling, u_tx of u_xt, gets the entry of u_xt
+        return self._intern(c, name) if self._coord_name(c) == name else self._entry(c)
 
     def _describe(self, c: _Coord) -> str:
         """`c`, a generated name other than a fibre's own, as an ambiguity
@@ -412,7 +432,7 @@ class BundleSpec(Value):
         for s in (*self.base, *self.params):
             if s.name == name:
                 return s
-        return self._coord_symbol(self._coord(name))
+        return self._coord(name).sym
 
     def jet(self, sym, index: MultiIndex) -> Sym:
         """The coordinate holding d_index of the coordinate `sym`: a fibre,
@@ -423,7 +443,7 @@ class BundleSpec(Value):
         idx = MultiIndex(c.index.entries + index.entries)
         if idx.order > self.order:
             raise OrderOverflowError(_sym_name(sym), idx.order)
-        return self._coord_symbol(_Coord(c.field, idx, c.vertical, c.mom_base))
+        return self._entry(_Coord(c.field, idx, c.vertical, c.mom_base)).sym
 
     def momentum(self, lam, fld, vertical: bool = False) -> Sym:
         if not self.momenta:
@@ -431,7 +451,7 @@ class BundleSpec(Value):
         mb = lam if isinstance(lam, int) else self.base_position(lam)
         if not isinstance(fld, int):
             fld = self.fibre_position(fld)
-        return self._coord_symbol(_Coord(fld, MultiIndex(), vertical, mb))
+        return self._entry(_Coord(fld, MultiIndex(), vertical, mb)).sym
 
     def conjugate_momentum(self, fld, lam) -> Sym:
         """Momentum conjugate to a variational field along base direction lam.
@@ -452,13 +472,13 @@ class BundleSpec(Value):
             raise VerticalExtensionError(
                 f"'{_sym_name(sym)}' is already a vertical coordinate"
             )
-        return self._coord_symbol(_Coord(c.field, c.index, True, c.mom_base))
+        return self._entry(_Coord(c.field, c.index, True, c.mom_base)).sym
 
     def jet_order(self, sym) -> int:
         """Jet order of a coordinate; a symbol's kind must match its name."""
         c = self._coord(sym)
-        if isinstance(sym, Sym) and sym.kind is not self._coord_kind(c):
-            raise SpecError(f"'{sym.name}' is a {self._coord_kind(c).value}, not a {sym.kind.value}")
+        if isinstance(sym, Sym) and sym.kind is not c.sym.kind:
+            raise SpecError(f"'{sym.name}' is a {c.sym.kind.value}, not a {sym.kind.value}")
         return c.index.order
 
 

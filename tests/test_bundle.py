@@ -315,18 +315,19 @@ def test_derived_specs_share_the_decode_memo(monkeypatch):
         return plain(self, name)
 
     monkeypatch.setattr(BundleSpec, "_decode", counting)
-    names = ("y_tt", "v_y_t", "pt_y", "vpt_y_t", "nope")
+    inside = ("y", "y_t", "v_y", "v_y_t", "pt_y", "pt_y_t", "vpt_y", "vpt_y_t")
+    outside = ("y_tt", "vpt_y_ttt", "nope", "k")  # above order 1, or no coordinate
     spec = BundleSpec.make(["t"], ["y"], params=["k"], order=1, momenta=True)
-    for name in names:
+    for name in inside + outside:
         spec.classify(name)
-    assert decoded == list(names)
+    assert decoded == list(outside)  # building the spec entered every name up to its order
     derived = [spec.with_order(3), spec.vertical_extension(), spec.bind_params({"k": 2}),
                spec.with_order(2).vertical_extension().bind_params({"k": 1})]
     for d in derived:
-        for name in names:
-            assert d.classify(name) == spec.classify(name)
+        for name in inside + outside + ("y_ttt", "v_y_tt", "pt_y_ttt"):
+            assert d.classify(name) is spec.classify(name)
         assert d._decodes is spec._decodes
-    assert decoded == list(names)  # no name was decoded again
+    assert decoded == list(outside)  # no name was decoded again, nor any within an order
     # the memo stays out of equality, hashing, repr, copies and pickles
     for d in derived:
         fresh = BundleSpec(d.base, d.fibre, d.params, d.order, d.param_values, d.momenta,
@@ -339,7 +340,7 @@ def test_derived_specs_share_the_decode_memo(monkeypatch):
     bare = BundleSpec.make(["t"], ["y"], order=1)
     assert bare.classify("pt_y") is None
     with_momenta = bare.with_momenta()
-    assert with_momenta._decodes is not bare._decodes
+    assert with_momenta._decodes is not bare._decodes and "pt_y" in with_momenta._decodes
     assert with_momenta.classify("pt_y") is not None and bare.classify("pt_y") is None
     # an ambiguous name is never kept, so it raises on every call of every spec
     odd = BundleSpec.make(["t", "x"], ["v", "tx"], order=1)
@@ -347,3 +348,86 @@ def test_derived_specs_share_the_decode_memo(monkeypatch):
         for _ in range(2):
             with pytest.raises(SpecError, match="coordinate name 'v_tx' is ambiguous"):
                 s.classify("v_tx")
+
+
+#: fibre names equal to the prefix stems v, pt, px, vpt, vpx (with momenta
+#: on the base t or x), and fibre names that are jet suffixes, or not
+STEMS = ("v", "pt", "px", "vpt", "vpx")
+OTHERS = ("tx", "xt", "tt", "ty", "t", "y")
+
+
+def _reading(read, name):
+    """`read(name)`, or the message of the `SpecError` it raises."""
+    try:
+        return read(name)
+    except SpecError as refused:
+        return str(refused)
+
+
+def _spellings(spec, top):
+    """Every generated name of jet order at most `top`, and each multi-entry
+    jet's name with its suffix reversed."""
+    for f in spec.fibre_names:
+        for prefix in spec._prefixes.values():
+            for idx in multiindices(spec.n, top):
+                yield prefix + f + ("_" + idx.suffix(spec.base_names) if idx.order else "")
+                if len(set(idx.entries)) > 1:
+                    yield prefix + f + "_" + "".join(spec.base_names[p] for p in idx.entries[::-1])
+
+
+def test_family_reads_names_as_a_fresh_decode_and_shares_symbols():
+    # every name up to one order above the family's, read through each
+    # member in turn, reads as `_decode` reads it on a fresh spec, or is
+    # refused with the same message on every call; `symbol`, `jet` and
+    # `vertical_partner` hand out one `Sym` per coordinate across the family
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(120):
+        base = rng.choice(BASES[1:] + (("t",), ("x", "y", "t")))
+        fibre = [rng.choice(STEMS), *rng.sample(OTHERS, rng.randint(0, 2))]
+        rng.shuffle(fibre)
+        order, momenta = rng.randint(0, 2), rng.random() < 0.6
+        try:
+            root = BundleSpec.make(base, fibre, params=["k"], order=order, momenta=momenta)
+        except SpecError:
+            seen["refused"] += 1
+            continue
+        family = [root, root.vertical_extension(), root.bind_params({"k": 3}), root.with_order(0)]
+        try:
+            family.append(root.with_order(order + 1).vertical_extension())
+        except SpecError:
+            seen["refused above"] += 1
+        rng.shuffle(family)
+        fresh = BundleSpec(root.base, root.fibre, root.params, root.order, (), momenta)
+        top = max(d.order for d in family) + 1
+        for name in _spellings(fresh, top):
+            want = _reading(fresh._decode, name)
+            for d in family:
+                for _ in range(2):
+                    assert _reading(d.classify, name) == want, (base, fibre, name)
+            if isinstance(want, str):
+                seen["ambiguous"] += 1
+                continue
+            syms = {id(d.symbol(name)) for d in family}
+            assert len(syms) == 1 and family[0].symbol(name).name == fresh._coord_name(want)
+            seen[want.index.order > order] += 1
+        assert all(d.symbol(f.name) is f for d in family for f in root.fibre)
+        for name in _spellings(fresh, order):
+            if isinstance(_reading(fresh._decode, name), str):
+                continue
+            sym = root.symbol(name)
+            for pos in range(root.n):
+                ups = [d.jet(sym, MultiIndex((pos,))) for d in family
+                       if d.order > root.jet_order(sym)]
+                assert all(up is ups[0] for up in ups)
+                if ups and not isinstance(_reading(fresh._decode, ups[0].name), str):
+                    assert family[-1].symbol(ups[0].name) is ups[0]
+                    seen["jet"] += 1
+            if sym.kind not in (SymbolKind.VERTICAL, SymbolKind.VERTICAL_MOMENTUM):
+                partner = root.vertical_partner(sym)
+                assert all(d.vertical_partner(sym) is partner for d in family)
+                if not isinstance(_reading(fresh._decode, partner.name), str):
+                    assert root.symbol(partner.name) is partner
+                    seen["partner"] += 1
+    assert seen["ambiguous"] >= 20 and seen["refused"] >= 10 and seen["refused above"] >= 3
+    assert seen[True] >= 1000 and seen["jet"] >= 1000 and seen["partner"] >= 500

@@ -30,7 +30,7 @@ import pytest
 import deviq
 
 SOURCES = sorted(Path(deviq.__file__).parent.glob("*.py"))
-PRIVATE_CODEC = {"_Coord", "_coord", "_coord_name", "_coord_symbol", "_decode", "_prefixes"}
+PRIVATE_CODEC = {"_Coord", "_coord", "_coord_name", "_entry", "_intern", "_decode", "_prefixes"}
 
 
 def _names(tree):
