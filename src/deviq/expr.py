@@ -15,7 +15,8 @@ form carries the expansion it was built from, attached once when the node
 is made and never changed afterwards, so normalizing it again, or
 expanding it for a derivative, costs nothing.  A normal form that is a
 sum sorts and builds its terms only when they are first read; it prints
-from its expansion, and two such sums compare by their expansions.
+from its expansion, and two such sums compare by their expansions.  An
+opaque atom and a sum keep what they determine once it is first asked for.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class SymbolKind(enum.Enum):
     MOMENTUM = "momentum"
     VERTICAL_MOMENTUM = "vertical-momentum"
     PARAMETER = "parameter"
+
+    # a member is equal only to itself, so it hashes by identity, in C:
+    # the kind sets below are tested on every symbol of a derivation
+    __hash__ = object.__hash__
 
 
 #: kinds that behave as dependent variables under total derivatives
@@ -173,14 +178,16 @@ class Add(Expr):
     """A sum.  One made by `_from_poly` sorts and builds its `terms` when
     they are first read; two that both carry an expansion compare by it.
     The text and LaTeX writers read the expansion; JSON, the compiled code
-    (`numeric._emit`), `_key` and `_substitute` read `terms`."""
+    (`numeric._emit`), `_key` and `_substitute` read `terms`.  It keeps
+    its free symbols, `_syms`, once `free_symbols` has found them."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_syms")
     _fields = ("terms",)
 
     def __init__(self, terms: tuple):
         _set(self, "_terms", terms)
         _set(self, "_expansion", None)
+        _set(self, "_syms", None)
 
     @property
     def terms(self) -> tuple:
@@ -217,7 +224,23 @@ class Mul(Expr):
         return "Mul(" + ", ".join(map(repr, self.factors)) + ")"
 
 
-class Pow(Expr):
+class _Opaque(Expr):
+    """A node that can be an opaque atom of a monomial, a power or a
+    function application.  Such an atom is read at every product and
+    every derivative of the expressions that hold it, so it keeps, once
+    first asked for, its sort key `_k`, its free symbols `_syms` and its
+    partials over all of them, `_parts`.  None of them is a field."""
+
+    __slots__ = ("_k", "_syms", "_parts")
+
+    def _unfilled(self):
+        _set(self, "_expansion", None)
+        _set(self, "_k", None)
+        _set(self, "_syms", None)
+        _set(self, "_parts", None)
+
+
+class Pow(_Opaque):
     """Power with a literal integer or rational exponent."""
 
     __slots__ = ("base", "exponent")
@@ -226,7 +249,7 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: Fraction):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
-        _set(self, "_expansion", None)
+        self._unfilled()
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exponent})"
@@ -235,7 +258,7 @@ class Pow(Expr):
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 
 
-class Fun(Expr):
+class Fun(_Opaque):
     """Builtin function application; `name` is one of FUNCTIONS."""
 
     __slots__ = ("name", "arg", "_hash")
@@ -246,7 +269,7 @@ class Fun(Expr):
             raise ValueError(f"unknown builtin function '{name}'")
         _set(self, "name", name)
         _set(self, "arg", arg)
-        _set(self, "_expansion", None)
+        self._unfilled()
         # an atom of many monomials, hashed with them: keep its hash
         _set(self, "_hash", hash((name, arg)))
 
@@ -315,20 +338,24 @@ def sqrt(x):
 
 def _key(e: Expr):
     """The sort key of `e`: constants, then symbols by name, functions,
-    powers, products and sums.  A `Sym` keeps its key, `(1, name)`."""
-    if e.__class__ is Sym:
+    powers, products and sums.  A `Sym` keeps its key, `(1, name)`, and a
+    `Fun` or a `Pow` its own once it is first asked for."""
+    if e.__class__ is Sym or isinstance(e, _Opaque) and e._k is not None:
         return e._k
     if isinstance(e, Rat):
         return (0, e.value.numerator, e.value.denominator)
-    if isinstance(e, Fun):
-        return (2, e.name, _key(e.arg))
-    if isinstance(e, Pow):
-        return (3, _key(e.base), (e.exponent.numerator, e.exponent.denominator))
     if isinstance(e, Mul):
         return (4, tuple(_key(f) for f in e.factors))
     if isinstance(e, Add):
         return (5, tuple(_key(t) for t in e.terms))
-    raise TypeError(f"not an expression node: {e!r}")
+    if isinstance(e, Fun):
+        k = (2, e.name, _key(e.arg))
+    elif isinstance(e, Pow):
+        k = (3, _key(e.base), (e.exponent.numerator, e.exponent.denominator))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    _set(e, "_k", k)
+    return k
 
 
 # --------------------------------------------------------------------------
@@ -734,15 +761,13 @@ def normalize(e: Expr) -> Expr:
 # argument's expansion.
 
 def _poly_symbols(p: _Poly) -> set:
-    # an opaque atom is walked at each occurrence: remembering the ones seen
-    # would hash them, and hashing an atom walks its whole tree too
     out = set()
     for mono in p:
         for atom, _ in mono:
             if isinstance(atom, Sym):
                 out.add(atom)
             else:
-                _collect_symbols(atom, out)
+                out |= atom._syms or free_symbols(atom)
     return out
 
 
@@ -757,28 +782,28 @@ _OUTER = {
 }
 
 
-def _atom_partials(atom: Expr, symbols) -> tuple:
-    """((s, d atom/ds), ...) for each s in `symbols` on which the opaque
-    atom depends: its outer derivative times the partials of its argument,
-    all taken in one pass over the argument's expansion."""
+def _atom_partials(atom: _Opaque) -> tuple:
+    """((s, d atom/ds), ...) for each symbol on which the opaque atom
+    depends, kept on the atom: its outer derivative times the partials of
+    its argument, all taken in one pass over the argument's expansion.
+    `_partials` picks the symbols it wants from them."""
     if isinstance(atom, Pow):
         u, q = atom.base, atom.exponent
         outer = Mul((Rat(q), Pow(u, q - 1)))
     else:
         u = atom.arg
         outer = _OUTER[atom.name](u)
-    inner = _partials(_poly(u), symbols)
-    if not inner:
-        return ()
-    outer = _poly(outer)
-    return tuple((s, _poly_mul(outer, du)) for s, du in inner.items())
+    inner = _partials(_poly(u), free_symbols(atom))
+    outer = _poly(outer) if inner else None
+    parts = tuple((s, _poly_mul(outer, du)) for s, du in inner.items())
+    _set(atom, "_parts", parts)
+    return parts
 
 
 def _partials(p: _Poly, symbols) -> dict:
     """{s: dp/ds} for each s in `symbols` whose partial is not zero, in
     one pass over the terms of `p`."""
     out = {}
-    atom_partials = {}  # opaque atom -> its partials, within this pass only
     for mono, c in p.items():
         for i, (atom, ex) in enumerate(mono):
             if isinstance(atom, Sym):
@@ -786,9 +811,10 @@ def _partials(p: _Poly, symbols) -> dict:
                     continue
                 inner = ((atom, None),)
             else:
-                inner = atom_partials.get(atom)
+                inner = atom._parts
                 if inner is None:
-                    inner = atom_partials[atom] = _atom_partials(atom, symbols)
+                    inner = _atom_partials(atom)
+                inner = [sd for sd in inner if sd[0] in symbols]
             if not inner:
                 continue
             rest = mono[i + 1 :] if ex == 1 else ((atom, ex - 1), *mono[i + 1 :])
@@ -817,9 +843,10 @@ def derivation(e: Expr, wanted, weight) -> Expr:
     symbol, so it may raise for symbols that do not contribute: that is
     where `vertical_derivative` refuses a vertical input.
     """
-    p = _poly(as_expr(e))
-    chosen = {s for s in _poly_symbols(p) if wanted(s)}
-    parts = _partials(p, chosen)
+    e = as_expr(e)
+    p = _poly(e)
+    syms = _poly_symbols(p) if e._expansion is None else free_symbols(e)
+    parts = _partials(p, {s for s in syms if wanted(s)})
     out: _Poly = {}
     for s in sorted(parts, key=lambda s: s.name):
         _poly_mul(_poly(as_expr(weight(s))), parts[s], out)
@@ -959,13 +986,23 @@ def _check_finite(e, v):
 
 
 def free_symbols(e: Expr) -> frozenset:
+    """The symbols in `e`; a normal form's are its expansion's.  A sum, a
+    power and a function application keep theirs."""
     e = as_expr(e)
+    kept = isinstance(e, (Add, _Opaque))
+    if kept and e._syms is not None:
+        return e._syms
     if e._expansion is not None:
-        # a normal form's atoms are its polynomial's
-        return frozenset(_poly_symbols(e._expansion))
-    out = set()
-    _collect_symbols(e, out)
-    return frozenset(out)
+        out = _poly_symbols(e._expansion)
+    elif isinstance(e, _Opaque):
+        out = free_symbols(e.arg if isinstance(e, Fun) else e.base)
+    else:
+        out = set()
+        _collect_symbols(e, out)
+    out = frozenset(out)
+    if kept:
+        _set(e, "_syms", out)
+    return out
 
 
 def _collect_symbols(e, out):

@@ -40,6 +40,12 @@ def test_multiindex_is_unordered():
     assert MultiIndex().plus(0).plus(1) == MultiIndex((0, 1))
 
 
+def test_multiindex_is_a_sized_sorted_collection():
+    index = MultiIndex((1, 0, 1))
+    assert len(index) == index.order == 3 and list(index) == [0, 1, 1]
+    assert len(MultiIndex()) == 0 and tuple(MultiIndex()) == ()
+
+
 def test_multiindices_counts():
     # distinct unordered indices over 2 directions: 1 + 2 + 3 = 6
     assert len(list(multiindices(2, 2))) == 6

@@ -11,12 +11,16 @@ built term by term.  The stored expansion of a
 normal form is compared with a fresh expansion of an equal tree, and
 checked to stay unchanged by every operation that reads it.  A sum made
 as a normal form builds its terms on first read; before and after that
-read it behaves as the sum built from the same terms.
+read it behaves as the sum built from the same terms.  A function or
+power atom keeps its sort key, free symbols and partials, and a sum its
+free symbols: before and after each fills, the node behaves as one its
+constructor makes anew, and what it keeps equals a fresh computation.
 """
 
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +29,7 @@ import pytest
 from deviq import (
     Add,
     BundleSpec,
+    DeviqError,
     DomainError,
     EquationSystem,
     ExpansionLimitError,
@@ -53,6 +58,10 @@ from deviq import (
 from deviq import expr
 from deviq.expr import DEPENDENT_KINDS, ONE, ZERO, _poly, _substitute, derivation, ln, sqrt
 from conftest import rand_expr, reduced_pairs
+from grammar import random_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from chains import make_chain, model_text  # noqa: E402
 
 GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 
@@ -410,3 +419,154 @@ def test_kernel_does_no_fraction_arithmetic(monkeypatch):
     assert partials == gradient(expected, symbols)
     assert flow == derivation(expected, lambda s: True, lambda s: s)
     assert len(symbols) == 8 and "q4^3" in to_text(flow)
+
+
+# --------------------------------------------------------------------------
+# what an opaque atom and a sum keep once first asked for
+
+#: fills one memo of a node the way the library does on first use
+FILLS = {
+    "_k": expr._key,
+    "_syms": free_symbols,
+    "_parts": lambda a: expr._partials(expr._atom_poly(a), set(ATOMS)),
+}
+MEMOS = {Add: ("_syms",), Fun: tuple(FILLS), Pow: tuple(FILLS)}
+
+
+def atoms_of(n):
+    """The function and power atoms of the normal form `n`'s expansion and
+    of their arguments' expansions, each object once."""
+    found, stack = {}, [n]
+    while stack:
+        for mono in _poly(stack.pop()):
+            for a, _ in mono:
+                if isinstance(a, (Fun, Pow)) and id(a) not in found:
+                    found[id(a)] = a
+                    stack.append(a.arg if isinstance(a, Fun) else a.base)
+    return list(found.values())
+
+
+def memo_nodes():
+    """(seed, node, twin) for each case's normal form that is a sum and
+    each atom of it: `node` has no memo filled, and `twin` is made by the
+    constructor from the same fields."""
+    for seed, e in cases():
+        n = normalize(e)
+        if isinstance(n, Add):
+            yield seed, n, Add(normalize(e).terms)
+        for a in atoms_of(n):
+            fields = [getattr(a, f) for f in a._fields]
+            yield seed, type(a)(*fields), type(a)(*fields)
+
+
+def unfilled(n) -> bool:
+    return all(getattr(n, m) is None for m in MEMOS[type(n)])
+
+
+#: what a node shares with its twin whatever it keeps; copies start empty
+MEMO_CHECKS = {
+    "equality": LAZY_CHECKS["equality"],
+    "hash": LAZY_CHECKS["hash"],
+    "repr": LAZY_CHECKS["repr"],
+    **{
+        name: lambda n, twin, clone=clone: (c := clone(n)) == twin and unfilled(c)
+        for name, clone in (
+            ("copy", copy.copy),
+            ("deepcopy", copy.deepcopy),
+            ("pickle", lambda n: pickle.loads(pickle.dumps(n))),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", MEMO_CHECKS)
+def test_memos_are_not_fields(name):
+    kinds = set()
+    for seed, n, twin in memo_nodes():
+        assert unfilled(n), seed
+        assert MEMO_CHECKS[name](n, twin), seed
+        for memo in MEMOS[type(n)]:
+            FILLS[memo](n)
+            assert getattr(n, memo) is not None, (seed, memo)
+            assert MEMO_CHECKS[name](n, twin), (seed, memo)
+        kinds.add(type(n))
+    assert kinds == set(MEMOS)
+
+
+def fresh_key(e):
+    """The sort key of `e` by its definition, read from no memo."""
+    if isinstance(e, Rat):
+        return (0, e.value.numerator, e.value.denominator)
+    if isinstance(e, Sym):
+        return (1, e.name)
+    if isinstance(e, Fun):
+        return (2, e.name, fresh_key(e.arg))
+    if isinstance(e, Pow):
+        return (3, fresh_key(e.base), (e.exponent.numerator, e.exponent.denominator))
+    if isinstance(e, Mul):
+        return (4, tuple(fresh_key(f) for f in e.factors))
+    return (5, tuple(fresh_key(t) for t in e.terms))
+
+
+def walked_symbols(e) -> frozenset:
+    out = set()
+    expr._collect_symbols(e, out)
+    return frozenset(out)
+
+
+def assert_kept_answers_are_fresh(n, symbols, where):
+    """The free symbols, sort keys and gradient of the normal form `n`, on
+    the first call and again from what `n` and its atoms keep, equal the
+    tree walk, the key's definition and the tree rule.  The first gradient
+    asks for one symbol only, so an atom that kept the partials of that
+    one alone fails the second."""
+    walked = walked_symbols(n)
+    expected = {s: defined(tree_diff, n, s) for s in symbols}
+    for call in (symbols[:1], symbols):
+        assert free_symbols(n) == walked, where
+        for a in atoms_of(n):
+            assert expr._key(a) == fresh_key(a) and free_symbols(a) == walked_symbols(a), where
+        for s, d in gradient(n, call).items():
+            assert expected[s] is None or d == expected[s], (where, s)
+
+
+def test_kept_answers_equal_fresh_ones_on_mixed_cases():
+    atoms = 0
+    for seed, e in cases():
+        n = normalize(e)
+        atoms += len(atoms_of(n))
+        assert_kept_answers_are_fresh(n, ATOMS, seed)
+    assert atoms >= 100
+
+
+def test_kept_answers_equal_fresh_ones_on_grammar_models():
+    rng, compared = random.Random(5), 0
+    for i in range(100):
+        try:
+            model = parse_model(random_model(rng))
+        except DeviqError:
+            continue
+        (n,) = model.payload
+        symbols = sorted(free_symbols(n), key=lambda s: s.name)
+        assert_kept_answers_are_fresh(n, symbols, i)
+        compared += bool(atoms_of(n))
+    assert compared >= 50
+
+
+def test_check_takes_each_atoms_partials_once(monkeypatch):
+    """`check` differentiates a chain's cos atoms for the Euler-Lagrange
+    rows, again by d_V for the deviation rows and again for the
+    Euler-Lagrange rows of VL; each atom object goes through the chain
+    rule once."""
+    chain = make_chain("pendulum", "lagrangian", 4, random.Random(1))
+    model = parse_model(model_text(chain))
+    seen = []
+    chain_rule = expr._atom_partials
+
+    def counted(atom, *args):
+        seen.append(atom)
+        return chain_rule(atom, *args)
+
+    monkeypatch.setattr(expr, "_atom_partials", counted)
+    assert check_model(model).passed
+    assert len(seen) >= 3 and len({id(a) for a in seen}) == len(seen)

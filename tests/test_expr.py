@@ -32,9 +32,11 @@ from deviq import (
     to_text,
 )
 from deviq.expr import (
+    DEPENDENT_KINDS,
     MAX_CONSTANT_DIGITS,
     MAX_EXPANSION_TERMS,
     MAX_NORMAL_FORM_TERMS,
+    VERTICAL_KINDS,
     ZERO,
     _collect_symbols,
     _integral,
@@ -306,6 +308,22 @@ def test_kept_symbol_key_is_not_a_field():
     for clone in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert clone == a and hash(clone) == hash(a) and repr(clone) == "Sym(y)"
         assert clone._k == (1, "y")
+
+
+def test_symbol_kind_hashes_by_identity():
+    """A kind hashes in C, by identity; it still pickles and copies to the
+    one member, is found by value, and tests its membership in the kind
+    sets, also after a round trip."""
+    assert SymbolKind.__hash__ is object.__hash__
+    assert SymbolKind("jet-coordinate") is SymbolKind.JET
+    for kind in SymbolKind:
+        for clone in (copy.copy(kind), copy.deepcopy(kind), pickle.loads(pickle.dumps(kind))):
+            assert clone is kind and hash(clone) == hash(kind)
+        assert SymbolKind(kind.value) is kind
+        assert (kind in DEPENDENT_KINDS) == (kind.name not in ("BASE", "PARAMETER"))
+        assert (kind in VERTICAL_KINDS) == kind.name.startswith("VERTICAL")
+    kinds = pickle.loads(pickle.dumps(DEPENDENT_KINDS))
+    assert kinds == DEPENDENT_KINDS and SymbolKind.JET in kinds and SymbolKind.BASE not in kinds
 
 
 def _pair(q: Fraction) -> tuple:

@@ -37,6 +37,7 @@ from deviq import (
     numpy_eval,
     parse_model,
     perturbation_residual,
+    ResidualTable,
     solve_jacobi,
 )
 from deviq.bundle import MultiIndex
@@ -568,6 +569,17 @@ def test_residual_csv():
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "eps,residual"
     assert len(lines) == 3
+
+
+def test_residual_table_prints_one_line_per_eps():
+    table = ResidualTable(((1e-2, 3.5e-5), (5e-3, 8.75e-6)), 2.0, {})
+    assert str(table) == (
+        "residual of the original equations on s + eps*psi (max over grid):\n"
+        "  eps=0.01         residual=3.500000e-05\n"
+        "  eps=0.005        residual=8.750000e-06\n"
+        "  fitted exponent: 2.0000")
+    no_fit = str(ResidualTable(((1e-2, 0.0),), None, {})).splitlines()
+    assert no_fit[1:] == ["  eps=0.01         residual=0.000000e+00", "  fitted exponent: n/a"]
 
 
 def numpy_residual(prob, eps_list):

@@ -99,6 +99,23 @@ def test_json_rationals():
     assert tree == ["*", ["/", 1, 3], "y"]
 
 
+def test_model_file_renders_as_latex_and_json():
+    """A model renders one LaTeX line per payload expression, and as JSON
+    its kind, payload trees and spec, bound and free parameters apart."""
+    m = parse_model("base t\nfibre y\nparam k = 2\nparam c\nlagrangian 1/2*y_t^2 - k*c*cos(y)\n")
+    assert render(m, "latex") == "-c \\, k \\, \\cos\\left(y\\right) + \\frac{\\dot{y}^{2}}{2}\n"
+    assert json.loads(render(m, "json")) == {
+        "kind": "lagrangian",
+        "payload": [json.loads(render(m.payload[0], "json"))],
+        "spec": {"base": ["t"], "fibre": ["y"], "params": {"k": 2, "c": None}, "order": 2,
+                 "momenta": False, "vertical": False},
+    }
+    m = parse_model("base t\nfibre y u\nequation y_tt + u\nequation u_tt - y*u\n")
+    assert render(m, "latex") == "u + \\ddot{y}\n-u \\, y + \\ddot{u}\n"
+    assert json.loads(render(m, "json"))["payload"] == [
+        ["+", "u", "y_tt"], ["+", ["*", -1, "u", "y"], "u_tt"]]
+
+
 def test_text_system_layout():
     m = corpus_model("oscillator")
     out = render(deviation_equations(m), "text")
