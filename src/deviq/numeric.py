@@ -57,7 +57,10 @@ from .expr import (
     Rat,
     Sym,
     _from_poly,
+    _key,
+    _mono_key,
     _poly,
+    _term,
     diff,
     free_symbols,
     normalize,
@@ -93,11 +96,13 @@ MAX_STEPS = 10**5
 
 
 # --------------------------------------------------------------------------
-# code generation: `_emit` writes one expression node.  `_lambdify` inlines
-# every subtree, for `FirstOrderSystem.__call__` and `numpy_eval`;
+# code generation: `_horner` rewrites each normal-form sum into greedy
+# Horner form, and `_emit` writes one node of the result.  `_lambdify`
+# inlines every subtree, for `FirstOrderSystem.__call__` and `numpy_eval`;
 # `_rk4_loop` and `_residual_loop` write loops of straight-line code over
 # scalars that computes each repeated subtree once, their RK4 steps all by
-# `_rk4_lane`.
+# `_rk4_lane`.  Every generated function reads its expressions through
+# `_horner`, so all of them do the same float operations in the same order.
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
@@ -120,8 +125,75 @@ def _float_text(n: int) -> str:
         return str(n)
 
 
+def _horner(exprs: Sequence[Expr]) -> list:
+    """`exprs` with every normal-form sum of more than one term, at any
+    depth, in greedy multivariate Horner form: the atom (symbol, function
+    application or opaque power) with a positive integer exponent in the
+    most monomials, the greatest `_key` among equals, is factored out once,
+    a*Q + R, and the quotient Q and remainder R are rewritten alike.  A sum
+    in which no atom occurs in two monomials is its terms in `Add.terms`
+    order.  Atoms match by their keys, so equal atoms count as one; the
+    arguments of functions and the bases of powers are rewritten too.  The
+    result normalizes back to each expression, and depends on nothing but
+    its expansion."""
+    # an atom recurs in many monomials, and atoms nest: each function or
+    # power node is rewritten once, by id -> (the node, its form)
+    done = {}
+
+    def form(e):
+        if e._expansion is not None and len(e._expansion) > 1:
+            return split(e._expansion)
+        if isinstance(e, (Add, Mul)):
+            old = e.terms if isinstance(e, Add) else e.factors
+            new = tuple(map(form, old))
+            return e if all(map(operator.is_, new, old)) else type(e)(new)
+        if not isinstance(e, (Fun, Pow)):
+            return e
+        kept = done.get(id(e))
+        if kept is None:
+            inner = e.arg if isinstance(e, Fun) else e.base
+            new = form(inner)
+            if new is not inner:
+                new = Fun(e.name, new) if isinstance(e, Fun) else Pow(new, e.exponent)
+            else:
+                new = e
+            kept = done[id(e)] = (e, new)
+        return kept[1]
+
+    def split(p):
+        if len(p) == 1:
+            ((mono, c),) = p.items()
+            return form(_term(mono, c))
+        uses = {}
+        for mono in p:
+            for atom, x in mono:
+                if x > 0 and x.denominator == 1:
+                    k = _key(atom)
+                    uses[k] = uses.get(k, 0) + 1
+        most = max(uses.values(), default=0)
+        if most < 2:
+            return Add(tuple(form(_term(m, p[m])) for m in sorted(p, key=_mono_key)))
+        k = max(k for k, n in uses.items() if n == most)
+        quotient, rest = {}, {}
+        for mono, c in p.items():
+            for i, (atom, x) in enumerate(mono):
+                if x > 0 and x.denominator == 1 and _key(atom) == k:
+                    factor = atom
+                    lowered = mono[i + 1:] if x == 1 else ((atom, x - 1), *mono[i + 1:])
+                    quotient[mono[:i] + lowered] = c
+                    break
+            else:
+                rest[mono] = c
+        product = Mul((form(factor), split(quotient)))
+        return Add((product, split(rest))) if rest else product
+
+    return [form(e) for e in exprs]
+
+
 def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
-    """Python text for the node `e`: symbols by `names`, children by `sub`."""
+    """Python text for the node `e`: symbols by `names`, children by `sub`.
+    The generators hand it the forms `_horner` makes, never an expanded
+    normal-form sum."""
     if isinstance(e, Rat):
         v = e.value
         if v.denominator == 1:
@@ -170,19 +242,22 @@ def _lambdify(exprs: Sequence[Expr], base: Optional[Sym], symbols: Sequence[Sym]
     def inline(e):
         return _emit(e, names, inline)
 
-    body = ", ".join(map(inline, exprs))
+    body = ", ".join(map(inline, _horner(exprs)))
     return _define(f"def f(t, z):\n    return ({body},)\n", env)
 
 
 class _Subtrees:
-    """The distinct subtrees of some expressions, numbered by their text.
+    """The distinct subtrees of the Horner forms of some expressions,
+    `exprs`, numbered by their text.
 
     A node's key is its `_emit` text with the children written by number,
-    so each node object is emitted once however often it recurs.
-    `uses[n]` counts the places subtree n occurs in: once per expression
-    it is, once per distinct parent."""
+    so each node object is emitted once however often it recurs, and equal
+    pieces of different Horner forms are one subtree.  `uses[n]` counts
+    the places subtree n occurs in: once per expression it is, once per
+    distinct parent."""
 
     def __init__(self, exprs: Sequence[Expr], names: Mapping[str, str]):
+        self.exprs = exprs = _horner(exprs)
         self.number, self.uses, seen = {}, [], {}
 
         def visit(e):
@@ -206,8 +281,9 @@ class _Subtrees:
             self.uses[visit(e)] += 1
 
     def writer(self, names: Mapping[str, str], temp: str, lines: list):
-        """Text of a node over `names`.  A compound subtree used more than
-        once is computed on first use into `temp<n>`, appended to `lines`."""
+        """Text of a node of `exprs` over `names`.  A compound subtree used
+        more than once is computed on first use into `temp<n>`, appended to
+        `lines`."""
         done = {}
 
         def text(e):
@@ -238,7 +314,7 @@ def _rk4_lane(f: "FirstOrderSystem", shared: _Subtrees, lane: str, lines: list) 
     for stage, t in enumerate(("t", "th", "th", "tn"), 1):
         text = shared.writer({**dict(zip(f.state_names, zs)), f.base.name: t}, f"{lane}c{stage}_", lines)
         k = []
-        for i, e in enumerate(f.rhs):
+        for i, e in enumerate(shared.exprs):
             out = text(e)
             if not (out.isidentifier() or isinstance(e, Rat)):
                 lines.append(f"{lane}k{stage}_{i} = {out}")
@@ -835,7 +911,7 @@ def _residual_loop(prob: "JacobiProblem", rungs: int):
         values = [f"p{i} = a{i} + e{k} * a{half + i}" for i, s in enumerate(base_states) if s in used]
         values += [f"q{j} = {k1[i]} + e{k} * P{j}" for j, (i, s) in enumerate(zip(tails, tops)) if s in used]
         text = equations.writer(perturbed_names, "cr", values)
-        values += [f"r{n} = {text(e)}" for n, e in enumerate(originals)]
+        values += [f"r{n} = {text(e)}" for n, e in enumerate(equations.exprs)]
         peak = ["w = abs(r0)", *(line for n in range(1, m) for line in (f"x = abs(r{n})", "if x > w:", "    w = x"))]
         # r - r is nan exactly when r is not finite; a nan w<k> stays, as no w
         # compares greater than it
@@ -868,7 +944,8 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
     derivative of the unperturbed part is read off the compiled equation
     itself (exact on the discrete solution), and the top derivative of
     psi is a central finite difference, so the finite-difference noise
-    enters only at O(eps * dt^2).  Endpoints are excluded from the max.
+    enters only at O(eps * dt^2).  Endpoints are excluded from the max, so
+    a grid without an interior point is refused before any step runs.
     One generated loop, built once per problem and ladder length, steps
     the joint flow as `integrate` does, fails as it does, and evaluates
     the whole ladder on the way.  The fitted exponent is the log-log
@@ -880,14 +957,14 @@ def perturbation_residual(prob: JacobiProblem, eps_list: Iterable[float] = DEFAU
         if not 0 <= e < math.inf:
             raise SpecError(f"perturbation size must be non-negative and finite, got {e}")
     times, sizes = _grid(prob.t0, prob.t1, prob.dt)
+    if len(times) < 3:
+        raise SpecError("grid too short for an interior residual")
     gaps = [b - a for a, b in zip(times, times[1:])]
     z0 = _initial_state(prob.compiled, prob.initial_state())
     loop = prob._residual_loops.get(len(eps_list))
     if loop is None:
         loop = prob._residual_loops[len(eps_list)] = _residual_loop(prob, len(eps_list))
     worst = _run(loop, times, sizes, gaps.count(gaps[0]) == len(gaps), 2.0 * gaps[0], z0, *eps_list)
-    if len(times) < 3:
-        raise SpecError("grid too short for an interior residual")
     for eps, r in zip(eps_list, worst):
         if not math.isfinite(r):
             raise IntegrationError(f"residual evaluation produced non-finite values at eps={eps}", times[-1])

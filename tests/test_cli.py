@@ -186,6 +186,22 @@ def test_residual_custom_ladder():
     assert rows[2].startswith("0.001,")
 
 
+@pytest.mark.parametrize("equation,init", [
+    ("y_t - 1e300*y*y", "y=1e10"),
+    ("y_t + y", "y=1"),
+], ids=["blows-up", "decays"])
+def test_residual_refuses_a_two_point_grid_before_stepping(tmp_path, equation, init):
+    """A grid of two points has no interior point to take the residual at:
+    it is refused before the flow is stepped, so a flow that would blow up
+    on its one step is refused as one that would not."""
+    src = tmp_path / "short.eqn"
+    src.write_text(f"base t\nfibre y\nequation {equation}\n")
+    res = run_cli("residual", src, "--init", init, "--t1", "0.001", "--dt", "0.001")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "deviq: error: grid too short for an interior residual\n"
+
+
 def test_residual_leaving_the_domain_is_numeric_error(tmp_path):
     """y stays positive along the run; y + eps*v_y does not, and sqrt fails."""
     src = tmp_path / "root.eqn"
