@@ -102,7 +102,9 @@ MAX_STEPS = 10**5
 # `_rk4_loop` and `_residual_loop` write loops of straight-line code over
 # scalars that computes each repeated subtree once, their RK4 steps all by
 # `_rk4_lane`.  Every generated function reads its expressions through
-# `_horner`, so all of them do the same float operations in the same order.
+# `_horner`, so all of them do the same float operations in the same order;
+# a compiled system makes the forms of its right-hand side once, and its
+# call, its RK4 loops and its residual's stepping share them.
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
@@ -125,54 +127,66 @@ def _float_text(n: int) -> str:
         return str(n)
 
 
+#: `_horner` factors at most this many atoms along any path of a form, and
+#: writes a sum past that as its terms.  Each factor nests the form two
+#: levels deeper, so a form is at most 2 * _HORNER_DEPTH levels deeper than
+#: the expanded sum: Python's parser refuses text nested more than 200
+#: parentheses deep, and (y + 1)^120 fully factored would be 240.  The FPU
+#: and pendulum chains and the ODE corpus factor at most 5 deep, the first
+#: 300 compiling models of `tests/grammar.py` (`random.Random(5)`) 21.
+_HORNER_DEPTH = 24
+
+
 def _horner(exprs: Sequence[Expr]) -> list:
     """`exprs` with every normal-form sum of more than one term, at any
     depth, in greedy multivariate Horner form: the atom (symbol, function
     application or opaque power) with a positive integer exponent in the
     most monomials, the greatest `_key` among equals, is factored out once,
     a*Q + R, and the quotient Q and remainder R are rewritten alike.  A sum
-    in which no atom occurs in two monomials is its terms in `Add.terms`
-    order.  Atoms match by their keys, so equal atoms count as one; the
-    arguments of functions and the bases of powers are rewritten too.  The
-    result normalizes back to each expression, and depends on nothing but
-    its expansion."""
+    in which no atom occurs in two monomials, or that lies `_HORNER_DEPTH`
+    factors deep, is its terms in `Add.terms` order.  Atoms match by their
+    keys, so equal atoms count as one; the arguments of functions and the
+    bases of powers are rewritten too.  The result normalizes back to each
+    expression, and depends on nothing but its expansion."""
     # an atom recurs in many monomials, and atoms nest: each function or
-    # power node is rewritten once, by id -> (the node, its form)
+    # power node is rewritten once per depth, by (id, depth) -> (the node,
+    # its form)
     done = {}
 
-    def form(e):
+    def form(e, depth):
         if e._expansion is not None and len(e._expansion) > 1:
-            return split(e._expansion)
+            return split(e._expansion, depth)
         if isinstance(e, (Add, Mul)):
             old = e.terms if isinstance(e, Add) else e.factors
-            new = tuple(map(form, old))
+            new = tuple(form(c, depth) for c in old)
             return e if all(map(operator.is_, new, old)) else type(e)(new)
         if not isinstance(e, (Fun, Pow)):
             return e
-        kept = done.get(id(e))
+        kept = done.get((id(e), depth))
         if kept is None:
             inner = e.arg if isinstance(e, Fun) else e.base
-            new = form(inner)
+            new = form(inner, depth)
             if new is not inner:
                 new = Fun(e.name, new) if isinstance(e, Fun) else Pow(new, e.exponent)
             else:
                 new = e
-            kept = done[id(e)] = (e, new)
+            kept = done[id(e), depth] = (e, new)
         return kept[1]
 
-    def split(p):
+    def split(p, depth):
         if len(p) == 1:
             ((mono, c),) = p.items()
-            return form(_term(mono, c))
+            return form(_term(mono, c), depth)
         uses = {}
-        for mono in p:
-            for atom, x in mono:
-                if x > 0 and x.denominator == 1:
-                    k = _key(atom)
-                    uses[k] = uses.get(k, 0) + 1
+        if depth < _HORNER_DEPTH:
+            for mono in p:
+                for atom, x in mono:
+                    if x > 0 and x.denominator == 1:
+                        k = _key(atom)
+                        uses[k] = uses.get(k, 0) + 1
         most = max(uses.values(), default=0)
         if most < 2:
-            return Add(tuple(form(_term(m, p[m])) for m in sorted(p, key=_mono_key)))
+            return Add(tuple(form(_term(m, p[m]), depth) for m in sorted(p, key=_mono_key)))
         k = max(k for k, n in uses.items() if n == most)
         quotient, rest = {}, {}
         for mono, c in p.items():
@@ -184,10 +198,10 @@ def _horner(exprs: Sequence[Expr]) -> list:
                     break
             else:
                 rest[mono] = c
-        product = Mul((form(factor), split(quotient)))
-        return Add((product, split(rest))) if rest else product
+        product = Mul((form(factor, depth + 1), split(quotient, depth + 1)))
+        return Add((product, split(rest, depth + 1))) if rest else product
 
-    return [form(e) for e in exprs]
+    return [form(e, 0) for e in exprs]
 
 
 def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
@@ -232,9 +246,9 @@ def _define(source: str, env):
     return scope["f"]
 
 
-def _lambdify(exprs: Sequence[Expr], base: Optional[Sym], symbols: Sequence[Sym], env):
-    """`f(t, z)` returning one value per expression, with `base` read from
-    t, symbols[i] from z[i] and the functions from `env`."""
+def _lambdify(forms: Sequence[Expr], base: Optional[Sym], symbols: Sequence[Sym], env):
+    """`f(t, z)` returning one value per form `_horner` made, with `base`
+    read from t, symbols[i] from z[i] and the functions from `env`."""
     names = {} if base is None else {base.name: "t"}
     for i, s in enumerate(symbols):
         names[s.name] = f"z[{i}]"
@@ -242,13 +256,13 @@ def _lambdify(exprs: Sequence[Expr], base: Optional[Sym], symbols: Sequence[Sym]
     def inline(e):
         return _emit(e, names, inline)
 
-    body = ", ".join(map(inline, _horner(exprs)))
+    body = ", ".join(map(inline, forms))
     return _define(f"def f(t, z):\n    return ({body},)\n", env)
 
 
 class _Subtrees:
-    """The distinct subtrees of the Horner forms of some expressions,
-    `exprs`, numbered by their text.
+    """The distinct subtrees of some forms `_horner` made, numbered by
+    their text.
 
     A node's key is its `_emit` text with the children written by number,
     so each node object is emitted once however often it recurs, and equal
@@ -256,8 +270,7 @@ class _Subtrees:
     the places subtree n occurs in: once per expression it is, once per
     distinct parent."""
 
-    def __init__(self, exprs: Sequence[Expr], names: Mapping[str, str]):
-        self.exprs = exprs = _horner(exprs)
+    def __init__(self, forms: Sequence[Expr], names: Mapping[str, str]):
         self.number, self.uses, seen = {}, [], {}
 
         def visit(e):
@@ -277,11 +290,11 @@ class _Subtrees:
                 self.number[id(e)] = n
             return n
 
-        for e in exprs:
+        for e in forms:
             self.uses[visit(e)] += 1
 
     def writer(self, names: Mapping[str, str], temp: str, lines: list):
-        """Text of a node of `exprs` over `names`.  A compound subtree used
+        """Text of a node of the forms over `names`.  A compound subtree used
         more than once is computed on first use into `temp<n>`, appended to
         `lines`."""
         done = {}
@@ -314,7 +327,7 @@ def _rk4_lane(f: "FirstOrderSystem", shared: _Subtrees, lane: str, lines: list) 
     for stage, t in enumerate(("t", "th", "th", "tn"), 1):
         text = shared.writer({**dict(zip(f.state_names, zs)), f.base.name: t}, f"{lane}c{stage}_", lines)
         k = []
-        for i, e in enumerate(shared.exprs):
+        for i, e in enumerate(f._forms):
             out = text(e)
             if not (out.isidentifier() or isinstance(e, Rat)):
                 lines.append(f"{lane}k{stage}_{i} = {out}")
@@ -332,10 +345,10 @@ def _rk4_lane(f: "FirstOrderSystem", shared: _Subtrees, lane: str, lines: list) 
 
 
 def _step_start(f: "FirstOrderSystem") -> tuple:
-    """The distinct subtrees of `f`'s right-hand side, the first lines of a
+    """The distinct subtrees of `f`'s forms, the first lines of a
     step and whether any right-hand side reads the base coordinate."""
     timed = f.base in set().union(*map(free_symbols, f.rhs))
-    shared = _Subtrees(f.rhs, {**{s: f"z{i}" for i, s in enumerate(f.state_names)}, f.base.name: "t"})
+    shared = _Subtrees(f._forms, {**{s: f"z{i}" for i, s in enumerate(f.state_names)}, f.base.name: "t"})
     return shared, ["hh = 0.5 * h", *(["th = t + hh"] if timed else [])], timed
 
 
@@ -404,7 +417,7 @@ def numpy_eval(e: Expr, env: Mapping[str, object]):
     import numpy as np
 
     functions = {**{n: getattr(np, n) for n in _FUNCTIONS}, "pow": np.power, "__builtins__": {}}
-    f = _lambdify((e,), None, symbols, functions)
+    f = _lambdify(_horner((e,)), None, symbols, functions)
     return f(None, [np.asarray(env[s.name]) for s in symbols])[0]
 
 
@@ -450,8 +463,14 @@ class FirstOrderSystem(Value):
         return tuple(s.kind in VERTICAL_KINDS for s in self.states)
 
     @cached_property
+    def _forms(self) -> list:
+        """The right-hand side in the Horner form every generated function
+        of the system evaluates."""
+        return _horner(self.rhs)
+
+    @cached_property
     def _callable(self):
-        return _lambdify(self.rhs, self.base, self.states, _SCALAR_ENV)
+        return _lambdify(self._forms, self.base, self.states, _SCALAR_ENV)
 
     def __call__(self, t: float, z) -> tuple:
         return self._callable(t, z)
@@ -905,13 +924,14 @@ def _residual_loop(prob: "JacobiProblem", rungs: int):
         fos.base.name: "t",
     }
     used = set().union(*map(free_symbols, originals))
-    equations = _Subtrees(originals, perturbed_names)
+    forms = _horner(originals)
+    equations = _Subtrees(forms, perturbed_names)
     per_eps = []
     for k in range(rungs):
         values = [f"p{i} = a{i} + e{k} * a{half + i}" for i, s in enumerate(base_states) if s in used]
         values += [f"q{j} = {k1[i]} + e{k} * P{j}" for j, (i, s) in enumerate(zip(tails, tops)) if s in used]
         text = equations.writer(perturbed_names, "cr", values)
-        values += [f"r{n} = {text(e)}" for n, e in enumerate(equations.exprs)]
+        values += [f"r{n} = {text(e)}" for n, e in enumerate(forms)]
         peak = ["w = abs(r0)", *(line for n in range(1, m) for line in (f"x = abs(r{n})", "if x > w:", "    w = x"))]
         # r - r is nan exactly when r is not finite; a nan w<k> stays, as no w
         # compares greater than it

@@ -202,6 +202,17 @@ def test_residual_refuses_a_two_point_grid_before_stepping(tmp_path, equation, i
     assert res.stderr == "deviq: error: grid too short for an interior residual\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "residual"])
+def test_largest_expansion_simulates(tmp_path, command):
+    """(y + 1)^499, the largest power of a sum a model may expand, gives a
+    right-hand side of degree 498: its generated code must still compile."""
+    src = tmp_path / "power.eqn"
+    src.write_text("base t\nfibre y\nlagrangian 0.5*y_t^2 + (y+1)^499\n")
+    res = run_cli(command, src, "--init", "y=0,y_t=0", "--t1", "0.003", "--dt", "0.001")
+    assert res.returncode == 0, res.stderr
+    assert "Error" not in res.stderr
+
+
 def test_residual_leaving_the_domain_is_numeric_error(tmp_path):
     """y stays positive along the run; y + eps*v_y does not, and sqrt fails."""
     src = tmp_path / "root.eqn"

@@ -67,6 +67,9 @@ PRODUCTS = tuple(
     for product in ("(y+1)^499*(y_t+1)^499", "(y+1)^499*(y_t+1)^499*(y_tt+1)^499")
 )
 
+#: the largest power of a sum a model may expand
+LARGEST_EXPANSION = "base t\nfibre y\nlagrangian 0.5*y_t^2 + (y+1)^499\n"
+
 WINDOW_VALUES = ("0", "0.1", "1", "-1", "1e12", "1e-300", "nan", "inf", "-inf", "x")
 
 
@@ -123,6 +126,9 @@ def run_main(text, argv):
 @example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
 @example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "sin(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
 @example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - y" + "^1" * 1000 + "\n", argv=["derive"])
+# a right-hand side of degree 498, written as generated code
+@example(text=LARGEST_EXPANSION, argv=["simulate", "--init=y=0,y_t=0", "--t1=0.003", "--dt=0.001"])
+@example(text=LARGEST_EXPANSION, argv=["residual", "--init=y=0,y_t=0", "--t1=0.003", "--dt=0.001"])
 @example(text=SWELL, argv=["deviate"])
 @example(text=SWELL, argv=["check"])
 @example(text=PRODUCTS[0], argv=["derive"])

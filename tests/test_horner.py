@@ -32,7 +32,7 @@ from deviq import (
     parse_model,
 )
 from deviq.expr import Add, Fun, Pow, Sym, SymbolKind, _key
-from deviq.numeric import _horner
+from deviq.numeric import _HORNER_DEPTH, _horner
 from conftest import ODE_CORPUS, corpus_model
 
 
@@ -147,6 +147,27 @@ def test_horner_factors_one_power_at_a_time():
     (form,) = _horner([normalize(y**3 + 2 * y**2 * u + y)])
     two_u = Mul((Rat(Fraction(2)), u))
     assert form == Mul((y, Add((Mul((y, Add((two_u, y)))), Rat(Fraction(1))))))
+
+
+def _depth(e):
+    if isinstance(e, (Add, Mul)):
+        return 1 + max(map(_depth, e.terms if isinstance(e, Add) else e.factors))
+    if isinstance(e, (Fun, Pow)):
+        return 1 + _depth(e.arg if isinstance(e, Fun) else e.base)
+    return 0
+
+
+def test_horner_form_nests_a_bounded_depth():
+    """(y + 1)^499, the largest power of a sum a model may expand, is
+    factored `_HORNER_DEPTH` deep and its quotient there written as its
+    terms, so its form nests at most twice that deeper than the expanded
+    sum, inside the parser's 200 parentheses; fully factored it would
+    nest 998 deep."""
+    y = Sym("y", SymbolKind.FIBRE)
+    e = normalize(Pow(y + 1, Fraction(499)))
+    (form,) = _horner([e])
+    assert normalize(form) == e
+    assert _depth(e) < _depth(form) <= _depth(e) + 2 * _HORNER_DEPTH
 
 
 def _relative_gap(a, b):
