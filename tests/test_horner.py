@@ -170,6 +170,103 @@ def test_horner_form_nests_a_bounded_depth():
     assert _depth(e) < _depth(form) <= _depth(e) + 2 * _HORNER_DEPTH
 
 
+def _difference(e):
+    """(a, b) when `e` is a node b - a that `_horner` writes, else None."""
+    if isinstance(e, Add) and len(e.terms) == 2 and isinstance(e.terms[1], Sym):
+        first = e.terms[0]
+        if isinstance(first, Mul) and len(first.factors) == 2 and first.factors[0] == Rat(Fraction(-1)) \
+                and isinstance(first.factors[1], Sym):
+            return first.factors[1].name, e.terms[1].name
+    return None
+
+
+def _differences(forms):
+    """{(a, b): the node objects b - a} over `forms`, and the names of the
+    symbols outside such nodes."""
+    nodes, names = {}, set()
+    stack = list(forms)
+    while stack:
+        e = stack.pop()
+        if (pair := _difference(e)) is not None:
+            nodes.setdefault(pair, set()).add(id(e))
+        elif isinstance(e, Sym):
+            names.add(e.name)
+        elif isinstance(e, (Add, Mul)):
+            stack.extend(e.terms if isinstance(e, Add) else e.factors)
+        elif isinstance(e, (Fun, Pow)):
+            stack.append(e.arg if isinstance(e, Fun) else e.base)
+    return nodes, names
+
+
+def _difference_polynomial(rng, kinds):
+    """A sum of seeded powers of differences of 2 to 4 symbols of one kind
+    with rational coefficients, up to two stray monomials and, in a third
+    of them, a function of a difference, normalized."""
+    kind = rng.choice(kinds)
+    names = rng.sample([f"q{i}" for i in range(1, 5)], rng.randint(2, 4))
+    xs = [Sym(("v_" if kind is SymbolKind.VERTICAL else "") + n, kind) for n in names]
+
+    def q():
+        return Rat(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)))
+
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.sample(xs, 2)
+        terms.append(q() * Pow(b - a, Fraction(rng.randint(1, 4))))
+    for _ in range(rng.randint(0, 2)):
+        terms.append(q() * Mul(tuple(rng.choice(xs) for _ in range(rng.randint(1, 3)))))
+    if rng.random() < 1 / 3:
+        a, b = rng.sample(xs, 2)
+        terms.append(q() * Fun(rng.choice(("sin", "cos")), b - a) * rng.choice(xs))
+    return normalize(Add(tuple(terms)))
+
+
+def test_horner_form_is_exact_over_differences():
+    """Sums that hold their symbols only through differences, or mostly so,
+    are written over differences, and still normalize back exactly."""
+    rng = random.Random(5)
+    polynomials = [_difference_polynomial(rng, (SymbolKind.FIBRE, SymbolKind.VERTICAL)) for _ in range(200)]
+    _assert_exact(polynomials)
+    assert sum(bool(_differences([form])[0]) for form in _horner(polynomials)) >= 150
+
+
+def test_horner_form_holds_symbols_only_in_shared_differences():
+    """(q2 - q1)^3 + (q3 - q2)^3 is written over the two differences alone,
+    and cos(q2 - q1) reads the same node in the same call."""
+    q1, q2, q3 = (Sym(f"q{i}", SymbolKind.FIBRE) for i in (1, 2, 3))
+    e = normalize(Pow(q2 - q1, Fraction(3)) + Pow(q3 - q2, Fraction(3)))
+    forms = _horner([e, normalize(Fun("cos", q2 - q1))])
+    assert normalize(forms[0]) == e
+    nodes, names = _differences(forms)
+    assert names == set()
+    assert list(map(len, nodes.values())) == [1, 1] and set(nodes) == {("q1", "q2"), ("q2", "q3")}
+
+
+def test_horner_pairs_symbols_of_one_kind_only():
+    """(v_y - y)^3 mixes a fibre coordinate with a vertical one: it stays
+    a sum over the two symbols."""
+    y, v = Sym("y", SymbolKind.FIBRE), Sym("v_y", SymbolKind.VERTICAL)
+    e = normalize(Pow(v - y, Fraction(3)))
+    (form,) = _horner([e])
+    assert normalize(form) == e
+    assert _differences([form]) == ({}, {"y", "v_y"})
+
+
+@pytest.mark.parametrize("command", ["simulate", "residual"])
+def test_power_of_a_difference_past_the_bound_simulates(tmp_path, command):
+    """(u - y)^499 gives right-hand sides of degree 497 and 498 in u and y,
+    past `_DIFFERENCE_POWER`, so neither is rewritten over u - y.  Tried,
+    a monomial holding y^k would become the k + 1 terms of (u - d)^k."""
+    src = tmp_path / "difference.eqn"
+    src.write_text("base t\nfibre y u\nlagrangian 0.5*y_t^2 + 0.5*u_t^2 + (u - y)^499\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "deviq", command, str(src), "--init", "y=0,y_t=0,u=0,u_t=0",
+         "--t1", "0.003", "--dt", "0.001"], capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "Error" not in res.stderr
+
+
 def _relative_gap(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
@@ -197,27 +294,39 @@ def test_compiled_system_evaluates_as_evaluate_does(grammar_systems):
     assert compared >= 100
 
 
-#: prints the number of binary float operators in the generated RK4 loop of
-#: the model at argv[1], then the loop's source
+#: prints the number of binary float operators in each generated loop of the
+#: model at argv[1], one line each: the RK4 loop of its deviation pair, the
+#: finite-difference oracle's two-lane loop of the base part and the loop of
+#: a residual over three eps; then the loops' sources
 LOOP_SCRIPT = """
 import dis, sys
-from deviq import compile_system, deviation_equations, load_model, numeric
+from deviq import JacobiProblem, deviation_equations, load_model, numeric
 sources = []
 define = numeric._define
 numeric._define = lambda source, env: sources.append(source) or define(source, env)
-loop = compile_system(deviation_equations(load_model(sys.argv[1])))._loop
-print(sum(i.opname.startswith("BINARY_") and i.opname not in ("BINARY_SUBSCR", "BINARY_SLICE")
-          for i in dis.get_instructions(loop)))
-print(sources[0], end="")
+system = deviation_equations(load_model(sys.argv[1]))
+base = numeric.compile_system(system).base_part.states
+prob = JacobiProblem(system, {s.name: 0.0 for s in base}, {}, 0.0, 1.0)
+for loop in (prob.compiled._loop, prob.compiled.base_part._fd_loop, numeric._residual_loop(prob, 3)):
+    print(sum(i.opname.startswith("BINARY_") and i.opname not in ("BINARY_SUBSCR", "BINARY_SLICE")
+              for i in dis.get_instructions(loop)))
+print("".join(sources), end="")
 """
 
-#: binary float operators of fpu-L4's RK4 loop, all four stages of one step
-#: and its update: 1499 when each right-hand side was written as its
-#: expanded normal form, 1019 in Horner form
-FPU_L4_BINARY_OPS = 1019
+#: binary float operators of fpu-L4's generated loops: the RK4 loop (all four
+#: stages of one step and its update), the FD oracle's loop and the residual's
+#: loop over three eps.  Written as expanded normal forms they took 1499,
+#: 1211 and 1980; in Horner form 1019, 1003 and 1419; over differences of the
+#: coordinates, as now, 659, 675 and 939.
+FPU_L4_BINARY_OPS = (659, 675, 939)
 
 
 def test_fpu_chain_rk4_loop_is_hash_independent_and_in_horner_form():
+    """fpu-L4's RK4, FD and residual loops are the same text under two
+    string hash seeds, write no power, and do no more binary float
+    operations than their forms over differences took when introduced, so
+    a right-hand side or residual equation that slips back to an expanded
+    or merely factored form fails here."""
     path = Path(__file__).resolve().parent / "golden" / "models" / "fpu-L4.eqn"
     outputs = [
         subprocess.run([sys.executable, "-c", LOOP_SCRIPT, str(path)], capture_output=True, text=True,
@@ -225,6 +334,6 @@ def test_fpu_chain_rk4_loop_is_hash_independent_and_in_horner_form():
         for seed in ("1", "2")
     ]
     assert outputs[0] == outputs[1]
-    count, source = outputs[0].split("\n", 1)
-    assert int(count) <= FPU_L4_BINARY_OPS
+    *counts, source = outputs[0].split("\n", len(FPU_L4_BINARY_OPS))
+    assert all(int(n) <= bound for n, bound in zip(counts, FPU_L4_BINARY_OPS))
     assert "**" not in source
