@@ -381,13 +381,12 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
     if order is None:
         order = minimum
     elif order < minimum:
-        raise ParseError(
-            f"--order {order} is below the inferred minimum {minimum} for this model", 1, 1
-        )
+        raise ParseError(f"--order {order} is below the inferred minimum {minimum} for this model")
+    # no one place in the text sets the order, so these refusals give no position
     try:
         spec = spec.with_order(order)
     except SpecError as ex:
-        raise ParseError(str(ex), 1, 1) from None
+        raise ParseError(str(ex)) from None
     return ModelFile(kind, spec, payload)
 
 

@@ -452,7 +452,7 @@ def test_jet_order_past_cap_is_usage_error(tmp_path, model, order, message):
     else:
         res = run_cli("derive", model_path(model), "--order", order)
     assert res.returncode == 2
-    assert res.stderr == f"deviq: error: line 1, column 1: {message} per field, more than 256\n"
+    assert res.stderr == f"deviq: error: {message} per field, more than 256\n"
 
 
 def test_ambiguous_coordinate_name_names_both_readings(tmp_path):
