@@ -49,7 +49,6 @@ from .errors import (
 from .expr import (
     VERTICAL_KINDS,
     ZERO,
-    _QONE,
     Add,
     Expr,
     Fun,
@@ -58,14 +57,7 @@ from .expr import (
     Rat,
     Sym,
     _from_poly,
-    _key,
-    _mono_key,
     _poly,
-    _poly_int_pow,
-    _poly_mul,
-    _qadd,
-    _qmul,
-    _term,
     diff,
     free_symbols,
     normalize,
@@ -101,9 +93,9 @@ MAX_STEPS = 10**5
 
 
 # --------------------------------------------------------------------------
-# code generation: `_horner` rewrites each normal-form sum over differences
-# of state variables, then into greedy Horner form, and `_emit` writes one
-# node of the result.  `_lambdify` inlines every subtree, for
+# code generation: `horner._horner` rewrites each normal-form sum over
+# differences of state variables, then into greedy Horner form, and `_emit`
+# writes one node of the result.  `_lambdify` inlines every subtree, for
 # `FirstOrderSystem.__call__` and `numpy_eval`; `_rk4_loop` and
 # `_residual_loop` write loops of straight-line code over scalars that
 # computes each repeated subtree once, a difference too, their RK4 steps
@@ -131,199 +123,6 @@ def _float_text(n: int) -> str:
         return repr(float(n))
     except OverflowError:
         return str(n)
-
-
-#: `_horner` factors at most this many atoms along any path of a form, and
-#: writes a sum past that as its terms.  Each factor nests the form two
-#: levels deeper, and a difference two more where it stands for a symbol,
-#: so a form is at most 2 * _HORNER_DEPTH + 2 levels deeper than the
-#: expanded sum: Python's parser refuses text nested more than 200
-#: parentheses deep, and (y + 1)^120 fully factored would be 240.  The FPU
-#: and pendulum chains factor at most 3 deep, the ODE corpus 2 and the
-#: first 300 compiling models of `tests/grammar.py` (`random.Random(5)`) 21.
-_HORNER_DEPTH = 24
-
-#: `_horner` eliminates a symbol in favour of a difference only where its
-#: exponents are whole and at most this.  Each x^k becomes the k + 1 terms
-#: of (y - d)^k, so a high power swells the sum while it is tried: on
-#: (u - y)^499, whose right-hand sides hold u and y to the 498th power, the
-#: search ran for minutes, and takes 0.2 s with the bound.  4 is the degree
-#: of the FPU chains' spring energies, which no right-hand side exceeds.
-_DIFFERENCE_POWER = 4
-#: _BINOMIAL[k][i] is k choose i
-_BINOMIAL = tuple(tuple(math.comb(k, i) for i in range(k + 1)) for k in range(_DIFFERENCE_POWER + 1))
-
-
-def _difference_counts(rows, a: int, b: int, which: tuple) -> tuple:
-    """The term counts of a sum once a = b - d and once b = a + d, for a
-    fresh d, or None for an elimination `which` rules out.  The sum is
-    given as `rows` of (coefficient, monomial as (atom number, exponent)
-    pairs, the exponent of each symbol by number).  Monomials that agree
-    past a and b form a group, and only a group of two or more can merge
-    or cancel terms."""
-    groups = {}
-    for c, mono, ex in rows:
-        ka, kb = ex.get(a, 0), ex.get(b, 0)
-        if ka or kb:
-            mono = tuple(pair for pair in mono if pair[0] != a and pair[0] != b)
-        groups.setdefault(mono, []).append((ka, kb, c))
-    counts = []
-    for gone, sign in zip(which, (-1, 1)):
-        if not gone:
-            counts.append(None)
-            continue
-        n = 0
-        for group in groups.values():
-            if len(group) == 1:
-                n += 1 + group[0][sign > 0]
-                continue
-            out = {}
-            for ka, kb, c in group:
-                k, kept = (ka, kb) if sign < 0 else (kb, ka)
-                for i, m in enumerate(_BINOMIAL[k]):
-                    term = (kept + k - i, i)
-                    v = c if m == 1 and (sign > 0 or not i & 1) else _qmul(c, (m * sign**i, 1))
-                    if (s := out.get(term)) is None:
-                        out[term] = v
-                    elif s := _qadd(s, v):
-                        out[term] = s
-                    else:
-                        del out[term]
-            n += len(out)
-        counts.append(n)
-    return tuple(counts)
-
-
-def _over_differences(p, differences: dict) -> dict:
-    """`p` rewritten greedily over differences of two symbols of one kind,
-    while a step lowers its term count.  For each pair a, b in name order,
-    a = b - d and then b = a + d, for d = b - a, are tried, and the first of
-    the fewest terms is kept if it has fewer than `p`.  Only a symbol whose
-    exponents are whole and at most `_DIFFERENCE_POWER` is eliminated.  d
-    stands in as a symbol named "b-a", which no model can name:
-    `differences` maps that name to the symbol and the node b - a, and
-    gains those made here."""
-    while True:
-        # atoms are numbered by key, so equal atoms are one, and a monomial
-        # hashes as small ints, not as the expressions its atoms hold
-        numbers, keys, symbols, ok, rows = {}, {}, {}, {}, []
-        for mono, c in p.items():
-            sig, ex = [], {}
-            for atom, x in mono:
-                n = numbers.get(id(atom))
-                if n is None:
-                    n = numbers[id(atom)] = keys.setdefault(_key(atom), len(keys))
-                sig.append((n, x))
-                if atom.__class__ is Sym and atom.name not in differences:
-                    symbols[atom.name] = (atom, n)
-                    ex[n] = x
-                    ok[n] = ok.get(n, True) and x.__class__ is int and 0 < x <= _DIFFERENCE_POWER
-            rows.append((c, tuple(sig), ex))
-        names = sorted(symbols)
-        best, fewest = None, len(p)
-        for i, a in enumerate(names):
-            (sa, na) = symbols[a]
-            for b in names[i + 1:]:
-                (sb, nb) = symbols[b]
-                if sa.kind is not sb.kind or not (ok[na] or ok[nb]):
-                    continue
-                for n, step in zip(_difference_counts(rows, na, nb, (ok[na], ok[nb])), ((sa, sb, -1), (sb, sa, 1))):
-                    if n is not None and n < fewest:
-                        best, fewest = step, n
-        if best is None:
-            return p
-        gone, kept, sign = best
-        a, b = sorted((gone, kept), key=_key)
-        name = f"{b.name}-{a.name}"
-        if name not in differences:
-            differences[name] = (Sym(name, a.kind), Add((_term(((a, 1),), (-1, 1)), b)))
-        # gone = kept + sign*d, raised once to each power it occurs in
-        s = {((kept, 1),): _QONE, ((differences[name][0], 1),): (sign, 1)}
-        powers, out = {}, {}
-        for mono, c in p.items():
-            x, rest = 0, mono
-            for i, (atom, k) in enumerate(mono):
-                if atom.__class__ is Sym and atom.name == gone.name:
-                    x, rest = k, mono[:i] + mono[i + 1:]
-                    break
-            if x not in powers:
-                powers[x] = _poly_int_pow(s, x)
-            _poly_mul({rest: c}, powers[x], out)
-        p = out
-
-
-def _horner(exprs: Sequence[Expr]) -> list:
-    """`exprs` with every normal-form sum of more than one term, at any
-    depth, in greedy multivariate Horner form.  The sum is first rewritten
-    over differences of state variables (`_over_differences`); each
-    difference b - a is one node of the result, shared by every form and
-    function argument of the call that holds it.  Then the atom (symbol,
-    difference, function application or opaque power) with a positive
-    integer exponent in the most monomials, the greatest `_key` among
-    equals, is factored out once, a*Q + R, and the quotient Q and remainder
-    R are rewritten alike.  A sum in which no atom occurs in two monomials,
-    or that lies `_HORNER_DEPTH` factors deep, is its terms in `Add.terms`
-    order.  Atoms match by their keys, so equal atoms count as one; the
-    arguments of functions and the bases of powers are rewritten too.  The
-    result normalizes back to each expression, and depends on nothing but
-    its expansion."""
-    # an atom recurs in many monomials, and atoms nest: each function or
-    # power node is rewritten once per depth, by (id, depth) -> (the node,
-    # its form)
-    done = {}
-    differences = {}
-
-    def form(e, depth):
-        if e._expansion is not None and len(e._expansion) > 1:
-            return split(_over_differences(e._expansion, differences), depth)
-        if isinstance(e, (Add, Mul)):
-            old = e.terms if isinstance(e, Add) else e.factors
-            new = tuple(form(c, depth) for c in old)
-            return e if all(map(operator.is_, new, old)) else type(e)(new)
-        if e.__class__ is Sym:
-            return differences[e.name][1] if e.name in differences else e
-        if not isinstance(e, (Fun, Pow)):
-            return e
-        kept = done.get((id(e), depth))
-        if kept is None:
-            inner = e.arg if isinstance(e, Fun) else e.base
-            new = form(inner, depth)
-            if new is not inner:
-                new = Fun(e.name, new) if isinstance(e, Fun) else Pow(new, e.exponent)
-            else:
-                new = e
-            kept = done[id(e), depth] = (e, new)
-        return kept[1]
-
-    def split(p, depth):
-        if len(p) == 1:
-            ((mono, c),) = p.items()
-            return form(_term(mono, c), depth)
-        uses = {}
-        if depth < _HORNER_DEPTH:
-            for mono in p:
-                for atom, x in mono:
-                    if x > 0 and x.denominator == 1:
-                        k = _key(atom)
-                        uses[k] = uses.get(k, 0) + 1
-        most = max(uses.values(), default=0)
-        if most < 2:
-            return Add(tuple(form(_term(m, p[m]), depth) for m in sorted(p, key=_mono_key)))
-        k = max(k for k, n in uses.items() if n == most)
-        quotient, rest = {}, {}
-        for mono, c in p.items():
-            for i, (atom, x) in enumerate(mono):
-                if x > 0 and x.denominator == 1 and _key(atom) == k:
-                    factor = atom
-                    lowered = mono[i + 1:] if x == 1 else ((atom, x - 1), *mono[i + 1:])
-                    quotient[mono[:i] + lowered] = c
-                    break
-            else:
-                rest[mono] = c
-        product = Mul((form(factor, depth + 1), split(quotient, depth + 1)))
-        return Add((product, split(rest, depth + 1))) if rest else product
-
-    return [form(e, 0) for e in exprs]
 
 
 def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
@@ -539,6 +338,8 @@ def numpy_eval(e: Expr, env: Mapping[str, object]):
     import numpy as np
 
     functions = {**{n: getattr(np, n) for n in _FUNCTIONS}, "pow": np.power, "__builtins__": {}}
+    from .horner import _horner
+
     f = _lambdify(_horner((e,)), None, symbols, functions)
     return f(None, [np.asarray(env[s.name]) for s in symbols])[0]
 
@@ -588,6 +389,8 @@ class FirstOrderSystem(Value):
     def _forms(self) -> list:
         """The right-hand side in the Horner form every generated function
         of the system evaluates."""
+        from .horner import _horner
+
         return _horner(self.rhs)
 
     @cached_property
@@ -1046,6 +849,8 @@ def _residual_loop(prob: "JacobiProblem", rungs: int):
         fos.base.name: "t",
     }
     used = set().union(*map(free_symbols, originals))
+    from .horner import _horner
+
     forms = _horner(originals)
     equations = _Subtrees(forms, perturbed_names)
     per_eps = []

@@ -1,13 +1,16 @@
-"""The Horner forms the code generator writes.
+"""The forms the code generator writes.
 
-`numeric._horner` rewrites every normal-form sum before `_emit` writes
-it.  Its forms must mean exactly the expressions they come from: each
-normalizes back to its source, on the compiled right-hand sides of the
-ODE corpus, on the systems of generated models and on seeded dense
-polynomials, and a compiled system evaluates as `evaluate` does.  The
-generated RK4 loop of a chain is the same text under any string hashing,
-writes no power, and does no more binary float operations than its
-Horner form took when it was introduced.
+`horner._horner` rewrites every normal-form sum over differences of state
+variables and into Horner form before `numeric._emit` writes it.  Its
+forms must mean exactly the expressions they come from: each normalizes
+back to its source, on the compiled right-hand sides of the ODE corpus, on
+the systems of generated models, on seeded dense polynomials and on
+seeded sums of powers of differences, and a compiled system evaluates as
+`evaluate` does.  A difference is one node shared by every form of a call,
+and only symbols of one kind pair up.  The generated RK4, finite-difference
+and residual loops of a chain are the same text under any string hashing,
+write no power, and do no more binary float operations than their forms
+over differences took when they were introduced.
 """
 
 import os
@@ -32,7 +35,7 @@ from deviq import (
     parse_model,
 )
 from deviq.expr import Add, Fun, Pow, Sym, SymbolKind, _key
-from deviq.numeric import _HORNER_DEPTH, _horner
+from deviq.horner import _HORNER_DEPTH, _horner
 from conftest import ODE_CORPUS, corpus_model
 
 

@@ -9,7 +9,8 @@ names, for LaTeX output.
 Generated code is defined in one place, `numeric._define`, from text that
 `numeric._emit` writes.  No module builds its classes with `dataclasses`,
 and only the package and the CLI load `numeric`, where a numeric name is
-used, so the symbolic commands start without it.  `check` decides each
+used, so the symbolic commands start without it; `numeric` loads
+`horner`, which makes the forms it writes, only with the first form.  `check` decides each
 pair by `equivalent`, which compares normal forms, so no module imports
 `random`; a cold symbolic command loads neither `random`, nor `json`, nor
 `numpy`, and neither do `simulate` and `residual`, which step and sweep
@@ -140,6 +141,20 @@ def test_numeric_imported_only_by_the_package_and_the_cli():
         if "numeric" in set(_imports(ast.parse(p.read_text())))
     }
     assert importers == {"__init__.py", "cli.py"}
+
+
+def test_forms_load_where_the_first_form_is_made():
+    """Compiling a system makes no form, so `deviq.horner`, which makes the
+    forms the code generator writes, loads only with the first of them."""
+    model = Path(deviq.__file__).parents[2] / "models" / "pendulum.eqn"
+    script = textwrap.dedent(f"""
+        import sys
+        from deviq import compile_system, deviation_equations, load_model
+        fos = compile_system(deviation_equations(load_model({str(model)!r})))
+        print("deviq.horner" in sys.modules, fos(0.0, [1.0] * fos.dimension) and "deviq.horner" in sys.modules)
+    """)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.stdout == "False True\n", res.stderr
 
 
 def test_no_module_imports_random():
