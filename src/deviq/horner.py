@@ -120,9 +120,9 @@ def _over_differences(p, differences: dict) -> dict:
         names = sorted(symbols)
         best, fewest = None, len(p)
         for i, a in enumerate(names):
-            (sa, na) = symbols[a]
+            sa, na = symbols[a]
             for b in names[i + 1:]:
-                (sb, nb) = symbols[b]
+                sb, nb = symbols[b]
                 if sa.kind is not sb.kind or not (ok[na] or ok[nb]):
                     continue
                 for n, step in zip(_difference_counts(rows, na, nb, (ok[na], ok[nb])), ((sa, sb, -1), (sb, sa, 1))):

@@ -378,11 +378,11 @@ def parse_model(text: str, order: Optional[int] = None) -> ModelFile:
                 top = max(top, spec.jet_order(s))
     minimum = {"lagrangian": 2 * top, "equation": top, "hamiltonian": 1}[kind]
     minimum = max(minimum, 1)
+    # no one place in the text sets the order, so its refusals give no position
     if order is None:
         order = minimum
     elif order < minimum:
         raise ParseError(f"--order {order} is below the inferred minimum {minimum} for this model")
-    # no one place in the text sets the order, so these refusals give no position
     try:
         spec = spec.with_order(order)
     except SpecError as ex:

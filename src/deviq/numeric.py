@@ -337,9 +337,9 @@ def numpy_eval(e: Expr, env: Mapping[str, object]):
             raise UnboundSymbolError(s.name)
     import numpy as np
 
-    functions = {**{n: getattr(np, n) for n in _FUNCTIONS}, "pow": np.power, "__builtins__": {}}
     from .horner import _horner
 
+    functions = {**{n: getattr(np, n) for n in _FUNCTIONS}, "pow": np.power, "__builtins__": {}}
     f = _lambdify(_horner((e,)), None, symbols, functions)
     return f(None, [np.asarray(env[s.name]) for s in symbols])[0]
 
@@ -387,8 +387,8 @@ class FirstOrderSystem(Value):
 
     @cached_property
     def _forms(self) -> list:
-        """The right-hand side in the Horner form every generated function
-        of the system evaluates."""
+        """The right-hand side in the form `horner._horner` makes, which
+        every generated function of the system evaluates."""
         from .horner import _horner
 
         return _horner(self.rhs)
