@@ -349,10 +349,8 @@ class BundleSpec(Value):
         return SymbolKind.FIBRE if c.mom_base is None else SymbolKind.MOMENTUM
 
     def _intern(self, c: _Coord, name: str) -> _Coord:
-        """`c` with its `Sym`, named `name`: a fibre's own is the declared one."""
-        kind = self._coord_kind(c)
-        sym = self.fibre[c.field] if kind is SymbolKind.FIBRE else Sym(name, kind)
-        object.__setattr__(c, "sym", sym)
+        """`c` with its `Sym`, named `name`."""
+        object.__setattr__(c, "sym", Sym(name, self._coord_kind(c)))
         return c
 
     def _entry(self, c: _Coord) -> _Coord:

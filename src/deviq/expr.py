@@ -152,23 +152,27 @@ class Rat(Expr):
 
 
 class Sym(Expr):
-    """A named coordinate or parameter.  Name and kind never change.  It
-    keeps its hash and its sort key `_key`, `(1, name)`, in slots: a
-    symbol is the commonest atom of a monomial, both are read at every
-    product, and an enum hashes in Python.  Neither is a field."""
+    """A named coordinate or parameter.  Name and kind never change.  There
+    is one object per class, name and kind, kept in `_made`, so a symbol
+    equals only itself and hashes by identity, in C: monomials hash their
+    atoms at every product.  Its sort key `_key`, `(1, name)`, is a slot."""
 
-    __slots__ = ("name", "kind", "_hash", "_k")
+    __slots__ = ("name", "kind", "_k")
     _fields = ("name", "kind")
+    _made = {}  # (class, name, kind) -> the symbol, for the whole process
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, name: str, kind: SymbolKind):
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "_expansion", None)
-        _set(self, "_hash", hash((name, kind)))
-        _set(self, "_k", (1, name))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, name: str, kind: SymbolKind):
+        self = cls._made.get((cls, name, kind))
+        if self is None:
+            self = object.__new__(cls)
+            _set(self, "name", name)
+            _set(self, "kind", kind)
+            _set(self, "_expansion", None)
+            _set(self, "_k", (1, name))
+            self = cls._made.setdefault((cls, name, kind), self)
+        return self
 
     def __repr__(self):
         return f"Sym({self.name})"

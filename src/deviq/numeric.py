@@ -411,13 +411,16 @@ class FirstOrderSystem(Value):
     @cached_property
     def base_part(self) -> "FirstOrderSystem":
         """The subsystem of non-vertical states (the original dynamics),
-        built once, so its RK4 loops are generated once."""
+        built once, so its RK4 loops are generated once; it takes its
+        forms from this system's, which `_horner` made alike."""
         idx = [i for i, v in enumerate(self.vertical_mask) if not v]
-        return FirstOrderSystem(
+        part = FirstOrderSystem(
             self.base,
             tuple(self.states[i] for i in idx),
             tuple(self.rhs[i] for i in idx),
         )
+        vars(part)["_forms"] = [self._forms[i] for i in idx]
+        return part
 
 
 class Trajectory:

@@ -15,6 +15,10 @@ class gets
     class whose constructor does not take exactly its fields (`Lagrangian`,
     whose order is derived) defines its own `__reduce__`.
 
+`expr.Sym` keeps one object per class, name and kind in a process-wide
+table that grows only with distinct names: a symbol equals only itself,
+hashes by identity, and its copies and pickles return that object.
+
 Attributes that are not fields (a cached expansion, a compiled system, a
 spec's memo of decoded coordinate names, a `functools.cached_property`,
 such as a generated loop) take no part in equality, hashing or repr, and

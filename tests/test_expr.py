@@ -2,8 +2,11 @@
 
 import copy
 import math
+import operator
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -299,15 +302,53 @@ def test_a_symbol_given_by_name_is_refused():
 
 
 def test_kept_symbol_key_is_not_a_field():
-    a, b = Sym("y", SymbolKind.FIBRE), Sym("y", SymbolKind.FIBRE)
+    a = Sym("y", SymbolKind.FIBRE)
     assert a._k == _key(a) == (1, "y") and Sym._fields == ("name", "kind")
-    # a wrong kept key changes nothing but the sort: not equality, hash or repr
-    object.__setattr__(b, "_k", (1, "z"))
-    assert a == b and hash(a) == hash(b) and repr(b) == "Sym(y)"
-    # copies and pickles are made anew, with their key computed again
+    assert a.__reduce__() == (Sym, ("y", SymbolKind.FIBRE))
+    # an object made past the constructor with a wrong kept key, so that no
+    # shared symbol is changed: it sorts by its key, is not the symbol it
+    # names, and its copies and pickles, which the constructor makes from
+    # the fields alone, are that symbol with its own key
+    b = object.__new__(Sym)
+    for field, value in (("name", "y"), ("kind", SymbolKind.FIBRE), ("_expansion", None), ("_k", (1, "z"))):
+        object.__setattr__(b, field, value)
+    assert _key(b) == (1, "z") and b != a and repr(b) == "Sym(y)"
     for clone in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
-        assert clone == a and hash(clone) == hash(a) and repr(clone) == "Sym(y)"
-        assert clone._k == (1, "y")
+        assert clone is a and clone._k == (1, "y")
+
+
+def test_symbol_hashes_and_compares_by_identity():
+    """A symbol is one object per class, name and kind, so it hashes and
+    compares in C, by identity; a spec's coordinates are those objects."""
+    assert Sym.__hash__ is object.__hash__ and Sym.__eq__ is object.__eq__
+    assert BundleSpec.make(["t"], ["y"]).symbol("y") is Sym("y", SymbolKind.FIBRE)
+    assert SPEC.symbol("y_tt") is Sym("y_tt", SymbolKind.JET)
+    assert Sym("y", SymbolKind.PARAMETER) is not Sym("y", SymbolKind.FIBRE)
+
+
+def test_threads_making_one_symbol_get_one_object():
+    """Threads that make the same new symbols at once, switching as often
+    as the interpreter lets them, all get the one object of each."""
+    names = [f"threaded{i}" for i in range(2000)]
+    made, start = [], threading.Barrier(8)
+
+    def make():
+        start.wait(timeout=60)
+        made.append([Sym(n, SymbolKind.FIBRE) for n in names])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(made) == 8
+    for row in made:
+        assert all(map(operator.is_, row, made[0]))
 
 
 def test_symbol_kind_hashes_by_identity():

@@ -10,9 +10,11 @@ seeded sums of powers of differences, and a compiled system evaluates as
 and only symbols of one kind pair up.  The generated RK4, finite-difference
 and residual loops of a chain are the same text under any string hashing,
 write no power, and do no more binary float operations than their forms
-over differences took when they were introduced.
+over differences took when they were introduced.  The finite-difference
+oracle's base part takes its forms from its deviation pair.
 """
 
+import operator
 import os
 import random
 import subprocess
@@ -25,6 +27,7 @@ import pytest
 import grammar
 from deviq import (
     DeviqError,
+    FirstOrderSystem,
     Mul,
     Rat,
     compile_system,
@@ -35,6 +38,7 @@ from deviq import (
     parse_model,
 )
 from deviq.expr import Add, Fun, Pow, Sym, SymbolKind, _key
+from deviq import numeric
 from deviq.horner import _HORNER_DEPTH, _horner
 from conftest import ODE_CORPUS, corpus_model
 
@@ -295,6 +299,45 @@ def test_compiled_system_evaluates_as_evaluate_does(grammar_systems):
                 assert _relative_gap(a, b) <= 1e-12, (str(e), a, b)
             compared += 1
     assert compared >= 100
+
+
+def _chain_text(family: str, n: int) -> str:
+    """A Lagrangian chain of n masses shaped like the FPU and pendulum
+    chains of `perfbench/chains.py`, with seeded rational coefficients:
+    quartic springs between neighbours and to both walls, or pendula coupled
+    by the cosines of their neighbours' differences."""
+    rng = random.Random(n)
+
+    def c():
+        return f"({rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)})"
+
+    kinetic = " + ".join(f"{c()}*q{i}_t^2" for i in range(1, n + 1))
+    if family == "fpu":
+        q = ["0", *(f"q{i}" for i in range(1, n + 1)), "0"]
+        springs = [f"({b} - {a})" for a, b in zip(q, q[1:])]
+        potential = " + ".join(f"{c()}*{d}^2 + {c()}*{d}^3 + {c()}*{d}^4" for d in springs)
+    else:
+        potential = " + ".join([*(f"{c()}*cos(q{i})" for i in range(1, n + 1)),
+                                *(f"{c()}*cos(q{i + 1} - q{i})" for i in range(1, n))])
+    fibre = " ".join(f"q{i}" for i in range(1, n + 1))
+    return f"base t\nfibre {fibre}\nlagrangian {kinetic} - ({potential})\n"
+
+
+@pytest.mark.parametrize("family,n", [("fpu", 16), ("pendulum", 8)])
+def test_base_part_takes_the_forms_of_its_pair(monkeypatch, family, n):
+    """The finite-difference oracle's base part takes the first half of its
+    deviation pair's forms rather than making them again, and generates the
+    same loop as a base system that makes its own."""
+    sources = []
+    define = numeric._define
+    monkeypatch.setattr(numeric, "_define", lambda source, env: sources.append(source) or define(source, env))
+    fos = compile_system(deviation_equations(parse_model(_chain_text(family, n))))
+    half = fos.dimension // 2
+    part = fos.base_part
+    assert part._forms == fos._forms[:half] and all(map(operator.is_, part._forms, fos._forms))
+    own = FirstOrderSystem(part.base, part.states, part.rhs)
+    assert own == part and own._fd_loop is not part._fd_loop
+    assert len(sources) == 2 and sources[0] == sources[1]
 
 
 #: prints the number of binary float operators in each generated loop of the
