@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping
 
 from .errors import DomainError, ExpansionLimitError, UnboundSymbolError
@@ -98,10 +99,17 @@ class Expr(Value):
     Nodes keep their fields in slots, as a derivation makes hundreds of
     thousands of them.  `_expansion` is the polynomial of a node built by
     `_from_poly`, else None.  It takes no part in hashing or repr, nor in
-    equality, except that two sums that both carry one compare by it.
+    equality, except that two sums that both carry one compare by it.  An
+    atom (a symbol, function application or power) is one object per key,
+    from a table that lives as long as the process and grows only with the
+    distinct atoms it makes (`Sym._made`, `_Opaque._made`).
     """
 
     __slots__ = ("_expansion",)
+
+    def __reduce__(self):
+        # a normal form copies as one, so an atom over it is the same atom
+        return Value.__reduce__(self) if self._expansion is None else (_from_poly, (self._expansion,))
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -151,28 +159,33 @@ class Rat(Expr):
         return f"Rat({self.value})"
 
 
+def _made_once(cls, key, values: tuple):
+    """The one atom of `cls` for `key`, kept in `cls._made` for the process;
+    a new one takes `values` in its fields, `_expansion` and `_memos`, else None."""
+    self = cls._made.get(key)
+    if self is None:
+        self = object.__new__(cls)
+        for name, value in zip_longest((*cls._fields, "_expansion", *cls._memos), values):
+            _set(self, name, value)
+        self = cls._made.setdefault(key, self)
+    return self
+
+
 class Sym(Expr):
-    """A named coordinate or parameter.  Name and kind never change.  There
-    is one object per class, name and kind, kept in `_made`, so a symbol
+    """A named coordinate or parameter.  Like every atom, it is one object
+    per class and key, here its name and kind, kept in `_made`, so it
     equals only itself and hashes by identity, in C: monomials hash their
     atoms at every product.  Its sort key `_key`, `(1, name)`, is a slot."""
 
     __slots__ = ("name", "kind", "_k")
     _fields = ("name", "kind")
+    _memos = ("_k",)
     _made = {}  # (class, name, kind) -> the symbol, for the whole process
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __new__(cls, name: str, kind: SymbolKind):
-        self = cls._made.get((cls, name, kind))
-        if self is None:
-            self = object.__new__(cls)
-            _set(self, "name", name)
-            _set(self, "kind", kind)
-            _set(self, "_expansion", None)
-            _set(self, "_k", (1, name))
-            self = cls._made.setdefault((cls, name, kind), self)
-        return self
+        return cls._made.get((cls, name, kind)) or _made_once(cls, (cls, name, kind), (name, kind, None, (1, name)))
 
     def __repr__(self):
         return f"Sym({self.name})"
@@ -229,19 +242,35 @@ class Mul(Expr):
 
 
 class _Opaque(Expr):
-    """A node that can be an opaque atom of a monomial, a power or a
-    function application.  Such an atom is read at every product and
-    every derivative of the expressions that hold it, so it keeps, once
-    first asked for, its sort key `_k`, its free symbols `_syms` and its
-    partials over all of them, `_parts`.  None of them is a field."""
+    """An opaque atom of a monomial, a power or a function application.
+    Like a symbol, it is one object per class and key, kept in `_made`, so
+    it equals only itself and hashes by identity.  Every product and
+    derivative over it reads its sort key `_k`, free symbols `_syms` and
+    partials over them `_parts`: none is a field, each is made once."""
 
-    __slots__ = ("_k", "_syms", "_parts")
+    __slots__ = _memos = ("_k", "_syms", "_parts")
+    _made = {}  # (class, argument's shape, tag) -> the atom, for the whole process
 
-    def _unfilled(self):
-        _set(self, "_expansion", None)
-        _set(self, "_k", None)
-        _set(self, "_syms", None)
-        _set(self, "_parts", None)
+
+def _shape(e):
+    """`e` as a key that hashes and compares in C: an atom as itself, a
+    constant as its ratio, a normal-form sum as its expansion (its terms
+    are not built), any other sum or product as its nodes in prefix order,
+    a node as its class and arity, read with a stack, not by recursion."""
+    if e.__class__ is not Add and e.__class__ is not Mul:
+        return e.value.as_integer_ratio() if e.__class__ is Rat else e
+    if e._expansion is not None and e.__class__ is Add:
+        return frozenset(e._expansion.items())
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if e.__class__ is Add and e._expansion is None or e.__class__ is Mul:
+            children = e.terms if e.__class__ is Add else e.factors
+            out.append((e.__class__, len(children)))
+            stack += reversed(children)
+        else:
+            out.append(_shape(e))
+    return tuple(out)
 
 
 class Pow(_Opaque):
@@ -249,11 +278,11 @@ class Pow(_Opaque):
 
     __slots__ = ("base", "exponent")
     _fields = ("base", "exponent")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, base: Expr, exponent: Fraction):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        self._unfilled()
+    def __new__(cls, base: Expr, exponent: Fraction):
+        return _made_once(cls, (cls, _shape(base), exponent.as_integer_ratio()), (base, exponent))
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exponent})"
@@ -265,20 +294,15 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 class Fun(_Opaque):
     """Builtin function application; `name` is one of FUNCTIONS."""
 
-    __slots__ = ("name", "arg", "_hash")
+    __slots__ = ("name", "arg")
     _fields = ("name", "arg")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, name: str, arg: Expr):
+    def __new__(cls, name: str, arg: Expr):
         if name not in FUNCTIONS:
             raise ValueError(f"unknown builtin function '{name}'")
-        _set(self, "name", name)
-        _set(self, "arg", arg)
-        self._unfilled()
-        # an atom of many monomials, hashed with them: keep its hash
-        _set(self, "_hash", hash((name, arg)))
-
-    def __hash__(self):
-        return self._hash
+        return _made_once(cls, (cls, _shape(arg), name), (name, arg))
 
     def __repr__(self):
         return f"Fun({self.name}, {self.arg!r})"
@@ -640,10 +664,13 @@ def _poly(e: Expr) -> _Poly:
                 return _atom_poly(Pow(Rat(c), q))
             if coeff == _QONE and len(mono) == 1 and mono[0][1] == 1:
                 return _atom_poly(mono[0][0], q)
-            return _opaque_pow(e, base)
-        if q.denominator == 1 and q > 0:
+        elif q.denominator == 1 and q > 0:
             return _poly_int_pow(base, int(q))
-        return _opaque_pow(e, base)
+        # an atom over the base in normal form: an integer power is an atom;
+        # b^(p/d) is the p-th power of the atom b^(1/d), so that every power
+        # of b over one denominator, and sqrt(b), shares one atom
+        root, p = (q, 1) if q.denominator == 1 else (Fraction(1, q.denominator), q.numerator)
+        return _atom_poly(Pow(_from_poly(base), root), p)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -688,22 +715,12 @@ def _check_power(e: Pow, base: _Poly) -> None:
         )
 
 
-def _opaque_pow(e: Pow, base: _Poly) -> _Poly:
-    """`e` over an atom, its base in normal form.  An integer power is an
-    atom; b^(p/d) is the p-th power of the atom b^(1/d), so that every
-    power of b over one denominator, and sqrt(b), shares one atom."""
-    q = e.exponent
-    root, p = (q, 1) if q.denominator == 1 else (Fraction(1, q.denominator), q.numerator)
-    if e.base._expansion is base and q == root:
-        return _atom_poly(e)
-    return _atom_poly(Pow(_from_poly(base), root), p)
-
-
 def _from_poly(p: _Poly) -> Expr:
     """The normal form of `p`.  A node made here carries `p`, which must
-    not be changed afterwards; an atom handed back as it is carries
-    nothing.  A sum is made without its terms: most normal forms are only
-    expanded again or printed, and `Add.terms` builds them when first read."""
+    not be changed afterwards; an atom or a power of one, shared as one
+    object per key, carries nothing.  A sum is made without its terms:
+    most normal forms are only expanded again or printed, and `Add.terms`
+    builds them when first read."""
     if len(p) > MAX_NORMAL_FORM_TERMS:
         raise ExpansionLimitError(
             f"a normal form would have {len(p)} terms, more than {MAX_NORMAL_FORM_TERMS}"
@@ -718,8 +735,8 @@ def _from_poly(p: _Poly) -> Expr:
     elif p:
         ((mono, coeff),) = p.items()
         e = _term(mono, coeff)
-        if mono and e is mono[0][0]:
-            return e  # the atom of p's one monomial, which others share
+        if isinstance(e, (Sym, _Opaque)):
+            return e
     else:
         return ZERO
     _set(e, "_expansion", p)
@@ -911,11 +928,9 @@ def _substitute(e: Expr, table) -> Expr:
         new = tuple(_substitute(t, table) for t in old)
         return e if all(a is b for a, b in zip(new, old)) else type(e)(new)
     if isinstance(e, Pow):
-        base = _substitute(e.base, table)
-        return e if base is e.base else Pow(base, e.exponent)
+        return Pow(_substitute(e.base, table), e.exponent)
     if isinstance(e, Fun):
-        arg = _substitute(e.arg, table)
-        return e if arg is e.arg else Fun(e.name, arg)
+        return Fun(e.name, _substitute(e.arg, table))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -52,18 +52,18 @@ _DIFFERENCE_POWER = 4
 _BINOMIAL = tuple(tuple(math.comb(k, i) for i in range(k + 1)) for k in range(_DIFFERENCE_POWER + 1))
 
 
-def _difference_counts(rows, a: int, b: int, which: tuple) -> tuple:
+def _difference_counts(rows, a: Sym, b: Sym, which: tuple) -> tuple:
     """The term counts of a sum once a = b - d and once b = a + d, for a
     fresh d, or None for an elimination `which` rules out.  The sum is
-    given as `rows` of (coefficient, monomial as (atom number, exponent)
-    pairs, the exponent of each symbol by number).  Monomials that agree
-    past a and b form a group, and only a group of two or more can merge
-    or cancel terms."""
+    given as `rows` of (coefficient, monomial, the exponent of each
+    symbol).  Monomials that agree past a and b form a group, and only a
+    group of two or more can merge or cancel terms.  Atoms are one object
+    per key, so they match by identity."""
     groups = {}
     for c, mono, ex in rows:
         ka, kb = ex.get(a, 0), ex.get(b, 0)
         if ka or kb:
-            mono = tuple(pair for pair in mono if pair[0] != a and pair[0] != b)
+            mono = tuple(pair for pair in mono if pair[0] is not a and pair[0] is not b)
         groups.setdefault(mono, []).append((ka, kb, c))
     counts = []
     for gone, sign in zip(which, (-1, 1)):
@@ -102,30 +102,22 @@ def _over_differences(p, differences: dict) -> dict:
     `differences` maps that name to the symbol and the node b - a, and
     gains those made here."""
     while True:
-        # atoms are numbered by key, so equal atoms are one, and a monomial
-        # hashes as small ints, not as the expressions its atoms hold
-        numbers, keys, symbols, ok, rows = {}, {}, {}, {}, []
+        symbols, ok, rows = {}, {}, []
         for mono, c in p.items():
-            sig, ex = [], {}
+            ex = {}
             for atom, x in mono:
-                n = numbers.get(id(atom))
-                if n is None:
-                    n = numbers[id(atom)] = keys.setdefault(_key(atom), len(keys))
-                sig.append((n, x))
                 if atom.__class__ is Sym and atom.name not in differences:
-                    symbols[atom.name] = (atom, n)
-                    ex[n] = x
-                    ok[n] = ok.get(n, True) and x.__class__ is int and 0 < x <= _DIFFERENCE_POWER
-            rows.append((c, tuple(sig), ex))
-        names = sorted(symbols)
+                    symbols[atom.name] = atom
+                    ex[atom] = x
+                    ok[atom] = ok.get(atom, True) and x.__class__ is int and 0 < x <= _DIFFERENCE_POWER
+            rows.append((c, mono, ex))
+        atoms = [symbols[name] for name in sorted(symbols)]
         best, fewest = None, len(p)
-        for i, a in enumerate(names):
-            sa, na = symbols[a]
-            for b in names[i + 1:]:
-                sb, nb = symbols[b]
-                if sa.kind is not sb.kind or not (ok[na] or ok[nb]):
+        for i, sa in enumerate(atoms):
+            for sb in atoms[i + 1:]:
+                if sa.kind is not sb.kind or not (ok[sa] or ok[sb]):
                     continue
-                for n, step in zip(_difference_counts(rows, na, nb, (ok[na], ok[nb])), ((sa, sb, -1), (sb, sa, 1))):
+                for n, step in zip(_difference_counts(rows, sa, sb, (ok[sa], ok[sb])), ((sa, sb, -1), (sb, sa, 1))):
                     if n is not None and n < fewest:
                         best, fewest = step, n
         if best is None:
@@ -161,13 +153,12 @@ def _horner(exprs: Sequence[Expr]) -> list:
     equals, is factored out once, a*Q + R, and the quotient Q and remainder
     R are rewritten alike.  A sum in which no atom occurs in two monomials,
     or that lies `_HORNER_DEPTH` factors deep, is its terms in `Add.terms`
-    order.  Atoms match by their keys, so equal atoms count as one; the
+    order.  An atom is one object per key, so equal atoms count as one; the
     arguments of functions and the bases of powers are rewritten too.  The
     result normalizes back to each expression, and depends on nothing but
     its expansion."""
     # an atom recurs in many monomials, and atoms nest: each function or
-    # power node is rewritten once per depth, by (id, depth) -> (the node,
-    # its form)
+    # power node is rewritten once per depth, by (node, depth) -> its form
     done = {}
     differences = {}
 
@@ -182,16 +173,11 @@ def _horner(exprs: Sequence[Expr]) -> list:
             return differences[e.name][1] if e.name in differences else e
         if not isinstance(e, (Fun, Pow)):
             return e
-        kept = done.get((id(e), depth))
-        if kept is None:
-            inner = e.arg if isinstance(e, Fun) else e.base
-            new = form(inner, depth)
-            if new is not inner:
-                new = Fun(e.name, new) if isinstance(e, Fun) else Pow(new, e.exponent)
-            else:
-                new = e
-            kept = done[id(e), depth] = (e, new)
-        return kept[1]
+        new = done.get((e, depth))
+        if new is None:
+            arg = form(e.arg if isinstance(e, Fun) else e.base, depth)
+            new = done[e, depth] = Fun(e.name, arg) if isinstance(e, Fun) else Pow(arg, e.exponent)
+        return new
 
     def split(p, depth):
         if len(p) == 1:
@@ -202,17 +188,15 @@ def _horner(exprs: Sequence[Expr]) -> list:
             for mono in p:
                 for atom, x in mono:
                     if x > 0 and x.denominator == 1:
-                        k = _key(atom)
-                        uses[k] = uses.get(k, 0) + 1
+                        uses[atom] = uses.get(atom, 0) + 1
         most = max(uses.values(), default=0)
         if most < 2:
             return Add(tuple(form(_term(m, p[m]), depth) for m in sorted(p, key=_mono_key)))
-        k = max(k for k, n in uses.items() if n == most)
+        factor = max((atom for atom, n in uses.items() if n == most), key=_key)
         quotient, rest = {}, {}
         for mono, c in p.items():
             for i, (atom, x) in enumerate(mono):
-                if x > 0 and x.denominator == 1 and _key(atom) == k:
-                    factor = atom
+                if atom is factor and x > 0 and x.denominator == 1:
                     lowered = mono[i + 1:] if x == 1 else ((atom, x - 1), *mono[i + 1:])
                     quotient[mono[:i] + lowered] = c
                     break

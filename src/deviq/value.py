@@ -15,9 +15,10 @@ class gets
     class whose constructor does not take exactly its fields (`Lagrangian`,
     whose order is derived) defines its own `__reduce__`.
 
-`expr.Sym` keeps one object per class, name and kind in a process-wide
-table that grows only with distinct names: a symbol equals only itself,
-hashes by identity, and its copies and pickles return that object.
+`expr.Sym`, `expr.Fun` and `expr.Pow` keep one object per class and key
+in process-wide tables that grow only with distinct atoms: an atom equals
+only itself, hashes by identity, and its copies and pickles return that
+object.  An expression in normal form copies and pickles as one.
 
 Attributes that are not fields (a cached expansion, a compiled system, a
 spec's memo of decoded coordinate names, a `functools.cached_property`,

@@ -331,6 +331,25 @@ def test_long_products_and_quotients_are_flattened(tmp_path):
         assert res.stdout.startswith("δ(VL) = V(δL): PASS (2 pairs)\n")
 
 
+def test_powers_and_functions_of_long_sums_are_made_without_recursion(tmp_path):
+    """A power or a function of a sum of 1500 terms, which the parser
+    nests 1500 levels deep, derives and checks without a recursion
+    error: the atom over it is keyed with a stack."""
+    src = tmp_path / "long.eqn"
+    total = " + ".join(["y"] * 1500)
+    for atom, equation in (
+        ("({})^2", "-4500000*y - y_tt = 0"),
+        ("({})^(-1)", "1/(1500*y^2) - y_tt = 0"),
+        ("sin({})", "-y_tt - 1500*cos(1500*y) = 0"),
+    ):
+        src.write_text(f"base t\nfibre y\nlagrangian 0.5*y_t^2 - {atom.format(total)}\n")
+        res = run_cli("derive", src)
+        assert (res.returncode, res.stdout, res.stderr) == (0, equation + "\n", ""), atom
+        res = run_cli("check", src)
+        assert (res.returncode, res.stderr) == (0, ""), atom
+        assert res.stdout.startswith("δ(VL) = V(δL): PASS (2 pairs)\n"), atom
+
+
 def write_console_script(bin_dir, name, target):
     """Write the launcher an installer writes for ``name = target``.
 

@@ -238,19 +238,32 @@ def _reference_mono_mul(a, b):
     return tuple(items)
 
 
+def _twin(atom):
+    """A second object of `atom`'s class and fields, made past the table
+    of atoms, with nothing kept: it has the atom's key but is not it."""
+    twin = object.__new__(type(atom))
+    for name in ("_expansion", "_k", "_syms", "_parts"):
+        object.__setattr__(twin, name, None)
+    for name in atom._fields:
+        object.__setattr__(twin, name, getattr(atom, name))
+    assert twin is not atom and _key(twin) == _key(atom)
+    return twin
+
+
 def test_merged_monomial_product_is_the_dict_product():
     """`_mono_mul` merges its sorted inputs; on seeded random monomials it
     gives the same pairs, exponent types and atom objects as the old
     product through a dict and a sort."""
     sums = normalize(Y + 1), normalize(Y + U)
-    # each inner list holds distinct objects of one key
+    # each inner list holds objects of one key: an atom made twice is one
+    # object, and its twin made past the table a second one
     classes = [
         [SPEC.symbol(name) for _ in range(2)] for name in ("t", "u", "y", "y_t")
     ] + [
-        [Fun("sin", Y), Fun("sin", SPEC.symbol("y"))],
-        [Fun("cos", sums[0]), Fun("cos", normalize(1 + Y))],
+        [Fun("sin", Y), _twin(Fun("sin", SPEC.symbol("y")))],
+        [Fun("cos", sums[0]), _twin(Fun("cos", normalize(1 + Y)))],
         [Fun("exp", U)],
-        [Pow(sums[0], Fraction(1, 2)), Pow(normalize(1 + Y), Fraction(1, 2))],
+        [Pow(sums[0], Fraction(1, 2)), _twin(Pow(normalize(1 + Y), Fraction(1, 2)))],
         [Pow(sums[1], Fraction(-1))],
         [Pow(Fun("tan", Y), Fraction(1, 3))],
     ]

@@ -1,7 +1,6 @@
 """Rendering: DSL text round trips, LaTeX conventions, JSON schema, and
 the one term writer that a normal form's expansion and a tree both feed."""
 
-import copy
 import json
 import random
 import sys
@@ -174,9 +173,9 @@ def test_expansion_and_tree_write_the_same_bytes():
                 if e._expansion is None:
                     continue
                 written = to_text(e), to_latex(e, system.spec)
-                # a copy is made anew by its constructor, without the
-                # expansion: `Add(e.terms)` for a sum
-                tree = copy.copy(e)
+                # made anew by its constructor, without the expansion:
+                # `Add(e.terms)` for a sum
+                tree = type(e)(*(getattr(e, f) for f in e._fields))
                 assert tree == e and tree._expansion is None, i
                 assert (to_text(tree), to_latex(tree, system.spec)) == written, i
                 compared += 1

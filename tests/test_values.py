@@ -3,8 +3,9 @@
 Each record compares equal exactly to an instance of its own class with
 equal fields, hashes like the tuple of its fields (so sets and dicts keep
 their order), refuses assignment, takes its fields by position or keyword
-and has a fixed repr.  A symbol is the one object of its class, name and
-kind, so it is that instance and hashes by identity.
+and has a fixed repr.  A symbol, a function application and a power are
+atoms: each is the one object of its class and key, so it is that
+instance and hashes by identity, and its copies and pickles are it.
 """
 
 import copy
@@ -65,6 +66,7 @@ EQUAL_REPR = "EquivalenceResult(verdict='equal', reason='normal forms coincide')
 PAIR = PairCheck("y vs y", Y, Y, EQUAL)
 PAIR_REPR = f"PairCheck(label='y vs y', left=Sym(y), right=Sym(y), result={EQUAL_REPR})"
 FLOW = deviation_system(EquationSystem((Y_T + Y,), SPEC))
+ATOMS = (Sym, Pow, Fun)
 
 #: (class, constructor arguments by keyword, stored field names, repr)
 ROWS = [
@@ -160,15 +162,15 @@ ROWS = [
 def test_value_semantics(cls, kwargs, fields, text):
     x = cls(*kwargs.values())
     y = cls(**kwargs)
-    # a symbol is one object per class, name and kind; other records are made anew
-    assert x == y and not x != y and (x is y) == (cls is Sym)
+    # an atom is one object per class and key; other records are made anew
+    assert x == y and not x != y and (x is y) == (cls in ATOMS)
     twin = type("Twin", (cls,), {})(**kwargs)
     assert x != twin and twin != x
-    assert (type(twin)(**kwargs) is twin) == (cls is Sym)
+    assert (type(twin)(**kwargs) is twin) == (cls in ATOMS)
 
     values = tuple(getattr(x, f) for f in fields)
     try:
-        expected = object.__hash__(x) if cls is Sym else hash(values)
+        expected = object.__hash__(x) if cls in ATOMS else hash(values)
     except TypeError:  # a dict field leaves the record unhashable too
         with pytest.raises(TypeError):
             hash(x)
@@ -185,7 +187,7 @@ def test_value_semantics(cls, kwargs, fields, text):
     # copies and pickles are built anew by the constructor from the fields
     for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(clone) is cls and clone == x and repr(clone) == text
-        assert (clone is x) == (cls is Sym)
+        assert (clone is x) == (cls in ATOMS)
 
 
 @pytest.mark.parametrize("make,field,default", [
@@ -267,6 +269,47 @@ def test_copies_and_pickles_keep_value_and_hash():
         sym, fun = pickle.loads(out)
         assert sym is Y and fun.arg is Y
         assert fun == Fun("cos", Y) and hash(fun) == hash(Fun("cos", Y))
+
+
+#: makes a function and a power atom over normal-form sums and a normal
+#: form holding both, here and in a child process
+MAKE_ATOMS = """
+from fractions import Fraction
+from deviq import Fun, Pow, Sym, SymbolKind, normalize
+y, y_t = Sym("y", SymbolKind.FIBRE), Sym("y_t", SymbolKind.JET)
+fun = Fun("cos", normalize(y - y_t))
+power = Pow(normalize(y + 1), Fraction(-1))
+form = normalize(fun * power + Fun("sin", y) * y_t + y ** Fraction(1, 2))
+made = (fun, power, form)
+"""
+
+
+def test_atoms_copy_and_pickle_to_the_one_object():
+    """Copies, deep copies and pickles of a function and a power atom, and
+    of a normal form holding both, made here or under two string hash
+    seeds, bring back each atom as this process's one object, and the
+    normal form equal, over the same atoms."""
+    scope = {}
+    exec(MAKE_ATOMS, scope)
+    made = fun, power, form = scope["made"]
+    atoms = {id(a): a for mono in form._expansion for a, _ in mono if isinstance(a, (Fun, Pow))}
+    assert fun in atoms.values() and power in atoms.values() and len(atoms) == 3
+
+    def same(clones):
+        c_fun, c_power, c_form = clones
+        assert c_fun is fun and c_power is power
+        assert c_form == form and c_form._expansion is not None
+        for mono, c in c_form._expansion.items():
+            assert form._expansion[mono] == c
+            assert all(a is atoms[id(a)] for a, _ in mono if isinstance(a, (Fun, Pow)))
+
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        same([clone(x) for x in made])
+    script = MAKE_ATOMS + "import pickle, sys; sys.stdout.buffer.write(pickle.dumps(made))"
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True).stdout
+        same(pickle.loads(out))
 
 
 def _outputs(prob):
