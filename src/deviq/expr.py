@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Mapping
 
 from .errors import DomainError, ExpansionLimitError, UnboundSymbolError
@@ -100,9 +99,11 @@ class Expr(Value):
     thousands of them.  `_expansion` is the polynomial of a node built by
     `_from_poly`, else None.  It takes no part in hashing or repr, nor in
     equality, except that two sums that both carry one compare by it.  An
-    atom (a symbol, function application or power) is one object per key,
-    from a table that lives as long as the process and grows only with the
-    distinct atoms it makes (`Sym._made`, `_Opaque._made`).
+    atom (symbol, function application or power) is one object per key,
+    from a table never cleared that grows with each distinct atom made
+    (`Sym._made`, `_Opaque._made`).  An argument keys by its expansion or
+    else its tree, so `Fun("cos", s)` is not `Fun("cos", Add(s.terms))`,
+    though `s == Add(s.terms)`.
     """
 
     __slots__ = ("_expansion",)
@@ -159,23 +160,24 @@ class Rat(Expr):
         return f"Rat({self.value})"
 
 
-def _made_once(cls, key, values: tuple):
-    """The one atom of `cls` for `key`, kept in `cls._made` for the process;
-    a new one takes `values` in its fields, `_expansion` and `_memos`, else None."""
+def _made_once(cls, key, values: tuple, **kept):
+    """The one atom of `cls` for `key`, kept in `cls._made`: a new one takes
+    `values` in its fields, `kept` or None in `_expansion` and `_memos`."""
     self = cls._made.get(key)
     if self is None:
         self = object.__new__(cls)
-        for name, value in zip_longest((*cls._fields, "_expansion", *cls._memos), values):
+        for name, value in zip(cls._fields, values):
             _set(self, name, value)
+        for name in ("_expansion", *cls._memos):
+            _set(self, name, kept.get(name))
         self = cls._made.setdefault(key, self)
     return self
 
 
 class Sym(Expr):
-    """A named coordinate or parameter.  Like every atom, it is one object
-    per class and key, here its name and kind, kept in `_made`, so it
-    equals only itself and hashes by identity, in C: monomials hash their
-    atoms at every product.  Its sort key `_key`, `(1, name)`, is a slot."""
+    """A named coordinate or parameter: an atom, one object per class, name
+    and kind, that hashes and compares by identity, in C, as monomials hash
+    their atoms at every product.  Its sort key, `(1, name)`, is kept."""
 
     __slots__ = ("name", "kind", "_k")
     _fields = ("name", "kind")
@@ -185,7 +187,7 @@ class Sym(Expr):
     __hash__ = object.__hash__
 
     def __new__(cls, name: str, kind: SymbolKind):
-        return cls._made.get((cls, name, kind)) or _made_once(cls, (cls, name, kind), (name, kind, None, (1, name)))
+        return _made_once(cls, (cls, name, kind), (name, kind), _k=(1, name))
 
     def __repr__(self):
         return f"Sym({self.name})"
@@ -242,11 +244,10 @@ class Mul(Expr):
 
 
 class _Opaque(Expr):
-    """An opaque atom of a monomial, a power or a function application.
-    Like a symbol, it is one object per class and key, kept in `_made`, so
-    it equals only itself and hashes by identity.  Every product and
-    derivative over it reads its sort key `_k`, free symbols `_syms` and
-    partials over them `_parts`: none is a field, each is made once."""
+    """An opaque atom of a monomial, a power or a function application, one
+    object per class and key, as a symbol is.  Every product and derivative
+    over it reads its sort key `_k`, free symbols `_syms` and partials over
+    them `_parts`: none is a field, each is made once."""
 
     __slots__ = _memos = ("_k", "_syms", "_parts")
     _made = {}  # (class, argument's shape, tag) -> the atom, for the whole process
@@ -717,10 +718,9 @@ def _check_power(e: Pow, base: _Poly) -> None:
 
 def _from_poly(p: _Poly) -> Expr:
     """The normal form of `p`.  A node made here carries `p`, which must
-    not be changed afterwards; an atom or a power of one, shared as one
-    object per key, carries nothing.  A sum is made without its terms:
-    most normal forms are only expanded again or printed, and `Add.terms`
-    builds them when first read."""
+    not be changed afterwards; an atom, one object per key, carries
+    nothing.  A sum is made without its terms: most normal forms are only
+    expanded again or printed, and `Add.terms` builds them when first read."""
     if len(p) > MAX_NORMAL_FORM_TERMS:
         raise ExpansionLimitError(
             f"a normal form would have {len(p)} terms, more than {MAX_NORMAL_FORM_TERMS}"

@@ -16,9 +16,9 @@ class gets
     whose order is derived) defines its own `__reduce__`.
 
 `expr.Sym`, `expr.Fun` and `expr.Pow` keep one object per class and key
-in process-wide tables that grow only with distinct atoms: an atom equals
-only itself, hashes by identity, and its copies and pickles return that
-object.  An expression in normal form copies and pickles as one.
+in process-wide tables, never cleared, that grow with every distinct atom
+a process makes: an atom equals only itself, hashes by identity, and its
+copies and pickles return that object.  A normal form copies as one.
 
 Attributes that are not fields (a cached expansion, a compiled system, a
 spec's memo of decoded coordinate names, a `functools.cached_property`,

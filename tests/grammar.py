@@ -43,10 +43,11 @@ def random_expr(rng: random.Random, atoms, depth: int = DEPTH) -> str:
     return f"({a}) {op} ({b})" if op == "+" else f"({a}){op}({b})"
 
 
-def random_model(rng: random.Random, depth: int = DEPTH) -> str:
+def random_model(rng: random.Random, depth: int = DEPTH, fields=FIELDS) -> str:
     """The text of one model: Lagrangian of order 1, of order 2, or
-    Hamiltonian, in equal shares, its two expressions `depth` deep."""
-    fields = rng.choice(FIELDS)
+    Hamiltonian, in equal shares, its two expressions `depth` deep.  Its
+    fields are one of the two choices of `fields`."""
+    fields = rng.choice(fields)
     kind, order = rng.choice(FORMS)
     if kind == "hamiltonian":
         atoms = [*fields, *(f"pt_{f}" for f in fields)]

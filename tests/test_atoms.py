@@ -164,10 +164,10 @@ def test_a_chain_takes_each_chain_rule_once_and_builds_no_terms_for_an_atom(monk
         return chain_rule(atom)
 
     def counted(make):
-        def making_one(*args):
+        def making_one(*args, **kwargs):
             making.append(make)
             try:
-                return make(*args)
+                return make(*args, **kwargs)
             finally:
                 making.pop()
         return making_one
