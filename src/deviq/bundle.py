@@ -440,7 +440,7 @@ class BundleSpec(Value):
             raise SpecError(f"multi-index {index} exceeds base dimension {self.n}")
         idx = MultiIndex(c.index.entries + index.entries)
         if idx.order > self.order:
-            raise OrderOverflowError(_sym_name(sym), idx.order)
+            raise OrderOverflowError(_sym_name(sym), self.order)
         return self._entry(_Coord(c.field, idx, c.vertical, c.mom_base)).sym
 
     def momentum(self, lam, fld, vertical: bool = False) -> Sym:

@@ -113,25 +113,25 @@ class Expr(Value):
         return Value.__reduce__(self) if self._expansion is None else (_from_poly, (self._expansion,))
 
     def __add__(self, other):
-        return Add((self, as_expr(other)))
+        return Add((*_chain(self, Add), as_expr(other)))
 
     def __radd__(self, other):
         return Add((as_expr(other), self))
 
     def __sub__(self, other):
-        return Add((self, Mul((Rat(Fraction(-1)), as_expr(other)))))
+        return Add((*_chain(self, Add), -as_expr(other)))
 
     def __rsub__(self, other):
-        return Add((as_expr(other), Mul((Rat(Fraction(-1)), self))))
+        return Add((as_expr(other), -self))
 
     def __mul__(self, other):
-        return Mul((self, as_expr(other)))
+        return Mul((*_chain(self, Mul), as_expr(other)))
 
     def __rmul__(self, other):
         return Mul((as_expr(other), self))
 
     def __truediv__(self, other):
-        return Mul((self, Pow(as_expr(other), Fraction(-1))))
+        return Mul((*_chain(self, Mul), as_expr(other) ** -1))
 
     def __rtruediv__(self, other):
         return Mul((as_expr(other), Pow(self, Fraction(-1))))
@@ -144,6 +144,15 @@ class Expr(Value):
 
     def __str__(self):
         return to_text(self)
+
+
+def _chain(e: Expr, cls) -> tuple:
+    """The operands `e` gives the `cls` node of a `+` or `*` it is the left
+    operand of: its own terms or factors when it is such a node without an
+    expansion, so a + b + c is one sum; else `e` alone."""
+    if e.__class__ is cls and e._expansion is None:
+        return e.terms if cls is Add else e.factors
+    return (e,)
 
 
 class Rat(Expr):
@@ -256,22 +265,15 @@ class _Opaque(Expr):
 def _shape(e):
     """`e` as a key that hashes and compares in C: an atom as itself, a
     constant as its ratio, a normal-form sum as its expansion (its terms
-    are not built), any other sum or product as its nodes in prefix order,
-    a node as its class and arity, read with a stack, not by recursion."""
-    if e.__class__ is not Add and e.__class__ is not Mul:
-        return e.value.as_integer_ratio() if e.__class__ is Rat else e
-    if e._expansion is not None and e.__class__ is Add:
+    are not built), any other sum or product as its class and the shapes
+    of its children."""
+    if e.__class__ is Rat:
+        return e.value.as_integer_ratio()
+    if e.__class__ is Add and e._expansion is not None:
         return frozenset(e._expansion.items())
-    out, stack = [], [e]
-    while stack:
-        e = stack.pop()
-        if e.__class__ is Add and e._expansion is None or e.__class__ is Mul:
-            children = e.terms if e.__class__ is Add else e.factors
-            out.append((e.__class__, len(children)))
-            stack += reversed(children)
-        else:
-            out.append(_shape(e))
-    return tuple(out)
+    if e.__class__ is Add or e.__class__ is Mul:
+        return (e.__class__, *map(_shape, e.terms if e.__class__ is Add else e.factors))
+    return e
 
 
 class Pow(_Opaque):
@@ -426,9 +428,10 @@ _CONSTANT_BOUND = 10**MAX_CONSTANT_DIGITS
 
 #: The model parser refuses with ParseError an expression nested deeper
 #: than this; a parenthesis, a function call, a unary sign and the
-#: exponent of a `^` each open a level.  Normalization and the
-#: derivatives recurse through the tree, so a deep one would pass
-#: Python's recursion limit, and the chain rule makes the work of nested
+#: exponent of a `^` each open a level, while a chain of `+` and `-`, or
+#: of `*` and `/`, is one node, so no tree it makes is deeper.  Every
+#: walk recurses through the tree, so a deep one would pass Python's
+#: recursion limit, and the chain rule makes the work of nested
 #: functions double about every 10 levels: on cos nested MAX_NESTING
 #: deep, `check` takes under 1 s and `simulate` over its default window
 #: about 2 s, like the largest expansion, (y + 1)^499.
@@ -604,27 +607,22 @@ def _poly(e: Expr) -> _Poly:
         return _rat_poly(e.value)
     if isinstance(e, Sym):
         return _atom_poly(e)
-    if isinstance(e, (Add, Mul)):
-        # nested sums and products (the parser builds a + b + c and a*b*c
-        # left-deep) are walked with a stack, not a recursion per level; a
-        # sum adds its terms into one dict, so no partial sum is copied
-        kind = type(e)
-        out: _Poly = {} if kind is Add else {(): _QONE}
-        stack = [e]
-        while stack:
-            t = stack.pop()
-            if type(t) is kind and t._expansion is None:
-                stack.extend(reversed(t.terms if kind is Add else t.factors))
-            elif kind is Mul:
-                out = _poly_mul(out, _poly(t))
-            else:
-                for mono, c in _poly(t).items():
-                    if (v := out.get(mono)) is None:
-                        out[mono] = c
-                    elif v := _qadd(v, c):
-                        out[mono] = v
-                    else:
-                        del out[mono]
+    if isinstance(e, Add):
+        # the terms are added into one dict, so no partial sum is copied
+        out: _Poly = {}
+        for t in e.terms:
+            for mono, c in _poly(t).items():
+                if (v := out.get(mono)) is None:
+                    out[mono] = c
+                elif v := _qadd(v, c):
+                    out[mono] = v
+                else:
+                    del out[mono]
+        return out
+    if isinstance(e, Mul):
+        out = {(): _QONE}
+        for f in e.factors:
+            out = _poly_mul(out, _poly(f))
         return out
     if isinstance(e, Fun):
         if e.name == "sqrt":

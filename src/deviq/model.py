@@ -39,8 +39,10 @@ from .expr import (
     FUNCTIONS,
     MAX_CONSTANT_DIGITS,
     MAX_NESTING,
+    Add,
     Expr,
     Fun,
+    Mul,
     Pow,
     Rat,
     SymbolKind,
@@ -150,20 +152,20 @@ class _ExprParser:
         return e
 
     def expr(self) -> Expr:
-        out = self.term()
+        """A chain of terms joined by '+' and '-', made one sum."""
+        terms = [self.term()]
         while (op := self.tokens[self.pos][1]) == "+" or op == "-":
             self.pos += 1
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            terms.append(self.term() if op == "+" else -self.term())
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expr:
-        out = self.unary()
+        """A chain of factors joined by '*' and '/', made one product."""
+        factors = [self.unary()]
         while (op := self.tokens[self.pos][1]) == "*" or op == "/":
             self.pos += 1
-            rhs = self.unary()
-            out = out * rhs if op == "*" else out / rhs
-        return out
+            factors.append(self.unary() if op == "*" else self.unary() ** -1)
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def unary(self) -> Expr:
         tok = self.tokens[self.pos]

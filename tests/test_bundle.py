@@ -76,6 +76,10 @@ def test_unknown_and_overflow():
     with pytest.raises(OrderOverflowError):
         spec = MECH.with_order(1)
         spec.jet(spec.symbol("y_t"), MultiIndex((0,)))
+    # the message and `.order` name the spec's order, not the one asked for
+    with pytest.raises(OrderOverflowError, match="^total derivative of 'y_tt' exceeds the tracked jet order 2$") as info:
+        total_derivative(S(MECH, "y_tt"), "t", MECH)
+    assert (info.value.coordinate, info.value.order) == ("y_tt", 2)
 
 
 def test_spec_validation():

@@ -319,8 +319,8 @@ def test_tampered_vertical_density_fails_check(monkeypatch, capsys, module, name
 
 
 def test_long_products_and_quotients_are_flattened(tmp_path):
-    """A product or quotient of 1500 factors, which the parser nests
-    1500 levels deep, derives and checks without a recursion error."""
+    """A product or quotient of 1500 factors, which the parser makes one
+    node, derives and checks without a recursion error."""
     src = tmp_path / "long.eqn"
     for op, derivative in (("*", "-1500*y^1499"), ("/", "1498/y^1499")):
         src.write_text("base t\nfibre y\nlagrangian 0.5*y_t^2 - " + op.join(["y"] * 1500) + "\n")
@@ -333,8 +333,7 @@ def test_long_products_and_quotients_are_flattened(tmp_path):
 
 def test_powers_and_functions_of_long_sums_are_made_without_recursion(tmp_path):
     """A power or a function of a sum of 1500 terms, which the parser
-    nests 1500 levels deep, derives and checks without a recursion
-    error: the atom over it is keyed with a stack."""
+    makes one node, derives and checks without a recursion error."""
     src = tmp_path / "long.eqn"
     total = " + ".join(["y"] * 1500)
     for atom, equation in (
@@ -348,6 +347,29 @@ def test_powers_and_functions_of_long_sums_are_made_without_recursion(tmp_path):
         res = run_cli("check", src)
         assert (res.returncode, res.stderr) == (0, ""), atom
         assert res.stdout.startswith("δ(VL) = V(δL): PASS (2 pairs)\n"), atom
+
+
+LONG_SUM = " + ".join(["y"] * 200)
+
+
+@pytest.mark.parametrize("payload,code,message", [
+    ("ln(" + " + ".join(["0*y"] * 200) + ")", 3,
+     "deviq: numeric failure: logarithm of zero in subexpression 'ln({})'"),
+    (f"({LONG_SUM} + 1)^600", 2, "deviq: error: '({} + 1)^600' would expand to more than 500 terms"),
+    (f"1/(({LONG_SUM}) - ({LONG_SUM}))", 3,
+     "deviq: numeric failure: zero raised to a negative power in subexpression '1/(({}) - ({}))'"),
+], ids=["ln", "power", "quotient"])
+def test_a_refused_long_chain_is_named_as_written(tmp_path, capsys, payload, code, message):
+    """Every command refuses a model whose fault lies over a chain of 200
+    terms in one line that names the subexpression as written: a chain
+    is one node, so no walk over it passes the recursion limit and no
+    parentheses are added."""
+    src = tmp_path / "long.eqn"
+    src.write_text(f"base t\nfibre y\nlagrangian y_t^2/2 + {payload}\n")
+    chain = " + ".join(["0*y"] * 200) if payload.startswith("ln") else LONG_SUM
+    for command in ("derive", "deviate", "check"):
+        assert deviq.cli.main([command, str(src)]) == code
+        assert capsys.readouterr() == ("", message.replace("{}", chain) + "\n")
 
 
 def write_console_script(bin_dir, name, target):

@@ -70,6 +70,21 @@ PRODUCTS = tuple(
 #: the largest power of a sum a model may expand
 LARGEST_EXPANSION = "base t\nfibre y\nlagrangian 0.5*y_t^2 + (y+1)^499\n"
 
+#: chains of 500 terms, each one sum: a fault over one is named in one
+#: line, with no recursion error.  While a test runs, Hypothesis sets the
+#: recursion limit about 2000 frames above the test's depth, which a
+#: walk through a sum nested one level per term passes only past about
+#: 300 terms; the command line fails at 150.
+LONG_SUM = " + ".join(["y"] * 500)
+CHAINS = tuple(
+    f"base t\nfibre y\nlagrangian y_t^2/2 + {payload}\n"
+    for payload in (
+        "ln(" + " + ".join(["0*y"] * 500) + ")",
+        f"({LONG_SUM} + 1)^600",
+        f"1/(({LONG_SUM}) - ({LONG_SUM}))",
+    )
+)
+
 WINDOW_VALUES = ("0", "0.1", "1", "-1", "1e12", "1e-300", "nan", "inf", "-inf", "x")
 
 
@@ -133,6 +148,9 @@ def run_main(text, argv):
 @example(text=SWELL, argv=["check"])
 @example(text=PRODUCTS[0], argv=["derive"])
 @example(text=PRODUCTS[1], argv=["derive"])
+@example(text=CHAINS[0], argv=["derive"])
+@example(text=CHAINS[1], argv=["derive"])
+@example(text=CHAINS[2], argv=["derive"])
 def test_exit_code_contract(text, argv):
     code, err = run_main(text, argv)
     if text == SWELL or text in PRODUCTS:

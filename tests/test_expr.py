@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deviq import (
+    Add,
     BundleSpec,
     DomainError,
     ExpansionLimitError,
@@ -448,6 +449,33 @@ def test_to_text_shapes():
     assert to_text(normalize(Y - U)) == "-u + y"
     assert to_text(normalize(Pow(Y, Fraction(-1)))) == "1/y"
     assert to_text(normalize(Fun("sin", Y + 1))) == "sin(1 + y)"
+
+
+def test_a_chain_is_one_node():
+    """`+`, `-`, `*` and `/` extend a sum or product without an expansion
+    that is their left operand, so a chain is one node, no deeper than
+    its parentheses, and every walk over a 3000-term `sum()` finishes."""
+    assert (Y + U + T).terms == (Y, U, T)
+    assert (Y - U - T).terms == (Y, -U, -T)
+    assert (Y * U / T).factors == (Y, U, T**-1)
+    # a right operand keeps its node, and a normal form its expansion
+    inner = U + T
+    assert (Y + inner).terms == (Y, inner) and (Y * (U * T)).factors == (Y, U * T)
+    for n in (normalize(Y + U), normalize(2 * Y)):
+        spliced = n + T if isinstance(n, Add) else n * T
+        assert (spliced.terms if isinstance(n, Add) else spliced.factors) == (n, T)
+        assert n._expansion is not None
+    s = sum(k * (Y, U, T)[k % 3] for k in range(3000))
+    assert len(s.terms) == 3001  # the 0 that `sum` starts from, then one term each
+    want = {x: sum(range(i, 3000, 3)) for i, x in enumerate((Y, U, T))}
+    n = normalize(s)
+    assert n == normalize(sum(c * x for x, c in want.items()))
+    assert to_text(s).count(" + ") == 3000 and free_symbols(s) == set(want)
+    assert evaluate(s, {Y: 1.0, U: 2.0, T: 3.0}) == want[Y] + 2 * want[U] + 3 * want[T]
+    assert substitute(s, {U: Y, T: Y}) == normalize(sum(want.values()) * Y)
+    assert normalize(Fun("cos", s)) == Fun("cos", n)
+    assert normalize(Pow(s, Fraction(2))) == normalize(n * n)
+    assert copy.deepcopy(s) == s == pickle.loads(pickle.dumps(s))
 
 
 def test_normalize_random_properties():
