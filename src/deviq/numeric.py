@@ -23,10 +23,11 @@ loop, and the residual is one pass that steps the joint flow and
 evaluates each interior point, for every eps, once the step past it is
 done.
 
-`integrate`, `perturbation_residual` and `Trajectory.to_csv` work on
-Python floats and never load numpy.  It loads where an array is made: on
-the first read of a trajectory's `times`, `states` or `column`, and in
-`solve_jacobi`, `finite_difference_jacobi` and `numpy_eval`.
+A trajectory keeps its times and rows as flat C doubles, which the
+generated loops write row by row, so `integrate`, `solve_jacobi`, the two
+oracles and `Trajectory.to_csv` never load numpy.  It loads where an
+array is made: on the first read of a trajectory's `times`, `states` or
+`column`, and in `numpy_eval`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from struct import Struct
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .bundle import BundleSpec, MultiIndex
@@ -67,6 +69,8 @@ from .value import Value
 from .variational import EquationSystem
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 __all__ = [
@@ -88,7 +92,7 @@ DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 MAX_COMPILE_ORDER = 4
 #: `integrate` refuses longer windows.  The longest window in the tests, the
 #: golden files and the benchmark is 10^4 steps (t1 = 10 at dt = 1e-3); 10^5
-#: rows of a 64-state system take about 160 MB.
+#: rows of a 64-state system take about 51 MB of doubles.
 MAX_STEPS = 10**5
 
 
@@ -109,7 +113,8 @@ _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__
 #: what float arithmetic and `math` raise where numpy gives inf or nan
 _MATH_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 #: for the generated loops: the RK4 loops and the residual's loop
-_SWEEP_ENV = {**_SCALAR_ENV, "abs": abs, "len": len, "zip": zip, "nan": math.nan, "MathError": _MATH_ERRORS}
+_SWEEP_ENV = {**_SCALAR_ENV, "abs": abs, "len": len, "zip": zip, "enumerate": enumerate, "Struct": Struct,
+              "nan": math.nan, "MathError": _MATH_ERRORS}
 
 _FUN_NAMES = {"ln": "log"}
 
@@ -279,8 +284,9 @@ def _indent(lines: list, depth: int = 1) -> list:
 
 def _define_loop(params: str, setup: list, head: str, body: list, steps: str, result: str = ""):
     """The generated loop `f(params)`: `setup`, then `body` under the loop
-    header `head`.  It returns `steps`, the number of steps done, then the
-    math error that stopped it or None, then `result`."""
+    header `head`.  A math error stops it with `steps`, the number of steps
+    done, and the error; otherwise it returns the number of steps, None and
+    `result`."""
     source = [
         f"def f({params}):",
         *_indent(setup),
@@ -289,7 +295,7 @@ def _define_loop(params: str, setup: list, head: str, body: list, steps: str, re
         *_indent(body, 3),
         "    except MathError as ex:",
         f"        return {steps}, ex",
-        f"    return {steps}, None{result}",
+        f"    return len(sizes), None{result}",
     ]
     return _define("\n".join(source) + "\n", _SWEEP_ENV)
 
@@ -298,14 +304,14 @@ def _rk4_loop(f: "FirstOrderSystem", lanes: int):
     """The classical RK4 loop of `f` over a whole window, as generated code.
 
     With one lane it is `loop(times, sizes, rows, a)` and appends each new
-    state to `rows`; with two it is `loop(times, sizes, rows, eps, a, b)`,
-    which steps the flows from `a` and from `b` side by side and appends
-    (b_i - a_i) / eps.  `sizes[i]` is the step from `times[i]` to
-    `times[i + 1]`.  The loop returns `(steps, error)` for `_run`: it stops
-    early, one row short, when a new state is not finite (n - n is nan
-    just then) or a math error is raised, and `rows` ends with the last
-    valid step.  When no right-hand side reads the base coordinate, the
-    loop reads only `sizes`.
+    state to `rows`, an `array("d")`, as the n doubles of one packed row;
+    with two it is `loop(times, sizes, rows, eps, a, b)`, which steps the
+    flows from `a` and from `b` side by side and appends (b_i - a_i) / eps.
+    `sizes[i]` is the step from `times[i]` to `times[i + 1]`.  The loop
+    returns `(steps, error)` for `_run`: it stops early, one row short,
+    when a new state is not finite (n - n is nan just then) or a math error
+    is raised, and `rows` ends with the last valid step.  When no
+    right-hand side reads the base coordinate, the loop reads only `sizes`.
     Every float operation runs in the order of the textbook loop
     (k = F(t, z), z + 0.5*h*k, ..., z + h*(k1 + 2*k2 + 2*k3 + k4)/6), so
     its rows are bit-identical to it."""
@@ -315,17 +321,16 @@ def _rk4_loop(f: "FirstOrderSystem", lanes: int):
     new = []
     for lane in names:
         new += _rk4_lane(f, shared, lane, body)[0]
-    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return len(rows) - 1, None"]
+    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return i, None"]
     body += [f"{lane}{i} = {lane}n{i}" for lane in names for i in range(n)]
-    if lanes == 1:
-        body.append("append((" + ", ".join(f"a{i}" for i in range(n)) + ",))")
-    else:
-        body.append("append((" + ", ".join(f"(b{i} - a{i}) / eps" for i in range(n)) + ",))")
-    head = "for t, tn, h in zip(times, times[1:], sizes):" if timed else "for h in sizes:"
+    row = (f"a{i}" if lanes == 1 else f"(b{i} - a{i}) / eps" for i in range(n))
+    body.append(f"write(pack({', '.join(row)}))")
+    head = "for i, (t, tn, h) in enumerate(zip(times, times[1:], sizes)):" if timed else "for i, h in enumerate(sizes):"
     return _define_loop(
         f"times, sizes, rows, {', '.join(names if lanes == 1 else ('eps', *names))}",
-        [*(f"{', '.join(f'{lane}{i}' for i in range(n))}, = {lane}" for lane in names), "append = rows.append"],
-        head, body, "len(rows) - 1",
+        [*(f"{', '.join(f'{lane}{i}' for i in range(n))}, = {lane}" for lane in names),
+         "write = rows.frombytes", f"pack = Struct('{n}d').pack"],
+        head, body, "i",
     )
 
 
@@ -427,47 +432,59 @@ class Trajectory:
     """Immutable grid solution: times strictly increasing, one state row
     per grid point, 17-significant-digit CSV export.
 
-    It keeps the times and rows it was built with: the Python floats of
-    `integrate` as tuples, anything else as read-only arrays.  `times` and
-    `states` are read-only arrays made on first read, which then replace
-    the tuples, so integrating and writing CSV never load numpy."""
+    Its times and rows are flat C doubles, each an `array("d")`: `_rows`
+    holds one row of `_width` values per time, whose columns from `_first`
+    on are this trajectory's states, one per name.  The two halves of a
+    joint run are two such windows on its buffer.  Rows or an array given to
+    the constructor are copied into a buffer once.  `times` and `states`
+    are read-only ndarray views, both made on the first read of either,
+    which is where numpy loads, so integrating and writing CSV never load
+    it.  `array` too loads where a buffer is made, so compiling a system
+    does not load it."""
 
-    __slots__ = ("_times", "_states", "names", "metadata")
+    __slots__ = ("_times", "_rows", "_width", "_first", "_arrays", "names", "metadata")
 
     def __init__(self, times, states, names, metadata: dict):
-        names = tuple(names)
+        from array import array
+
+        names, times = tuple(names), array("d", times)
         if isinstance(states, (list, tuple)):
-            times, states = tuple(times), tuple(map(tuple, states))
+            states = tuple(map(tuple, states))
             if not states or len(times) != len(states):
                 raise SpecError("trajectory needs one state row per time")
-            if not all(map(operator.lt, times, times[1:])):
-                raise SpecError("trajectory times must be strictly increasing")
-            if set(map(len, states)) != {len(names)}:
-                raise SpecError("one name per state column required")
+            rows, widths = array("d", chain.from_iterable(states)), set(map(len, states))
         else:
             import numpy as np
 
-            times, states = _frozen(times), _frozen(states)
+            states = np.ascontiguousarray(states, dtype=float)
             if states.ndim != 2 or len(times) != states.shape[0]:
                 raise SpecError("trajectory needs one state row per time")
-            if len(times) > 1 and not np.all(np.diff(times) > 0):
-                raise SpecError("trajectory times must be strictly increasing")
-            if states.shape[1] != len(names):
-                raise SpecError("one name per state column required")
-        self._times, self._states = times, states
-        self.names, self.metadata = names, metadata
+            rows, widths = array("d"), {states.shape[1]}
+            rows.frombytes(states.reshape(-1).view(np.uint8))  # it reads a buffer of bytes only
+        if not all(map(operator.lt, times, times[1:])):
+            raise SpecError("trajectory times must be strictly increasing")
+        if widths != {len(names)}:
+            raise SpecError("one name per state column required")
+        self._fill(times, rows, len(names), 0, names, metadata)
+
+    def _fill(self, times: array, rows: array, width: int, first: int, names: tuple, metadata: dict):
+        self._times, self._rows, self._width, self._first = times, rows, width, first
+        self._arrays, self.names, self.metadata = None, names, metadata
+        return self
+
+    def _views(self) -> tuple:
+        if self._arrays is None:
+            rows = _frozen(self._rows).reshape(len(self._times), self._width)
+            self._arrays = _frozen(self._times), rows[:, self._first: self._first + len(self.names)]
+        return self._arrays
 
     @property
     def times(self) -> np.ndarray:
-        if isinstance(self._times, tuple):
-            self._times = _frozen(self._times)
-        return self._times
+        return self._views()[0]
 
     @property
     def states(self) -> np.ndarray:
-        if isinstance(self._states, tuple):
-            self._states = _frozen(self._states)
-        return self._states
+        return self._views()[1]
 
     def __len__(self):
         return len(self._times)
@@ -476,22 +493,26 @@ class Trajectory:
         return self.states[:, self.names.index(name)]
 
     def to_csv(self) -> str:
+        # each column is a strided copy of the rows, made in C, and zip
+        # reads the values of one line as one tuple
+        columns = (self._rows[self._first + i:: self._width] for i in range(len(self.names)))
         row = ",".join(["%.17g"] * (len(self.names) + 1))
-        times, states = (v if isinstance(v, tuple) else v.tolist() for v in (self._times, self._states))
         lines = ["t," + ",".join(self.names)]
-        lines += [row % (t, *z) for t, z in zip(times, states)]
+        lines += map(row.__mod__, zip(self._times, *columns))
         return "\n".join(lines) + "\n"
 
 
-def _frozen(values) -> np.ndarray:
-    """`values` as a read-only float array; rows of Python floats (a list or
-    tuple of tuples) are read in one pass over the flattened rows."""
+def _window(times: array, rows: array, width: int, first: int, names: tuple, metadata: dict) -> Trajectory:
+    """The trajectory of the `len(names)` columns from `first` on of `rows`,
+    `width` values a row, on times already checked: no copy, no check."""
+    return object.__new__(Trajectory)._fill(times, rows, width, first, names, metadata)
+
+
+def _frozen(values: array) -> np.ndarray:
+    """A read-only float ndarray on the doubles of `values`."""
     import numpy as np
 
-    if isinstance(values, (list, tuple)) and values and isinstance(values[0], tuple):
-        a = np.fromiter(chain.from_iterable(values), float, len(values) * len(values[0])).reshape(len(values), -1)
-    else:
-        a = np.asarray(values, dtype=float)
+    a = np.frombuffer(values, float)
     a.setflags(write=False)
     return a
 
@@ -672,15 +693,13 @@ def integrate(f: FirstOrderSystem, z0, t0: float, t1: float, dt: float) -> Traje
     non-finite state or failed right-hand side aborts with the last valid
     time in the error.
     """
+    from array import array
+
     times, sizes = _grid(t0, t1, dt)
-    rows = [_initial_state(f, z0)]
-    _run(f._loop, times, sizes, rows, rows[0])
-    return Trajectory(
-        times,
-        rows,
-        f.state_names,
-        {"dt": dt, "method": "rk4"},
-    )
+    z0 = _initial_state(f, z0)
+    rows = array("d", z0)
+    _run(f._loop, times, sizes, rows, z0)
+    return _window(array("d", times), rows, f.dimension, 0, f.state_names, {"dt": dt, "method": "rk4"})
 
 
 # --------------------------------------------------------------------------
@@ -737,14 +756,15 @@ def _init_name(k) -> str:
 
 def solve_jacobi(prob: JacobiProblem):
     """Integrate the joint deviation flow; returns (base, jacobi) halves,
-    the first and second half of the joint state by the mirror layout."""
+    the first and second half of the joint state by the mirror layout, as
+    two windows on the joint run's times and rows."""
     fos = prob.compiled
     traj = integrate(fos, prob.initial_state(), prob.t0, prob.t1, prob.dt)
-    half = fos.dimension // 2
-    times, states, names = traj.times, traj.states, fos.state_names
-    base = Trajectory(times, states[:, :half], names[:half], {**traj.metadata, "component": "base"})
-    jac = Trajectory(times, states[:, half:], names[half:], {**traj.metadata, "component": "jacobi"})
-    return base, jac
+    n, half, names = fos.dimension, fos.dimension // 2, fos.state_names
+    return tuple(
+        _window(traj._times, traj._rows, n, first, names[first: first + half], {**traj.metadata, "component": part})
+        for first, part in ((0, "base"), (half, "jacobi"))
+    )
 
 
 def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
@@ -757,6 +777,8 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
     fails is reported.  Converges to the Jacobi field linearly in eps;
     exactly (up to the integrator) for linear systems.
     """
+    from array import array
+
     if not 0 < eps < math.inf:
         raise SpecError(f"finite-difference step must be positive and finite, got {eps}")
     fos = prob.compiled
@@ -765,14 +787,10 @@ def finite_difference_jacobi(prob: JacobiProblem, eps: float) -> Trajectory:
     times, sizes = _grid(prob.t0, prob.t1, prob.dt)
     a = _initial_state(base_sys, (prob.base_init[s.name] for s in base_sys.states))
     b = _initial_state(base_sys, (x + eps * prob.jacobi_init[n] for x, n in zip(a, names)))
-    rows = [tuple((y - x) / eps for x, y in zip(a, b))]
+    rows = array("d", [(y - x) / eps for x, y in zip(a, b)])
     _run(base_sys._fd_loop, times, sizes, rows, eps, a, b)
-    return Trajectory(
-        times,
-        _frozen(rows),
-        names,
-        {"dt": prob.dt, "method": "rk4", "eps": eps, "oracle": "finite-difference"},
-    )
+    return _window(array("d", times), rows, len(names), 0, names,
+                   {"dt": prob.dt, "method": "rk4", "eps": eps, "oracle": "finite-difference"})
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,12 @@ deterministic.
 
 import contextlib
 import io
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -70,11 +73,19 @@ PRODUCTS = tuple(
 #: the largest power of a sum a model may expand
 LARGEST_EXPANSION = "base t\nfibre y\nlagrangian 0.5*y_t^2 + (y+1)^499\n"
 
+#: models nested past Python's default recursion limit: each is a parse
+#: error, not a RecursionError
+NESTED = tuple(
+    f"base t\nfibre y\nlagrangian 0.5*y_t^2 - {payload}\n"
+    for payload in ("-" * 1000 + "y", "(" * 300 + "y" + ")" * 300, "sin(" * 300 + "y" + ")" * 300)
+) + ("base t\nfibre y\nlagrangian 0.5*y_t^2 - y" + "^1" * 1000 + "\n",)
+
 #: chains of 500 terms, each one sum: a fault over one is named in one
 #: line, with no recursion error.  While a test runs, Hypothesis sets the
 #: recursion limit about 2000 frames above the test's depth, which a
 #: walk through a sum nested one level per term passes only past about
-#: 300 terms; the command line fails at 150.
+#: 300 terms; the command line fails at 150.  So these and NESTED also run
+#: in a process of their own, at the default limit.
 LONG_SUM = " + ".join(["y"] * 500)
 CHAINS = tuple(
     f"base t\nfibre y\nlagrangian y_t^2/2 + {payload}\n"
@@ -137,10 +148,10 @@ def run_main(text, argv):
     argv=["residual", "--init=y=1,pt_y=0", "--t1=1e-300"],
 )
 # nested past the recursion limit: a parse error, not a RecursionError
-@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "-" * 1000 + "y\n", argv=["derive"])
-@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
-@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - " + "sin(" * 300 + "y" + ")" * 300 + "\n", argv=["derive"])
-@example(text="base t\nfibre y\nlagrangian 0.5*y_t^2 - y" + "^1" * 1000 + "\n", argv=["derive"])
+@example(text=NESTED[0], argv=["derive"])
+@example(text=NESTED[1], argv=["derive"])
+@example(text=NESTED[2], argv=["derive"])
+@example(text=NESTED[3], argv=["derive"])
 # a right-hand side of degree 498, written as generated code
 @example(text=LARGEST_EXPANSION, argv=["simulate", "--init=y=0,y_t=0", "--t1=0.003", "--dt=0.001"])
 @example(text=LARGEST_EXPANSION, argv=["residual", "--init=y=0,y_t=0", "--t1=0.003", "--dt=0.001"])
@@ -152,7 +163,27 @@ def run_main(text, argv):
 @example(text=CHAINS[1], argv=["derive"])
 @example(text=CHAINS[2], argv=["derive"])
 def test_exit_code_contract(text, argv):
-    code, err = run_main(text, argv)
+    check_contract(text, argv, *run_main(text, argv))
+
+
+@pytest.mark.parametrize("text,argv", [
+    *(pytest.param(text, ["derive"], id=f"nested-{kind}")
+      for kind, text in zip(("minus", "parentheses", "sin", "power"), NESTED)),
+    *(pytest.param(text, [command], id=f"chain-{kind}-{command}")
+      for kind, text in zip(("ln", "power", "quotient"), CHAINS) for command in ("derive", "deviate", "check")),
+])
+def test_exit_code_contract_at_the_default_recursion_limit(tmp_path, text, argv):
+    """The nested and long-chain models through `python -m deviq`, in a
+    process at Python's default recursion limit, which the in-process test
+    cannot see under Hypothesis."""
+    path = tmp_path / "model.eqn"
+    path.write_text(text, encoding="utf-8")
+    res = subprocess.run([sys.executable, "-m", "deviq", argv[0], str(path), *argv[1:]], capture_output=True, text=True)
+    check_contract(text, argv, res.returncode, res.stderr)
+
+
+def check_contract(text, argv, code, err):
+    """The exit-code contract for one run of `argv` on the model `text`."""
     if text == SWELL or text in PRODUCTS:
         assert code == 2 and f"more than {MAX_NORMAL_FORM_TERMS}" in err, err
         assert err.count("\n") == 1, err

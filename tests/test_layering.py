@@ -14,7 +14,8 @@ used, so the symbolic commands start without it; `numeric` loads
 pair by `equivalent`, which compares normal forms, so no module imports
 `random`; a cold symbolic command loads neither `random`, nor `json`, nor
 `numpy`, and neither do `simulate` and `residual`, which step and sweep
-the flow on Python floats.
+the flow on Python floats, nor a Jacobi solve, the two oracles or the CSV
+of a trajectory: numpy loads where an array is read.
 Each misuse is refused in one place: only the spec raises
 `VerticalExtensionError`, and the CLI takes its exit codes from the error
 classes, naming no list of them.
@@ -187,6 +188,34 @@ def test_symbolic_commands_load_no_random_json_or_numpy(tmp_path, command, args)
     """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.stdout == "0 []\n", res.stderr
+
+
+def test_jacobi_runs_load_numpy_only_where_an_array_is_read():
+    """A Jacobi solve, both oracles and the CSV of their trajectories work on
+    flat doubles; the first `.states` read loads numpy and gives read-only
+    arrays equal to the CSV values.  Compiling the problem's system loads
+    not even `array`, which holds the doubles."""
+    model = Path(deviq.__file__).parents[2] / "models" / "pendulum.eqn"
+    script = textwrap.dedent(f"""
+        import sys
+        for name in ("array", "numpy"):
+            sys.modules.pop(name, None)
+        from deviq import (JacobiProblem, deviation_equations, finite_difference_jacobi, load_model,
+                           perturbation_residual, solve_jacobi)
+        prob = JacobiProblem(deviation_equations(load_model({str(model)!r})), {{"y": 2.0, "y_t": 0.0}},
+                             {{"v_y": 1.0}}, 0.0, 2.0)
+        print("array" in sys.modules)
+        runs = [*solve_jacobi(prob), finite_difference_jacobi(prob, 1e-3)]
+        perturbation_residual(prob)
+        texts = [traj.to_csv() for traj in runs]
+        print("numpy" in sys.modules)
+        states = [traj.states for traj in runs]
+        print("numpy" in sys.modules, [s.flags.writeable for s in states])
+        print(all(s.tolist() == [[float(v) for v in line.split(",")[1:]] for line in text.splitlines()[1:]]
+                  for s, text in zip(states, texts)))
+    """)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.stdout == "False\nFalse\nTrue [False, False, False]\nTrue\n", res.stderr
 
 
 def test_only_the_spec_raises_vertical_extension_error():
