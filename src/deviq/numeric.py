@@ -106,7 +106,11 @@ MAX_STEPS = 10**5
 # all by `_rk4_lane`.  Every generated function reads its expressions through
 # `_horner`, so all of them do the same float operations in the same order;
 # a compiled system makes the forms of its right-hand side once, and its
-# call, its RK4 loops and its residual's stepping share them.
+# call, its RK4 loops and its residual's stepping share them.  A sum's term
+# -1*u is written as a subtraction, s - u (a first one as v - u with the
+# next term v, or as -u): IEEE 754 defines s - u as s + (-u), (-1)*u is -u
+# and (-x)*y is -(x*y) exactly, signed zeros and infinities too, so every
+# double is that of the product by -1; only a nan may come out as another.
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _SCALAR_ENV = {**{n: getattr(math, n) for n in _FUNCTIONS}, "pow": math.pow, "__builtins__": {}}
@@ -147,7 +151,18 @@ def _emit(e: Expr, names: Mapping[str, str], sub) -> str:
                 f"'{e.name}' is not a state variable, the base coordinate, or a bound parameter"
             ) from None
     if isinstance(e, Add):
-        return "(" + "+".join(map(sub, e.terms)) + ")"
+        # a term -1*u as s - u, v - u or -u: see the note on code generation
+        parts = []
+        for t in e.terms:
+            head = t.factors[0] if isinstance(t, Mul) else None
+            if isinstance(head, Rat) and head.value == -1:
+                u = t.factors[1:]
+                parts.append("-" + (sub(u[0]) if len(u) == 1 else "(" + "*".join(map(sub, u)) + ")"))
+            else:
+                parts.append("+" + sub(t))
+        if parts[0][0] == "-" and len(parts) > 1 and parts[1][0] == "+":
+            parts[:2] = parts[1], parts[0]
+        return "(" + "".join(parts).removeprefix("+") + ")"
     if isinstance(e, Mul):
         return "(" + "*".join(map(sub, e.factors)) + ")"
     if isinstance(e, Pow):
@@ -278,6 +293,15 @@ def _step_start(f: "FirstOrderSystem") -> tuple:
     return shared, ["hh = 0.5 * h", *(["th = t + hh"] if timed else [])], timed
 
 
+def _stop_unless_finite(new: list) -> list:
+    """Lines that return `i, None` when a new state is not finite.  x * 0.0
+    and x - x are nan just for an inf or nan x, so the test of each state
+    runs only when their sum is not finite, which finite states give only
+    by overflow."""
+    return [f"if ({' + '.join(new)}) * 0.0 != 0.0 and " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:",
+            "    return i, None"]
+
+
 def _indent(lines: list, depth: int = 1) -> list:
     return [" " * (4 * depth) + line for line in lines]
 
@@ -309,7 +333,7 @@ def _rk4_loop(f: "FirstOrderSystem", lanes: int):
     flows from `a` and from `b` side by side and appends (b_i - a_i) / eps.
     `sizes[i]` is the step from `times[i]` to `times[i + 1]`.  The loop
     returns `(steps, error)` for `_run`: it stops early, one row short,
-    when a new state is not finite (n - n is nan just then) or a math error
+    when a new state is not finite (`_stop_unless_finite`) or a math error
     is raised, and `rows` ends with the last valid step.  When no
     right-hand side reads the base coordinate, the loop reads only `sizes`.
     Every float operation runs in the order of the textbook loop
@@ -321,7 +345,7 @@ def _rk4_loop(f: "FirstOrderSystem", lanes: int):
     new = []
     for lane in names:
         new += _rk4_lane(f, shared, lane, body)[0]
-    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return i, None"]
+    body += _stop_unless_finite(new)
     body += [f"{lane}{i} = {lane}n{i}" for lane in names for i in range(n)]
     row = (f"a{i}" if lanes == 1 else f"(b{i} - a{i}) / eps" for i in range(n))
     body.append(f"write(pack({', '.join(row)}))")
@@ -852,7 +876,7 @@ def _residual_loop(prob: "JacobiProblem", rungs: int):
     # eps: p{i} and q{j} on s + e*psi, the equations r{k} and their peak w
     shared, body, _ = _step_start(fos)
     new, k1 = _rk4_lane(fos, shared, "a", body)
-    body += ["if " + " + ".join(f"({v} - {v})" for v in new) + " != 0.0:", "    return i, None"]
+    body += _stop_unless_finite(new)
     point = [
         "if uniform:",
         *(f"    P{j} = ({new[half + i]} - u{j}) / h2" for j, i in enumerate(tails)),

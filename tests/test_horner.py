@@ -9,11 +9,12 @@ seeded sums of powers of differences, and a compiled system evaluates as
 `evaluate` does.  A difference is one node shared by every form of a call,
 and only symbols of one kind pair up.  The generated RK4, finite-difference
 and residual loops of a chain are the same text under any string hashing,
-write no power, and do no more binary float operations than their forms
-over differences took when they were introduced.  The finite-difference
+write no power, add no product by -1 to a sum, and do no more binary
+float operations than they took when last lowered.  The finite-difference
 oracle's base part takes its forms from its deviation pair.
 """
 
+import ast
 import operator
 import os
 import random
@@ -238,15 +239,17 @@ def test_horner_form_is_exact_over_differences():
 
 
 def test_horner_form_holds_symbols_only_in_shared_differences():
-    """(q2 - q1)^3 + (q3 - q2)^3 is written over the two differences alone,
-    and cos(q2 - q1) reads the same node in the same call."""
-    q1, q2, q3 = (Sym(f"q{i}", SymbolKind.FIBRE) for i in (1, 2, 3))
-    e = normalize(Pow(q2 - q1, Fraction(3)) + Pow(q3 - q2, Fraction(3)))
-    forms = _horner([e, normalize(Fun("cos", q2 - q1))])
+    """(g2 - g1)^3 + (g3 - g2)^3 is written over the two differences alone,
+    and cos(g2 - g1) reads the same node in the same call.  A function is
+    one atom per process, so no other test names g1, g2 or g3: a
+    cos(g2 - g1) made earlier around a raw sum brings a node of its own."""
+    g1, g2, g3 = (Sym(f"g{i}", SymbolKind.FIBRE) for i in (1, 2, 3))
+    e = normalize(Pow(g2 - g1, Fraction(3)) + Pow(g3 - g2, Fraction(3)))
+    forms = _horner([e, normalize(Fun("cos", g2 - g1))])
     assert normalize(forms[0]) == e
     nodes, names = _differences(forms)
     assert names == set()
-    assert list(map(len, nodes.values())) == [1, 1] and set(nodes) == {("q1", "q2"), ("q2", "q3")}
+    assert list(map(len, nodes.values())) == [1, 1] and set(nodes) == {("g1", "g2"), ("g2", "g3")}
 
 
 def test_horner_pairs_symbols_of_one_kind_only():
@@ -363,16 +366,36 @@ print("".join(sources), end="")
 #: stages of one step and its update), the FD oracle's loop and the residual's
 #: loop over three eps.  Written as expanded normal forms they took 1499,
 #: 1211 and 1980; in Horner form 1019, 1003 and 1419; over differences of the
-#: coordinates, as now, 659, 675 and 939.
-FPU_L4_BINARY_OPS = (659, 675, 939)
+#: coordinates 659, 675 and 939, later 656, 672 and 939; with each negated
+#: term a subtraction and one sum of the new states tested for finiteness, as
+#: now, 644, 664 and 912.  The counts are of the code, so they include the
+#: finiteness test's slow path, which runs only on a step whose sum is not
+#: finite.
+FPU_L4_BINARY_OPS = (644, 664, 912)
+
+
+def _negated_sum_terms(source: str) -> int:
+    """The products by -1.0 in `source` that are an operand of a sum or
+    difference: (-1.0)*u*v parses as ((-1.0)*u)*v, so its -1.0 is the
+    leftmost factor of the operand."""
+    minus_one = ast.dump(ast.parse("(-1.0)", mode="eval").body)
+    found = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            for side in (node.left, node.right):
+                product = side
+                while isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult):
+                    side = side.left
+                found += side is not product and ast.dump(side) == minus_one
+    return found
 
 
 def test_fpu_chain_rk4_loop_is_hash_independent_and_in_horner_form():
     """fpu-L4's RK4, FD and residual loops are the same text under two
-    string hash seeds, write no power, and do no more binary float
-    operations than their forms over differences took when introduced, so
-    a right-hand side or residual equation that slips back to an expanded
-    or merely factored form fails here."""
+    string hash seeds, write no power, add no product by -1 to a sum, and
+    do no more binary float operations than they took when last lowered,
+    so a right-hand side or residual equation that slips back to an
+    expanded or merely factored form fails here."""
     path = Path(__file__).resolve().parent / "golden" / "models" / "fpu-L4.eqn"
     outputs = [
         subprocess.run([sys.executable, "-c", LOOP_SCRIPT, str(path)], capture_output=True, text=True,
@@ -383,3 +406,4 @@ def test_fpu_chain_rk4_loop_is_hash_independent_and_in_horner_form():
     *counts, source = outputs[0].split("\n", len(FPU_L4_BINARY_OPS))
     assert all(int(n) <= bound for n, bound in zip(counts, FPU_L4_BINARY_OPS))
     assert "**" not in source
+    assert _negated_sum_terms(source) == 0

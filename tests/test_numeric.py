@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import struct
 import symtable
 import tracemalloc
 from array import array
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deviq.cli
 from deviq import (
@@ -43,7 +46,7 @@ from deviq import (
     solve_jacobi,
 )
 from deviq.bundle import MultiIndex
-from deviq.expr import Pow, SymbolKind, exp, free_symbols, ln, sin, substitute
+from deviq.expr import Add, Mul, Pow, SymbolKind, exp, free_symbols, ln, sin, substitute
 from deviq import numeric
 from deviq.numeric import MAX_STEPS, _emit
 from conftest import ODE_CORPUS, corpus_model, first_order_atoms, model_path, rand_expr
@@ -372,6 +375,131 @@ def test_emit_writes_integer_constants_as_float_literals():
     assert text(Rat(Fraction(big))) == f"({big})"
     with pytest.raises(IntegrationError, match="int too large to convert to float"):
         integrate(_first_order(lambda t, y, u: Rat(Fraction(big)) * u), (0.0, 1.0), 0.0, 1.0, 0.25)
+
+
+MINUS_ONE = Rat(Fraction(-1))
+
+
+def test_emit_writes_negated_terms_as_subtractions():
+    """A sum's term -1*u is s - u; a first one swaps with a plain second
+    term, and a sum with no plain term up front starts with a unary minus.
+    A product by -1 outside a sum keeps its factor."""
+    x, y, z = (Sym(n, SymbolKind.FIBRE) for n in ("x", "y", "z"))
+
+    def text(e):
+        return _emit(e, {"x": "x", "y": "y", "z": "z"}, text)
+
+    assert text(Add((x, Mul((MINUS_ONE, y))))) == "(x-y)"
+    assert text(Add((Mul((MINUS_ONE, x)), y, Mul((MINUS_ONE, y, z))))) == "(y-x-(y*z))"
+    assert text(Add((Mul((MINUS_ONE, x)), Mul((MINUS_ONE, y)), z))) == "(-x-y+z)"
+    assert text(Add((Mul((MINUS_ONE, x)), Mul((MINUS_ONE, Pow(y, Fraction(2))))))) == "(-x-(y)**(2.0))"
+    assert text(Mul((x, Mul((MINUS_ONE, y))))) == "(x*((-1.0)*y))"
+
+
+#: doubles at the edges of the float range, subnormals, signed zeros,
+#: non-finite values and a few plain ones
+EDGE_DOUBLES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, 1.0, -1.0, 0.1, -3.5)
+DOUBLES = st.sampled_from(EDGE_DOUBLES) | st.floats(allow_nan=True, allow_infinity=True)
+#: points whose sums round, so that terms added in another order show
+_RNG = random.Random(7)
+ROUNDING_POINTS = [tuple(_RNG.uniform(-10.0, 10.0) for _ in range(4)) for _ in range(32)]
+LEAVES = st.sampled_from([Sym(f"w{i}", SymbolKind.FIBRE) for i in range(4)]) | st.sampled_from(
+    [Rat(Fraction(n, d)) for n, d in ((2, 1), (-3, 1), (1, 3), (-5, 7), (1, 1))])
+
+
+def _horner_shaped(children):
+    """Sums and products of the shapes `_horner` makes, with a -1 on any
+    term of a sum, on every term, or on a factor of a product."""
+    factors = st.lists(children, min_size=1, max_size=2).map(tuple)
+
+    def signed(negate, u):
+        return Mul((MINUS_ONE, *u)) if negate else (u[0] if len(u) == 1 else Mul(u))
+
+    term = st.tuples(st.booleans(), factors).map(lambda t: signed(*t))
+    sums = st.lists(term, min_size=2, max_size=4).map(lambda ts: Add(tuple(ts)))
+    negated = st.lists(factors.map(lambda u: Mul((MINUS_ONE, *u))), min_size=2, max_size=3).map(
+        lambda ts: Add(tuple(ts)))
+    products = st.tuples(children, term).map(Mul)
+    return sums | negated | products
+
+
+HORNER_SHAPED = _horner_shaped(st.recursive(LEAVES, _horner_shaped, max_leaves=10))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(forms=st.lists(HORNER_SHAPED, min_size=1, max_size=3),
+       points=st.lists(st.tuples(DOUBLES, DOUBLES, DOUBLES, DOUBLES), min_size=1, max_size=6))
+def test_subtractions_give_the_doubles_of_products_by_minus_one(forms, points):
+    """The generated code writes a sum's term -1*u as a subtraction; the
+    same forms written with every -1 as a (-1.0)* product give the same
+    double, bit for bit, or a nan where it gives one."""
+    symbols = [Sym(f"w{i}", SymbolKind.FIBRE) for i in range(4)]
+    names = {s.name: f"z[{i}]" for i, s in enumerate(symbols)}
+
+    def old(e):
+        return "(" + "+".join(map(old, e.terms)) + ")" if isinstance(e, Add) else _emit(e, names, old)
+
+    products = eval(f"lambda z: ({', '.join(map(old, forms))},)", {"__builtins__": {}})
+    subtractions = numeric._lambdify(forms, None, symbols, numeric._SCALAR_ENV)
+    for z in [*points, *ROUNDING_POINTS]:
+        for a, b in zip(products(z), subtractions(None, z)):
+            assert (math.isnan(a) and math.isnan(b)) or struct.pack("d", a) == struct.pack("d", b)
+
+
+def _zero_flow(t1=1.0, dt=0.25):
+    """y' = 0 and u' = 0 from 1.5e308 each: every state is finite and the
+    sum of any two of them is inf."""
+    system = deviation_equations(parse_model("base t\nfibre y u\nequation y_t\nequation u_t\n"))
+    return JacobiProblem(system, {"y": 1.5e308, "u": 1.5e308}, {"v_y": 1.0}, 0.0, t1, dt)
+
+
+def test_finite_states_whose_sum_overflows_run_to_the_end():
+    """The finiteness test adds the new states once; where that sum
+    overflows, the test of each state finds them all finite, so the flow,
+    the FD oracle and the residual all run to t1."""
+    prob = _zero_flow()
+    base, jacobi = solve_jacobi(prob)
+    assert base.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert base.states.tolist() == [[1.5e308, 1.5e308]] * 5 and jacobi.states.tolist() == [[1.0, 0.0]] * 5
+    fd = finite_difference_jacobi(prob, 0.5)
+    # the nudge 0.5 * 1.0 vanishes against 1.5e308
+    assert fd.times.tolist()[-1] == 1.0 and fd.states.tolist() == [[0.0, 0.0]] * 5
+    assert perturbation_residual(prob).entries == tuple((e, 0.0) for e in numeric.DEFAULT_EPS_LADDER)
+
+
+#: flows that blow up, as Jacobi problems, with where `solve_jacobi`, the FD
+#: oracle at eps = 0.5 and the residual stop: the start of each message and
+#: the last valid time
+BLOW_UPS = {
+    # y' = y^2 raises an overflow in y^2 near t = 1/y0
+    "math-error": (
+        "fibre y\nequation y_t - y^2", {"y": 1.0}, {"v_y": 1.0}, 2.0, 1e-3,
+        [("right-hand side failed between t=1.002 and t=1.003: ", 1.002),
+         ("right-hand side failed between t=0.668 and t=0.669: ", 0.668),
+         ("right-hand side failed between t=1.002 and t=1.003: ", 1.002)]),
+    # y' = 100*u*y, u' = 0 overflows y to inf without an exception
+    "non-finite": (
+        "fibre y u\nequation y_t - 100*u*y\nequation u_t", {"y": 1.0, "u": 1.0}, {"v_u": 1.0}, 20.0, 0.02,
+        [("state became non-finite at t=7.18 (last valid time t=7.16)", 7.16),
+         ("state became non-finite at t=5.04 (last valid time t=5.0200000000000005)", 5.0200000000000005),
+         ("state became non-finite at t=7.18 (last valid time t=7.16)", 7.16)]),
+    # u' = 10^300 u is inf on the first step
+    "first-step": (
+        "fibre y u\nequation y_t - 1\nequation u_t - 10^300*u", {"y": 0.0, "u": 1.0}, {}, 1.0, 0.25,
+        [("state became non-finite at t=0.25 (last valid time t=0.0)", 0.0)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", BLOW_UPS)
+def test_blow_ups_stop_at_their_step(name):
+    text, base, jacobi, t1, dt, stops = BLOW_UPS[name]
+    prob = JacobiProblem(deviation_equations(parse_model(f"base t\n{text}\n")), base, jacobi, 0.0, t1, dt)
+    for run, (message, last_time) in zip(
+            (solve_jacobi, lambda p: finite_difference_jacobi(p, 0.5), perturbation_residual), stops):
+        with pytest.raises(IntegrationError) as err:
+            run(prob)
+        assert str(err.value).startswith(message) and err.value.last_time == last_time
 
 
 def test_trajectory_csv_and_immutability():
